@@ -23,7 +23,6 @@ import time
 from pathlib import Path
 
 from repro.core.artifact_cache import ArtifactCache
-from repro.harness.parallel import evaluate_all_parallel
 from repro.harness.prepare import PhaseTimes
 from repro.harness.reproduce import evaluate_all
 
@@ -60,7 +59,7 @@ def test_parallel_walltime_baseline(tmp_path):
     cache = ArtifactCache(tmp_path / "cache")
     cold_times = PhaseTimes()
     start = time.perf_counter()
-    cold = evaluate_all_parallel(
+    cold = evaluate_all(
         SWEEP, trials=TRIALS, scale=SCALE, include_random=True,
         jobs=JOBS, cache=cache, phase_times=cold_times,
     )
@@ -68,7 +67,7 @@ def test_parallel_walltime_baseline(tmp_path):
 
     warm_times = PhaseTimes()
     start = time.perf_counter()
-    warm = evaluate_all_parallel(
+    warm = evaluate_all(
         SWEEP, trials=TRIALS, scale=SCALE, include_random=True,
         jobs=JOBS, cache=cache, phase_times=warm_times,
     )

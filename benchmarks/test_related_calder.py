@@ -17,7 +17,7 @@ from repro.calder import CalderParams
 from repro.calder import profile_workload as calder_profile
 from repro.core import optimise_profile, profile_workload
 from repro.harness.reproduce import halo_params_for
-from repro.harness.runner import measure_baseline, measure_calder, measure_halo
+from repro.harness.runner import measure, measure_baseline, measure_halo
 from repro.workloads import get_workload
 
 SCALE = os.environ.get("REPRO_BENCH_SCALE", "ref")
@@ -37,8 +37,8 @@ def test_calder_vs_halo(benchmark):
 
             base = measure_baseline(get_workload(name), scale=SCALE, seed=1)
             halo = measure_halo(get_workload(name), halo_artifacts, scale=SCALE, seed=1)
-            calder = measure_calder(
-                get_workload(name), calder_artifacts, scale=SCALE, seed=1
+            calder = measure(
+                get_workload(name), "calder", calder_artifacts, scale=SCALE, seed=1
             )
 
             def reduction(m):

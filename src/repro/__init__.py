@@ -48,6 +48,7 @@ from .core import (
 )
 from .harness import (
     Measurement,
+    measure,
     measure_baseline,
     measure_halo,
     measure_hds,
@@ -103,6 +104,7 @@ __all__ = [
     "get_workload",
     "group_contexts",
     "make_runtime",
+    "measure",
     "measure_baseline",
     "measure_halo",
     "measure_hds",

@@ -34,9 +34,10 @@ simulation:
   a committed ``BENCH_*.json`` baseline (see ``docs/OBSERVABILITY.md``);
 * ``halo list`` — show the available benchmarks.
 
-Parallel runs (``--jobs N``) are resilient: ``--task-timeout`` bounds any
-single worker task, ``--max-retries`` bounds per-cell retries, and
-``--resume`` continues an interrupted matrix from its checkpoint journal.
+``halo plot`` runs are resilient at any ``--jobs``: ``--task-timeout``
+bounds any single task (it runs in a killable worker process),
+``--max-retries`` bounds per-cell retries, and ``--resume`` continues an
+interrupted matrix from its checkpoint journal.
 
 Profiling artifacts are cached under ``--cache-dir`` (default
 ``.halo-cache``; disable with ``--no-cache``), so a warm re-run skips the
@@ -210,13 +211,18 @@ def _parse_benchmarks(args: argparse.Namespace) -> Optional[tuple[str, ...]]:
 
 
 def _add_resilience_args(parser: argparse.ArgumentParser) -> None:
-    """Flags shared by the parallel entry points (``--jobs > 1`` only)."""
+    """Flags of the resilient entry points.
+
+    ``halo plot`` honours them at any ``--jobs``; ``trace sweep`` only
+    with ``--jobs > 1``.
+    """
     parser.add_argument(
         "--task-timeout",
         type=float,
         default=None,
         metavar="SECONDS",
-        help="kill and retry any worker task running longer than this",
+        help="kill and retry any task running longer than this "
+        "(tasks then run in worker processes, even at --jobs 1)",
     )
     parser.add_argument(
         "--max-retries",
@@ -796,16 +802,29 @@ def _run_plot(
     failures: list,
 ) -> int:
     """The body of ``halo plot`` (split out so the root span wraps it)."""
+    checkpoint = None
+    if cache is not None or args.resume:
+        from .harness.checkpoint import journal_for
+
+        checkpoint = journal_for(
+            args.cache_dir if cache is not None else None,
+            f"table{args.table}" if args.table else f"figure{args.figure}",
+        )
+    options = dict(
+        jobs=args.jobs,
+        cache=cache,
+        phase_times=times,
+        task_timeout=args.task_timeout,
+        max_retries=args.max_retries,
+        checkpoint=checkpoint,
+        resume=args.resume,
+        failures=failures,
+    )
     if args.table == 1:
         rows = reproduce.table1(
             benchmarks=benchmarks or reproduce.TABLE1_BENCHMARKS,
             scale=args.scale,
-            jobs=args.jobs,
-            cache=cache,
-            phase_times=times,
-            task_timeout=args.task_timeout,
-            max_retries=args.max_retries,
-            failures=failures,
+            **options,
         )
         _report_failures(failures)
         print(
@@ -818,7 +837,8 @@ def _run_plot(
         _write_json(args.out, "table1", rows)
         return 0
     if args.figure == 12:
-        result = reproduce.figure12(trials=args.trials, cache=cache, phase_times=times)
+        result = reproduce.figure12(trials=args.trials, **options)
+        _report_failures(failures)
         series = result.series[0]
         print(
             bar_chart(
@@ -839,28 +859,14 @@ def _run_plot(
                 file=sys.stderr,
             )
             return 2
-    checkpoint = None
-    if args.jobs > 1 and (cache is not None or args.resume):
-        from .harness.checkpoint import journal_for
-
-        checkpoint = journal_for(
-            args.cache_dir if cache is not None else None, f"figure{args.figure}"
-        )
     evaluations = reproduce.evaluate_all(
         benchmarks=benchmarks or reproduce.PAPER_BENCHMARKS,
         trials=args.trials,
         scale=args.scale,
         include_random=args.figure == 15,
-        jobs=args.jobs,
-        cache=cache,
-        phase_times=times,
-        task_timeout=args.task_timeout,
-        max_retries=args.max_retries,
-        checkpoint=checkpoint,
-        resume=args.resume,
-        failures=failures,
         engine=args.engine,
         families=families,
+        **options,
     )
     _report_failures(failures)
     figure = {13: reproduce.figure13, 14: reproduce.figure14, 15: reproduce.figure15}[args.figure]

@@ -121,6 +121,11 @@ class HaloRuntime:
             "state_vector": self.state_vector,
         }
 
+    def attach(self, machine: Machine) -> None:
+        """Load the rewritten binary's instrumentation into *machine*."""
+        machine.instrumentation = dict(self.instrumentation)
+        machine.state_vector = self.state_vector
+
 
 def profile_workload(
     workload: Runnable,

@@ -9,7 +9,7 @@ from .experiment import (
     speedup,
     trial_seeds,
 )
-from .parallel import evaluate_all_parallel, run_trials_parallel
+from .parallel import Cell, run_cells, run_trials_parallel
 from .prepare import (
     PhaseTimes,
     PreparedArtifacts,
@@ -22,8 +22,8 @@ from ..trace.access import AccessTrace, AccessTraceRecorder, replay_geometries
 from .runner import (
     Measurement,
     PeakTracker,
+    measure,
     measure_baseline,
-    measure_calder,
     measure_halo,
     measure_hds,
     measure_random_pools,
@@ -34,6 +34,7 @@ from .runner import (
 __all__ = [
     "AccessTrace",
     "AccessTraceRecorder",
+    "Cell",
     "Measurement",
     "PeakTracker",
     "PhaseTimes",
@@ -42,16 +43,16 @@ __all__ = [
     "TrialStats",
     "WorkloadEvaluation",
     "aggregate_trials",
-    "evaluate_all_parallel",
     "halo_params_for",
     "hds_params_for",
+    "measure",
     "measure_baseline",
-    "measure_calder",
     "measure_halo",
     "measure_hds",
     "measure_random_pools",
     "miss_reduction",
     "prepare_workload",
+    "run_cells",
     "run_measurement",
     "replay_geometries",
     "run_trials",

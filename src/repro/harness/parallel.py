@@ -1,20 +1,28 @@
-"""Resilient parallel evaluation engine.
+"""Resilient cell runner: the one evaluation path for serial and ``--jobs`` runs.
 
-The paper's evaluation is embarrassingly parallel: 11 benchmarks × 4
-configurations × N trials, every run independent of every other.  This
-module fans the matrix out over a :class:`concurrent.futures.ProcessPoolExecutor`
-with *deterministic seed assignment* — each worker task is one
-``(benchmark, configuration, seed)`` measurement, seeds are enumerated
-exactly as the serial :func:`~repro.harness.experiment.run_trials` does,
-and results are folded through the same
-:func:`~repro.harness.experiment.aggregate_trials` — so a parallel run
-produces results *identical* to the serial path, just faster.
+The paper's evaluation is one matrix of independent cells, each a single
+``(benchmark, configuration, seed)`` measurement.  Every entry point —
+:func:`~repro.harness.reproduce.evaluate_all`, ``table1``, ``figure12``
+and :func:`run_trials_parallel` — builds a list of :class:`Cell` values
+and hands it to :func:`run_cells`: a prepare wave (profile + analyse once
+per benchmark and parameter set), then one task per cell.  Seeds come
+from :func:`~repro.harness.experiment.trial_seeds` and results fold
+through :func:`~repro.harness.experiment.aggregate_trials`, so where a
+cell ran never changes what it measured.
 
-Resilience: the engine fails per *cell*, never per *matrix*.  Each task
-runs under a bounded retry policy with exponential backoff and an
-optional per-task timeout; a worker that dies (OOM-kill, segfault,
-injected fault) breaks only its pool, which is rebuilt and the in-flight
-cells resubmitted; a cell that exhausts its retries becomes a
+Execution: with ``jobs == 1``, no task timeout and no fault plan, each
+task runs inline in the calling process — under the caller's sanitizer,
+fault plan and metrics registry, with nothing pickled and, without a
+cache, nothing written to disk.  Every other combination runs tasks in a
+:class:`concurrent.futures.ProcessPoolExecutor`, because only a separate
+process can be killed when a task times out or a fault drill kills its
+worker.
+
+Resilience (in both modes): the runner fails per *cell*, never per
+*matrix*.  Each task runs under a bounded retry policy with exponential
+backoff and an optional per-task timeout; a worker that dies (OOM-kill,
+segfault, injected fault) breaks only its pool, which is rebuilt and the
+in-flight cells resubmitted; a cell that exhausts its retries becomes a
 :class:`FailedMeasurement` in the caller's failure list instead of an
 exception that discards every other result.  With a
 :class:`~repro.harness.checkpoint.CheckpointJournal` attached, every
@@ -23,12 +31,13 @@ from completed work — and, because cells are deterministic, a resumed run
 is bit-identical to an uninterrupted one.  ``KeyboardInterrupt`` cancels
 pending work and terminates in-flight workers instead of hanging on them.
 
-Artifact handling: the expensive offline phase (profile + analyse) runs
-once per benchmark.  A first wave of prepare tasks populates a shared
-on-disk :class:`~repro.core.artifact_cache.ArtifactCache` (a run-private
-temporary directory when the caller disabled caching), and each worker
-process then loads the pickled artifacts at most once, memoised in
-process-global state.
+Artifact handling: each process memoises the prepared artifacts and
+decoded traces it loads, so the prepare wave's work is reused by every
+cell that runs there.  A pool run shares them through the on-disk
+:class:`~repro.core.artifact_cache.ArtifactCache` (a run-private
+temporary directory when the caller disabled caching); an inline run
+shares the memo directly and drops it when the run ends, so every call
+starts cold.
 """
 
 from __future__ import annotations
@@ -42,6 +51,7 @@ from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wai
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Any, Callable, Iterator, Optional, Sequence, Union
 
@@ -57,7 +67,6 @@ from ..sanitize.invariants import (
     install_sanitizer,
 )
 from ..obs import metrics as obs_metrics
-from ..allocators import ALLOCATOR_FAMILIES
 from ..obs.spans import phase_span
 from ..trace.format import EventTrace
 from ..trace.replay import replay_profile
@@ -67,50 +76,77 @@ from .prepare import (
     PROFILE_SCALE,
     PhaseTimes,
     PreparedArtifacts,
-    WorkloadEvaluation,
     get_or_record_trace,
     halo_params_for,
     hds_params_for,
     prepare_workload,
     trace_key_for,
 )
-from .runner import (
-    Measurement,
-    measure_baseline,
-    measure_family,
-    measure_halo,
-    measure_hds,
-    measure_random_pools,
-)
-from ..workloads.base import get_workload
+from .runner import CONFIGS, Measurement, measure
+from ..workloads.base import Workload, get_workload
 
 logger = logging.getLogger(__name__)
 
-#: Configurations the evaluation matrix measures, in serial-path order.
-CONFIGS = ("baseline", "halo", "hds", "random-pools")
+#: Configurations whose artifacts the prepare wave builds; each is also
+#: the :class:`PreparedArtifacts` field holding them.
+PREPARED_CONFIGS = ("halo", "hds")
+
+#: Configurations a cell may name: the whole registry except ``calder``,
+#: whose artifacts come from its own profiling pass, not the prepare wave.
+CELL_CONFIGS = frozenset(CONFIGS) - {"calder"}
 
 
 @dataclass(frozen=True)
-class MeasureTask:
-    """One unit of parallel work: a single measured run."""
+class Cell:
+    """One cell of the evaluation matrix: a single measured run.
+
+    Parameters left at None are the workload's defaults.  *engine*
+    selects the measurement backend: ``direct`` executes the workload,
+    while ``auto``/``columnar``/``event`` measure from its event trace
+    when *scale* is the trace-recording scale.
+    """
 
     workload: str
     config: str
-    scale: str
     seed: int
-    cache_dir: Optional[str] = None
+    scale: str = "ref"
     halo_params: Optional[HaloParams] = None
     hds_params: Optional[HdsParams] = None
-    #: Measurement backend: ``direct`` executes the workload; ``auto``/
-    #: ``columnar``/``event`` measure from the shared event trace.
     engine: str = "direct"
+
+    @cached_property
+    def params_tag(self) -> str:
+        """Key suffix: empty at the workload's default parameters, else a digest."""
+        if self.halo_params is None and self.hds_params is None:
+            return ""
+        workload = get_workload(self.workload)
+        defaults = (halo_params_for(workload), hds_params_for(workload))
+        params = (self.halo_params or defaults[0], self.hds_params or defaults[1])
+        if params == defaults:
+            return ""
+        digest = artifact_key(
+            workload=self.workload,
+            profile_scale=PROFILE_SCALE,
+            halo_params=params[0],
+            hds_params=params[1],
+        )
+        return ":" + digest[:12]
+
+    @property
+    def key(self) -> str:
+        """Journal and fault-plan key of this cell."""
+        return f"measure:{self.workload}:{self.config}:{self.scale}:{self.seed}{self.params_tag}"
+
+    def prepare_key(self, include_hds: bool) -> str:
+        """Key of the prepare task that builds this cell's artifacts."""
+        return f"prepare:{self.workload}{'' if include_hds else ':halo'}{self.params_tag}"
 
 
 @dataclass
 class PreparedSummary:
     """What a prepare task reports back to the coordinating process.
 
-    The artifacts themselves stay in the cache / worker memo; only the
+    The artifacts themselves stay in the cache / process memo; only the
     figure metadata and phase timings travel back over the pipe.
     """
 
@@ -180,47 +216,60 @@ class RetryPolicy:
         return self.backoff * (2 ** attempt) * (0.5 + 0.5 * unit)
 
 
-# -- worker-process state -----------------------------------------------------
+# -- task bodies (run inline or in a worker process) -------------------------
 
-#: Per-process memo of prepared artifacts, keyed by the artifact-cache key.
-_PREPARED: dict[str, PreparedArtifacts] = {}
+#: Per-process memo of workloads, keyed by name.
+_WORKLOADS: dict[str, Workload] = {}
+
+#: Per-process memo of prepared artifacts, keyed by workload name and
+#: (resolved) HALO/HDS parameters.
+_PREPARED: dict[tuple, PreparedArtifacts] = {}
 
 #: Per-process memo of decoded event traces, keyed by the trace cache key.
-#: Decoding is the expensive part of a warm replay, so each worker decodes
-#: a given workload's trace at most once regardless of how many sweep
-#: points it processes.
+#: Decoding is the expensive part of a warm replay, so each process
+#: decodes a given workload's trace at most once regardless of how many
+#: cells or sweep points it processes.
 _TRACES: dict[str, EventTrace] = {}
 
 
-def _faulted_task(
+def _workload(name: str) -> Workload:
+    """The workload called *name*, built once per process."""
+    workload = _WORKLOADS.get(name)
+    if workload is None:
+        workload = _WORKLOADS[name] = get_workload(name)
+    return workload
+
+
+def _worker_task(
     fn: Callable,
     args: tuple,
     plan: Optional[FaultPlan],
     task_key: str,
     attempt: int,
     sanitize: Optional[SanitizerConfig] = None,
-):
-    """Worker shim: install the run's fault plan, apply worker faults, run.
+) -> tuple[Any, obs_metrics.MetricsSnapshot]:
+    """Worker shim: run one task under the run's sanitizer and fault plan.
 
-    Every task funnels through here so the fault plan — and, when active,
-    the heap-sanitizer config — reaches allocator and trace hooks in the
-    worker process, and scheduled kills/stalls hit before any real work
-    starts (maximally disruptive, like a crash at task pickup).  Shipping
-    the sanitizer config this way is what makes ``--jobs N --sanitize``
-    check exactly the ops a serial run would.
+    Installs what the coordinator's process had active — the heap
+    sanitizer config, which makes ``--jobs N --sanitize`` check exactly
+    the ops a serial run would, and the fault plan, whose scheduled
+    kills/stalls hit before any real work starts (like a crash at task
+    pickup) — and collects the task's metrics in a fresh registry.
+    Returns ``(value, metrics snapshot)``.
     """
     if sanitize is not None:
         install_sanitizer(sanitize)
-    try:
-        if plan is None:
-            return fn(*args)
+    if plan is not None:
         install_fault_plan(plan)
-        try:
+    try:
+        if plan is not None:
             plan.on_worker_task(task_key, attempt)
-            return fn(*args)
-        finally:
-            clear_fault_plan()
+        with obs_metrics.collecting() as registry:
+            value = fn(*args)
+        return value, registry.snapshot()
     finally:
+        if plan is not None:
+            clear_fault_plan()
         if sanitize is not None:
             clear_sanitizer()
 
@@ -243,10 +292,8 @@ def _trace_for(name: str, cache_dir: Optional[str]) -> tuple[EventTrace, PhaseTi
 
 
 def _record_trace_task(name: str, cache_dir: Optional[str]) -> tuple[str, int, PhaseTimes]:
-    """Worker entry point ensuring *name*'s trace exists in the shared cache."""
-    with obs_metrics.collecting() as registry:
-        trace, times = _trace_for(name, cache_dir)
-        times.metrics = registry.snapshot()
+    """Task ensuring *name*'s trace exists in the shared cache."""
+    trace, times = _trace_for(name, cache_dir)
     return name, trace.header.events, times
 
 
@@ -260,15 +307,14 @@ def _prepared_for(
     """Fetch (or build) the prepared artifacts for *name* in this process.
 
     Returns the artifacts plus the phase time *this call* actually spent —
-    zero on a process-memo hit, so repeated tasks in one worker never
+    zero on a process-memo hit, so repeated tasks in one process never
     re-account the original profile/analyse cost.
     """
-    workload = get_workload(name)
-    key = artifact_key(
-        workload=name,
-        profile_scale=PROFILE_SCALE,
-        halo_params=halo_params or halo_params_for(workload),
-        hds_params=hds_params or hds_params_for(workload),
+    workload = _workload(name)
+    key = (
+        name,
+        halo_params or halo_params_for(workload),
+        hds_params or hds_params_for(workload),
     )
     memo = _PREPARED.get(key)
     if memo is not None and (memo.hds is not None or not include_hds):
@@ -293,10 +339,8 @@ def _prepare_task(
     hds_params: Optional[HdsParams],
     include_hds: bool = True,
 ) -> PreparedSummary:
-    """Worker entry point for the prepare wave."""
-    with obs_metrics.collecting() as registry:
-        prepared, times = _prepared_for(name, cache_dir, halo_params, hds_params, include_hds)
-        times.metrics = registry.snapshot()
+    """Task for the prepare wave: profile + analyse one benchmark."""
+    prepared, times = _prepared_for(name, cache_dir, halo_params, hds_params, include_hds)
     return PreparedSummary(
         workload=name,
         key=prepared.key,
@@ -309,86 +353,60 @@ def _prepare_task(
     )
 
 
-def _measure_task(task: MeasureTask) -> tuple[Measurement, PhaseTimes]:
-    """Worker entry point for one measurement run."""
-    with obs_metrics.collecting() as registry:
-        times = PhaseTimes()
-        workload = get_workload(task.workload)
-        measure_kwargs: dict = {}
-        if task.engine != "direct" and task.scale == PROFILE_SCALE:
-            trace, trace_times = _trace_for(task.workload, task.cache_dir)
-            times.add(trace_times)
-            measure_kwargs = {"trace": trace, "engine": task.engine}
-        span = phase_span(times, "measure", workload=task.workload, config=task.config)
-        if task.config == "baseline":
-            with span:
-                measurement = measure_baseline(
-                    workload, scale=task.scale, seed=task.seed, **measure_kwargs
-                )
-        elif task.config == "random-pools":
-            with span:
-                measurement = measure_random_pools(
-                    workload, scale=task.scale, seed=task.seed, **measure_kwargs
-                )
-        elif task.config in ALLOCATOR_FAMILIES:
-            with span:
-                measurement = measure_family(
-                    workload, task.config, scale=task.scale, seed=task.seed,
-                    **measure_kwargs,
-                )
-        elif task.config in ("halo", "hds"):
-            prepared, prep_times = _prepared_for(
-                task.workload,
-                task.cache_dir,
-                task.halo_params,
-                task.hds_params,
-                include_hds=task.config == "hds",
-            )
-            times.add(prep_times)
-            with span:
-                if task.config == "halo":
-                    measurement = measure_halo(
-                        workload, prepared.halo, scale=task.scale, seed=task.seed,
-                        **measure_kwargs,
-                    )
-                else:
-                    assert prepared.hds is not None
-                    measurement = measure_hds(
-                        workload, prepared.hds, scale=task.scale, seed=task.seed,
-                        **measure_kwargs,
-                    )
-        else:
-            raise ValueError(f"unknown configuration {task.config!r}")
-        times.metrics = registry.snapshot()
-    return measurement, times
-
-
-def _table1_task(
-    name: str,
-    scale: str,
-    cache_dir: Optional[str],
-) -> tuple[str, float, int, PhaseTimes]:
-    """Worker entry point for one Table 1 row."""
-    with obs_metrics.collecting() as registry:
-        times = PhaseTimes()
-        workload = get_workload(name)
-        prepared, prep_times = _prepared_for(name, cache_dir, None, None, include_hds=False)
+def _measure_task(cell: Cell, cache_dir: Optional[str]) -> tuple[Measurement, PhaseTimes]:
+    """Task for one cell: fetch its trace and artifacts, then measure."""
+    times = PhaseTimes()
+    workload = _workload(cell.workload)
+    measure_kwargs: dict = {}
+    if cell.engine != "direct" and cell.scale == PROFILE_SCALE:
+        trace, trace_times = _trace_for(cell.workload, cache_dir)
+        times.add(trace_times)
+        measure_kwargs = {"trace": trace, "engine": cell.engine}
+    artifacts = None
+    if cell.config in PREPARED_CONFIGS:
+        prepared, prep_times = _prepared_for(
+            cell.workload,
+            cache_dir,
+            cell.halo_params,
+            cell.hds_params,
+            include_hds=cell.config == "hds",
+        )
         times.add(prep_times)
-        with phase_span(times, "measure", workload=name, config="halo"):
-            measurement = measure_halo(workload, prepared.halo, scale=scale, seed=1)
-        times.metrics = registry.snapshot()
-    frag = measurement.frag_at_peak
-    if frag is None:
-        return name, 0.0, 0, times
-    return name, frag.fraction, frag.wasted_bytes, times
+        artifacts = getattr(prepared, cell.config)
+    with phase_span(times, "measure", workload=cell.workload, config=cell.config):
+        measurement = measure(
+            workload, cell.config, artifacts, scale=cell.scale, seed=cell.seed,
+            **measure_kwargs,
+        )
+    return measurement, times
 
 
 # -- coordinator side ---------------------------------------------------------
 
 
+class _InlineExecutor:
+    """Executor that runs each task at submission, in the calling process.
+
+    Shutting it down drops the process memos, so they never outlive the
+    run that filled them.
+    """
+
+    def submit(self, fn: Callable, *args) -> Future:
+        future: Future = Future()
+        try:
+            future.set_result(fn(*args))
+        except Exception as exc:
+            future.set_exception(exc)
+        return future
+
+    def shutdown(self, wait: bool = True, cancel_futures: bool = False) -> None:
+        for memo in (_WORKLOADS, _PREPARED, _TRACES):
+            memo.clear()
+
+
 @dataclass
 class _TaskSpec:
-    """One schedulable cell: worker callable plus reporting identity."""
+    """One schedulable cell: task callable plus reporting identity."""
 
     key: str
     fn: Callable
@@ -417,7 +435,9 @@ class _RunReport:
 
     ``requeues`` counts healthy bystander tasks rescheduled because a
     *different* task broke or timed out the pool; ``pool_rebuilds``
-    counts the teardown/rebuild cycles themselves.
+    counts the teardown/rebuild cycles themselves.  ``metrics`` merges
+    the snapshots worker processes sent back (None for inline runs,
+    which publish to the caller's registry directly).
     """
 
     fresh: dict[str, Any] = field(default_factory=dict)
@@ -425,15 +445,18 @@ class _RunReport:
     retries: int = 0
     requeues: int = 0
     pool_rebuilds: int = 0
+    metrics: Optional[obs_metrics.MetricsSnapshot] = None
 
 
 class _ResilientRunner:
-    """Task scheduler wrapping one (rebuildable) process pool.
+    """Task scheduler wrapping one (rebuildable) executor.
 
     Owns submission, per-task deadlines, bounded retry with exponential
     backoff, broken-pool recovery, journalling, and interrupt-safe
     teardown.  One runner is shared across the waves of a pipeline entry
-    point so worker-process memos survive between waves.
+    point so process memos survive between waves.  It runs tasks inline
+    when nothing needs a separate process: one job, no timeout to
+    enforce and no fault plan to inject.
     """
 
     def __init__(
@@ -448,18 +471,29 @@ class _ResilientRunner:
         self.jobs = jobs
         self.policy = policy
         self.fault_plan = fault_plan
+        self.inline = jobs == 1 and policy.task_timeout is None and fault_plan is None
         # Captured at construction on the coordinator: workers inherit the
-        # same sanitizer configuration the serial path would run under.
+        # same sanitizer configuration an inline run executes under.
         self.sanitize = active_sanitizer()
         self.journal = journal
-        self._pool: Optional[ProcessPoolExecutor] = None
+        self._pool: Optional[Union[ProcessPoolExecutor, _InlineExecutor]] = None
 
     # -- pool lifecycle ----------------------------------------------------
 
-    def _ensure_pool(self) -> ProcessPoolExecutor:
+    def _ensure_pool(self) -> Union[ProcessPoolExecutor, _InlineExecutor]:
         if self._pool is None:
-            self._pool = ProcessPoolExecutor(max_workers=self.jobs)
+            self._pool = (
+                _InlineExecutor() if self.inline else ProcessPoolExecutor(max_workers=self.jobs)
+            )
         return self._pool
+
+    def _submit(self, spec: _TaskSpec, attempt: int) -> Future:
+        pool = self._ensure_pool()
+        if self.inline:
+            return pool.submit(spec.fn, *spec.args)
+        return pool.submit(
+            _worker_task, spec.fn, spec.args, self.fault_plan, spec.key, attempt, self.sanitize
+        )
 
     def _kill_pool(self) -> None:
         """Tear the pool down without waiting on in-flight work.
@@ -550,17 +584,10 @@ class _ResilientRunner:
             # starts (almost) immediately and its deadline is meaningful.
             while pending and len(running) < self.jobs:
                 spec, attempt = pending.popleft()
-                future = self._ensure_pool().submit(
-                    _faulted_task,
-                    spec.fn,
-                    spec.args,
-                    self.fault_plan,
-                    spec.key,
-                    attempt,
-                    self.sanitize,
-                )
-                deadline = None if timeout is None else time.monotonic() + timeout
-                running[future] = (spec, attempt, deadline, time.monotonic())
+                submitted = time.monotonic()
+                future = self._submit(spec, attempt)
+                deadline = None if timeout is None else submitted + timeout
+                running[future] = (spec, attempt, deadline, submitted)
                 obs_metrics.inc("harness.tasks", 1, kind=spec.kind)
 
             if not running:
@@ -595,6 +622,11 @@ class _ResilientRunner:
                     obs_metrics.observe(
                         "harness.task_seconds", time.monotonic() - submitted, kind=spec.kind
                     )
+                    if not self.inline:
+                        value, snapshot = value
+                        if report.metrics is None:
+                            report.metrics = obs_metrics.MetricsSnapshot()
+                        report.metrics.merge(snapshot)
                     report.fresh[spec.key] = value
                     if self.journal is not None:
                         self.journal.append(spec.key, value)
@@ -629,12 +661,14 @@ class _ResilientRunner:
 
 
 def _fold_report(phase_times: Optional[PhaseTimes], report: _RunReport) -> None:
-    """Accumulate one wave's operational churn into *phase_times*."""
+    """Accumulate one wave's churn and worker metrics into *phase_times*."""
     if phase_times is None:
         return
     phase_times.task_retries += report.retries
     phase_times.requeues += report.requeues
     phase_times.pool_rebuilds += report.pool_rebuilds
+    if report.metrics is not None:
+        phase_times.add(PhaseTimes(metrics=report.metrics))
 
 
 def _preload(
@@ -659,40 +693,184 @@ def _as_journal(
     return CheckpointJournal(checkpoint)
 
 
-def _measure_key(workload: str, config: str, scale: str, seed: int) -> str:
-    return f"measure:{workload}:{config}:{scale}:{seed}"
-
-
-def _aggregate_seeded(
-    cells: dict[int, Measurement], discard_first: bool
-) -> Optional[TrialResult]:
-    """Aggregate surviving per-seed measurements (None if nothing survives).
-
-    The warm-up convention drops seed 0 *when it succeeded*; a failed
-    warm-up cell must not silently promote seed 1 into its place.
-    """
-    seeds = sorted(cells)
-    if discard_first and 0 in cells:
-        seeds = [s for s in seeds if s != 0]
-    if not seeds:
-        return None
-    return aggregate_trials([cells[s] for s in seeds], discard_first=False)
-
-
 @contextmanager
-def _effective_cache_dir(cache: Optional[ArtifactCache]) -> Iterator[str]:
-    """The cache directory shared with workers for one parallel run.
+def _shared_cache_dir(cache: Optional[ArtifactCache], inline: bool) -> Iterator[Optional[str]]:
+    """The artifact-cache directory a run's tasks share (None: no cache).
 
-    When the caller runs without a persistent cache, a run-private
-    temporary directory stands in so each benchmark is still profiled
-    exactly once rather than once per worker process.
+    A pool run without a persistent cache gets a run-private temporary
+    directory, so each benchmark is still profiled once rather than once
+    per worker process; an inline run shares its process memo instead.
     """
     if cache is not None:
         cache.root.mkdir(parents=True, exist_ok=True)
         yield str(cache.root)
-        return
-    with tempfile.TemporaryDirectory(prefix="halo-artifacts-") as tmp:
-        yield tmp
+    elif inline:
+        yield None
+    else:
+        with tempfile.TemporaryDirectory(prefix="halo-artifacts-") as tmp:
+            yield tmp
+
+
+def _check_names(cells: Sequence[Cell]) -> None:
+    """Reject unknown workloads and configurations before scheduling.
+
+    Both are deterministic errors: retried as cells, they would only be
+    reported late (or dropped) instead of raised.
+    """
+    for name in dict.fromkeys(cell.workload for cell in cells):
+        get_workload(name)
+    unknown = sorted({cell.config for cell in cells} - CELL_CONFIGS)
+    if unknown:
+        raise ValueError(
+            f"unknown configuration(s) {', '.join(unknown)}; "
+            f"expected one of {', '.join(sorted(CELL_CONFIGS))}"
+        )
+
+
+@dataclass
+class CellResults:
+    """What :func:`run_cells` produced, journalled cells included.
+
+    ``measured`` maps :attr:`Cell.key` to its measurement and ``prepared``
+    maps :meth:`Cell.prepare_key` to its summary; failed cells are absent
+    from both and listed in ``failures``.
+    """
+
+    measured: dict[str, Measurement]
+    prepared: dict[str, PreparedSummary]
+    failures: list[FailedMeasurement]
+
+    def trials(self, cells: Sequence[Cell], discard_first: bool = True) -> Optional[TrialResult]:
+        """Aggregate the surviving seeds of *cells* (None if none survived).
+
+        The warm-up convention drops seed 0 *when it succeeded*; a failed
+        warm-up cell must not silently promote seed 1 into its place.
+        """
+        by_seed = {c.seed: self.measured[c.key] for c in cells if c.key in self.measured}
+        seeds = sorted(by_seed)
+        if discard_first and 0 in by_seed:
+            seeds = seeds[1:]
+        if not seeds:
+            return None
+        return aggregate_trials([by_seed[s] for s in seeds], discard_first=False)
+
+
+def run_cells(
+    cells: Sequence[Cell],
+    *,
+    jobs: int = 1,
+    cache: Optional[ArtifactCache] = None,
+    phase_times: Optional[PhaseTimes] = None,
+    task_timeout: Optional[float] = None,
+    max_retries: int = 2,
+    fault_plan: Optional[FaultPlan] = None,
+    checkpoint: Optional[Union[CheckpointJournal, str, Path]] = None,
+    resume: bool = False,
+    failures: Optional[list[FailedMeasurement]] = None,
+) -> CellResults:
+    """Measure every cell: one prepare task per artifact set, then one task per cell.
+
+    Args:
+        cells: The cells to measure; HALO/HDS cells first get a prepare
+            task per ``(workload, parameters)``, which also runs HDS
+            analysis when any of them is an ``hds`` cell.
+        jobs: Worker processes; ``1`` runs inline unless *task_timeout*
+            or *fault_plan* needs a killable process.
+        cache: Artifact cache for profiles and traces (None: profile
+            afresh; inline runs then write nothing to disk).
+        phase_times: Accumulates per-phase time, cache traffic, retry
+            churn and worker-side metrics.
+        task_timeout / max_retries: Per-task deadline and retry budget.
+        fault_plan: Faults to inject in worker processes (drills).
+        checkpoint / resume: Journal completed cells as they land; with
+            *resume*, skip cells the journal already holds.
+        failures: Receives a :class:`FailedMeasurement` per cell that
+            exhausted its retries.  A cell whose prepare task failed is
+            not measured.
+
+    Unknown workload or configuration names raise before any work runs.
+    """
+    _check_names(cells)
+    hds_wanted: dict[tuple[str, str], bool] = {}
+    for cell in cells:
+        if cell.config in PREPARED_CONFIGS:
+            group = (cell.workload, cell.params_tag)
+            hds_wanted[group] = hds_wanted.get(group, False) or cell.config == "hds"
+
+    def prepare_key(cell: Cell) -> str:
+        return cell.prepare_key(hds_wanted[cell.workload, cell.params_tag])
+
+    prepares: dict[str, Cell] = {}
+    for cell in cells:
+        if cell.config in PREPARED_CONFIGS:
+            prepares.setdefault(prepare_key(cell), cell)
+
+    journal = _as_journal(checkpoint)
+    done = _preload(journal, resume)
+    runner = _ResilientRunner(
+        jobs,
+        RetryPolicy(task_timeout=task_timeout, max_retries=max_retries),
+        fault_plan=fault_plan,
+        journal=journal,
+    )
+    with _shared_cache_dir(cache, runner.inline) as cache_dir:
+        try:
+            prep = runner.run([
+                _TaskSpec(
+                    key=key,
+                    fn=_prepare_task,
+                    args=(
+                        cell.workload, cache_dir, cell.halo_params, cell.hds_params,
+                        hds_wanted[cell.workload, cell.params_tag],
+                    ),
+                    workload=cell.workload,
+                    scale=cell.scale,
+                    kind="prepare",
+                )
+                for key, cell in prepares.items()
+                if key not in done
+            ])
+            prepared = {
+                key: summary
+                for key in prepares
+                if (summary := prep.fresh.get(key, done.get(key))) is not None
+            }
+            measured = runner.run([
+                _TaskSpec(
+                    key=cell.key,
+                    fn=_measure_task,
+                    args=(cell, cache_dir),
+                    workload=cell.workload,
+                    config=cell.config,
+                    scale=cell.scale,
+                    seed=cell.seed,
+                )
+                for cell in cells
+                if cell.key not in done
+                and (cell.config not in PREPARED_CONFIGS or prepare_key(cell) in prepared)
+            ])
+        finally:
+            runner.close()
+
+    if phase_times is not None:
+        for report in (prep, measured):
+            _fold_report(phase_times, report)
+        for summary in prep.fresh.values():
+            phase_times.add(summary.times)
+        for _, times in measured.fresh.values():
+            phase_times.add(times)
+    results = CellResults(
+        measured={
+            cell.key: value[0]
+            for cell in cells
+            if (value := measured.fresh.get(cell.key, done.get(cell.key))) is not None
+        },
+        prepared=prepared,
+        failures=prep.failures + measured.failures,
+    )
+    if failures is not None:
+        failures.extend(results.failures)
+    return results
 
 
 def run_trials_parallel(
@@ -702,302 +880,32 @@ def run_trials_parallel(
     scale: str = "ref",
     jobs: int = 2,
     discard_first: bool = True,
-    cache: Optional[ArtifactCache] = None,
     halo_params: Optional[HaloParams] = None,
     hds_params: Optional[HdsParams] = None,
-    phase_times: Optional[PhaseTimes] = None,
-    task_timeout: Optional[float] = None,
-    max_retries: int = 2,
-    fault_plan: Optional[FaultPlan] = None,
-    failures: Optional[list[FailedMeasurement]] = None,
     engine: str = "direct",
+    **options,
 ) -> TrialResult:
-    """Parallel counterpart of :func:`~repro.harness.experiment.run_trials`.
+    """Cell-runner counterpart of :func:`~repro.harness.experiment.run_trials`.
 
-    Runs the same seed sequence as the serial path for one
-    ``(benchmark, configuration)`` pair and aggregates identically, so the
-    resulting :class:`TrialResult` matches the serial one exactly.  Cells
-    that fail despite retries land in *failures* (when given) and are
-    excluded from the aggregate; if nothing survives, :class:`RuntimeError`.
+    Runs the same seed sequence for one ``(benchmark, configuration)``
+    pair and aggregates identically, so the resulting
+    :class:`TrialResult` matches ``run_trials`` exactly.  *options* go to
+    :func:`run_cells`.  Cells that fail despite retries land in
+    ``failures`` (when given) and are excluded from the aggregate; if
+    nothing survives, :class:`RuntimeError`.
     """
-    seeds = trial_seeds(trials, discard_first)
-    policy = RetryPolicy(task_timeout=task_timeout, max_retries=max_retries)
-    prep: Optional[_RunReport] = None
-    with _effective_cache_dir(cache) as cache_dir:
-        runner = _ResilientRunner(jobs, policy, fault_plan=fault_plan)
-        try:
-            if config in ("halo", "hds"):
-                # One prepare task so measurement workers only load the cache.
-                prep = runner.run([
-                    _TaskSpec(
-                        key=f"prepare:{name}",
-                        fn=_prepare_task,
-                        args=(name, cache_dir, halo_params, hds_params, config == "hds"),
-                        workload=name,
-                        config=config,
-                        scale=scale,
-                        kind="prepare",
-                    )
-                ])
-                if prep.failures:
-                    raise RuntimeError(
-                        f"prepare phase failed for {name}: {prep.failures[0]}"
-                    )
-            specs = [
-                _TaskSpec(
-                    key=_measure_key(name, config, scale, seed),
-                    fn=_measure_task,
-                    args=(
-                        MeasureTask(
-                            workload=name,
-                            config=config,
-                            scale=scale,
-                            seed=seed,
-                            cache_dir=cache_dir,
-                            halo_params=halo_params,
-                            hds_params=hds_params,
-                            engine=engine,
-                        ),
-                    ),
-                    workload=name,
-                    config=config,
-                    scale=scale,
-                    seed=seed,
-                )
-                for seed in seeds
-            ]
-            report = runner.run(specs)
-        finally:
-            runner.close()
-    if failures is not None:
-        failures.extend(report.failures)
-    _fold_report(phase_times, report)
-    if phase_times is not None:
-        if prep is not None:
-            _fold_report(phase_times, prep)
-            for summary in prep.fresh.values():
-                phase_times.add(summary.times)
-        for _, times in report.fresh.values():
-            phase_times.add(times)
-    cells = {
-        seed: report.fresh[_measure_key(name, config, scale, seed)][0]
-        for seed in seeds
-        if _measure_key(name, config, scale, seed) in report.fresh
-    }
-    result = _aggregate_seeded(cells, discard_first)
+    cells = [
+        Cell(name, config, seed, scale, halo_params, hds_params, engine)
+        for seed in trial_seeds(trials, discard_first)
+    ]
+    results = run_cells(cells, jobs=jobs, **options)
+    result = results.trials(cells, discard_first)
     if result is None:
         raise RuntimeError(
             f"every trial of {name}/{config} failed: "
-            + "; ".join(str(f) for f in report.failures)
+            + "; ".join(str(f) for f in results.failures)
         )
     return result
-
-
-def evaluate_all_parallel(
-    benchmarks: Sequence[str],
-    trials: int = 3,
-    scale: str = "ref",
-    include_random: bool = True,
-    jobs: int = 2,
-    cache: Optional[ArtifactCache] = None,
-    phase_times: Optional[PhaseTimes] = None,
-    task_timeout: Optional[float] = None,
-    max_retries: int = 2,
-    fault_plan: Optional[FaultPlan] = None,
-    checkpoint: Optional[Union[CheckpointJournal, str, Path]] = None,
-    resume: bool = False,
-    failures: Optional[list[FailedMeasurement]] = None,
-    engine: str = "direct",
-    families: Sequence[str] = (),
-) -> dict[str, WorkloadEvaluation]:
-    """Parallel counterpart of :func:`~repro.harness.reproduce.evaluate_all`.
-
-    Fans the full matrix — every ``(benchmark, configuration, seed)`` — out
-    over *jobs* worker processes.  Deterministic: results are numerically
-    identical to the serial evaluation.
-
-    Degradation semantics: a cell that fails all its retries becomes a
-    :class:`FailedMeasurement` in *failures*; its benchmark survives as
-    long as each required configuration keeps at least one measured trial
-    (the optional random-pools series degrades to ``None``).  A benchmark
-    whose prepare phase, or an entire required configuration, fails is
-    dropped from the result dict and reported in *failures* — the rest of
-    the matrix is unaffected.  With *checkpoint* set, completed cells are
-    journalled; ``resume=True`` skips cells the journal already holds.
-    """
-    if jobs < 1:
-        raise ValueError(f"need at least one job, got {jobs}")
-    total = PhaseTimes()
-    seeds = trial_seeds(trials, discard_first=True)
-    configs = [c for c in CONFIGS if include_random or c != "random-pools"]
-    # Extra allocator families ride the same wave; like random-pools they
-    # are optional — a family whose trials all fail degrades to absence
-    # from ``extra`` rather than dropping the benchmark.
-    configs.extend(f for f in families if f not in configs)
-    journal = _as_journal(checkpoint)
-    done = _preload(journal, resume)
-    all_failures: list[FailedMeasurement] = []
-
-    with _effective_cache_dir(cache) as cache_dir:
-        runner = _ResilientRunner(
-            jobs,
-            RetryPolicy(task_timeout=task_timeout, max_retries=max_retries),
-            fault_plan=fault_plan,
-            journal=journal,
-        )
-        try:
-            # Wave 1: profile + analyse each benchmark once, into the cache.
-            prep_specs = [
-                _TaskSpec(
-                    key=f"prepare:{name}",
-                    fn=_prepare_task,
-                    args=(name, cache_dir, None, None, True),
-                    workload=name,
-                    scale=scale,
-                    kind="prepare",
-                )
-                for name in benchmarks
-                if f"prepare:{name}" not in done
-            ]
-            prep = runner.run(prep_specs)
-            all_failures.extend(prep.failures)
-            _fold_report(total, prep)
-            for summary in prep.fresh.values():
-                total.add(summary.times)
-            summaries: dict[str, PreparedSummary] = {}
-            for name in benchmarks:
-                summary = prep.fresh.get(f"prepare:{name}", done.get(f"prepare:{name}"))
-                if summary is not None:
-                    summaries[name] = summary
-            survivors = [name for name in benchmarks if name in summaries]
-
-            # Wave 2: every measurement, one task per (benchmark, config, seed).
-            measure_specs = [
-                _TaskSpec(
-                    key=_measure_key(name, config, scale, seed),
-                    fn=_measure_task,
-                    args=(
-                        MeasureTask(
-                            workload=name,
-                            config=config,
-                            scale=scale,
-                            seed=seed,
-                            cache_dir=cache_dir,
-                            engine=engine,
-                        ),
-                    ),
-                    workload=name,
-                    config=config,
-                    scale=scale,
-                    seed=seed,
-                )
-                for name in survivors
-                for config in configs
-                for seed in seeds
-                if _measure_key(name, config, scale, seed) not in done
-            ]
-            measured = runner.run(measure_specs)
-            all_failures.extend(measured.failures)
-            _fold_report(total, measured)
-            for _, times in measured.fresh.values():
-                total.add(times)
-        finally:
-            runner.close()
-
-    results = dict(done)
-    results.update(prep.fresh)
-    results.update(measured.fresh)
-
-    evaluations: dict[str, WorkloadEvaluation] = {}
-    for name in survivors:
-        trials_by_config: dict[str, Optional[TrialResult]] = {}
-        for config in configs:
-            cells = {
-                seed: results[_measure_key(name, config, scale, seed)][0]
-                for seed in seeds
-                if _measure_key(name, config, scale, seed) in results
-            }
-            trials_by_config[config] = _aggregate_seeded(cells, discard_first=True)
-        missing = [
-            c for c in ("baseline", "halo", "hds") if trials_by_config.get(c) is None
-        ]
-        if missing:
-            logger.error(
-                "dropping %s from the evaluation: no surviving trials for %s",
-                name, ", ".join(missing),
-            )
-            continue
-        summary = summaries[name]
-        evaluations[name] = WorkloadEvaluation(
-            name=name,
-            baseline=trials_by_config["baseline"],
-            halo=trials_by_config["halo"],
-            hds=trials_by_config["hds"],
-            random_pools=trials_by_config.get("random-pools"),
-            halo_groups=summary.halo_groups,
-            hds_groups=summary.hds_groups,
-            hds_streams=summary.hds_streams,
-            graph_nodes=summary.graph_nodes,
-            extra={
-                family: trials_by_config[family]
-                for family in families
-                if trials_by_config.get(family) is not None
-            },
-        )
-
-    if failures is not None:
-        failures.extend(all_failures)
-    if phase_times is not None:
-        phase_times.add(total)
-    return evaluations
-
-
-def table1_rows_parallel(
-    benchmarks: Sequence[str],
-    scale: str = "ref",
-    jobs: int = 2,
-    cache: Optional[ArtifactCache] = None,
-    phase_times: Optional[PhaseTimes] = None,
-    task_timeout: Optional[float] = None,
-    max_retries: int = 2,
-    fault_plan: Optional[FaultPlan] = None,
-    failures: Optional[list[FailedMeasurement]] = None,
-) -> list[tuple[str, float, int]]:
-    """Parallel Table 1: ``(benchmark, fraction, wasted_bytes)`` rows.
-
-    Row order follows *benchmarks* regardless of completion order; rows
-    whose cell failed all retries are omitted and reported via *failures*.
-    """
-    policy = RetryPolicy(task_timeout=task_timeout, max_retries=max_retries)
-    with _effective_cache_dir(cache) as cache_dir:
-        runner = _ResilientRunner(jobs, policy, fault_plan=fault_plan)
-        try:
-            report = runner.run([
-                _TaskSpec(
-                    key=f"table1:{name}:{scale}",
-                    fn=_table1_task,
-                    args=(name, scale, cache_dir),
-                    workload=name,
-                    scale=scale,
-                    kind="table1",
-                )
-                for name in benchmarks
-            ])
-        finally:
-            runner.close()
-    if failures is not None:
-        failures.extend(report.failures)
-    rows = []
-    for name in benchmarks:
-        value = report.fresh.get(f"table1:{name}:{scale}")
-        if value is None:
-            continue
-        row_name, fraction, wasted, times = value
-        if phase_times is not None:
-            phase_times.add(times)
-        rows.append((row_name, fraction, wasted))
-    _fold_report(phase_times, report)
-    return rows
 
 
 # -- trace-driven parameter sweeps --------------------------------------------
@@ -1026,18 +934,16 @@ class SweepPoint:
 def _sweep_task(
     name: str, halo_params: HaloParams, cache_dir: Optional[str]
 ) -> SweepPoint:
-    """Worker entry point: one pipeline run from trace for one config."""
-    with obs_metrics.collecting() as registry:
-        times = PhaseTimes()
-        trace, trace_times = _trace_for(name, cache_dir)
-        times.add(trace_times)
-        workload = get_workload(name)
-        with phase_span(times, "profile", workload=name, source="trace"):
-            profile = replay_profile(trace, workload.program, halo_params)
-        times.trace_replays += 1
-        with phase_span(times, "analyse", workload=name):
-            artifacts = optimise_profile(profile, halo_params)
-        times.metrics = registry.snapshot()
+    """Task for one sweep point: one pipeline run from trace for one config."""
+    times = PhaseTimes()
+    trace, trace_times = _trace_for(name, cache_dir)
+    times.add(trace_times)
+    workload = _workload(name)
+    with phase_span(times, "profile", workload=name, source="trace"):
+        profile = replay_profile(trace, workload.program, halo_params)
+    times.trace_replays += 1
+    with phase_span(times, "analyse", workload=name):
+        artifacts = optimise_profile(profile, halo_params)
     return SweepPoint(
         workload=name,
         affinity_distance=halo_params.affinity.distance,
@@ -1089,11 +995,13 @@ def run_sweep_parallel(
     total = PhaseTimes()
     journal = _as_journal(checkpoint)
     done = _preload(journal, resume)
-    policy = RetryPolicy(task_timeout=task_timeout, max_retries=max_retries)
-    with _effective_cache_dir(cache) as cache_dir:
-        runner = _ResilientRunner(
-            jobs, policy, fault_plan=fault_plan, journal=journal
-        )
+    runner = _ResilientRunner(
+        jobs,
+        RetryPolicy(task_timeout=task_timeout, max_retries=max_retries),
+        fault_plan=fault_plan,
+        journal=journal,
+    )
+    with _shared_cache_dir(cache, runner.inline) as cache_dir:
         try:
             record_key = f"record:{name}"
             if record_key not in done:

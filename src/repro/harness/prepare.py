@@ -1,8 +1,7 @@
 """Shared offline-phase preparation for the evaluation engine.
 
-Both the serial path (:mod:`repro.harness.reproduce`) and the parallel
-engine (:mod:`repro.harness.parallel`) need the same expensive inputs
-before they can measure anything: a trace-recording profile of the
+Every evaluation cell run by :mod:`repro.harness.parallel` needs the
+same expensive inputs before it can measure anything: a trace-recording profile of the
 workload, the HALO artifacts derived from it, and (for Figures 13/14) the
 hot-data-streams artifacts.  :func:`prepare_workload` produces all three,
 consulting an optional :class:`~repro.core.artifact_cache.ArtifactCache`
@@ -79,9 +78,9 @@ class PhaseTimes:
     #: rebuild, and the rebuilds themselves.
     requeues: int = 0
     pool_rebuilds: int = 0
-    #: Metrics collected in the process that produced these times
-    #: (worker tasks attach a snapshot here so the coordinator can merge
-    #: it; ``None`` on the serial path, which publishes directly).
+    #: Metrics collected in worker processes (the cell runner merges each
+    #: task's snapshot here; ``None`` when every task ran inline and
+    #: published to the caller's registry directly).
     metrics: Optional[MetricsSnapshot] = None
 
     def add(self, other: "PhaseTimes") -> None:
@@ -372,27 +371,3 @@ class WorkloadEvaluation:
         if trial is None:
             return 0.0
         return speedup(self.baseline, trial)
-
-
-def build_evaluation(
-    prepared: PreparedArtifacts,
-    baseline: TrialResult,
-    halo: TrialResult,
-    hds: TrialResult,
-    random_pools: Optional[TrialResult],
-    extra: Optional[dict[str, TrialResult]] = None,
-) -> WorkloadEvaluation:
-    """Assemble a :class:`WorkloadEvaluation` from trial results + artifacts."""
-    assert prepared.hds is not None, "evaluation needs the HDS artifacts"
-    return WorkloadEvaluation(
-        name=prepared.workload_name,
-        baseline=baseline,
-        halo=halo,
-        hds=hds,
-        random_pools=random_pools,
-        halo_groups=len(prepared.halo.groups),
-        hds_groups=len(prepared.hds.groups),
-        hds_streams=prepared.hds.stream_count,
-        graph_nodes=len(prepared.profile.graph),
-        extra=dict(extra or {}),
-    )

@@ -10,9 +10,11 @@ One function per paper artefact:
 * :func:`roms_representation_blowup` — §5.2's 31-nodes-vs-150k-streams
   comparison.
 
-``evaluate_workload`` does the shared work (profile once, analyse with both
+:func:`evaluate_all` does the shared work (profile once, analyse with both
 techniques, measure all configurations over trials) so figures 13/14 come
-from a single set of runs, exactly as in the paper.
+from a single set of runs, exactly as in the paper.  Every entry point
+builds its cells and measures them through the one cell runner,
+:func:`repro.harness.parallel.run_cells`, serially or with ``jobs=N``.
 """
 
 from __future__ import annotations
@@ -22,24 +24,12 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from ..core.artifact_cache import ArtifactCache
-from ..core.pipeline import HaloParams
-from ..obs.spans import phase_span
 from ..hds.pipeline import analyse_profile
 from ..workloads.base import get_workload
-from .runner import (
-    measure_baseline,
-    measure_family,
-    measure_halo,
-    measure_hds,
-    measure_random_pools,
-)
-from .experiment import run_trials
+from .experiment import trial_seeds
+from .parallel import Cell, run_cells
 from .prepare import (
-    PROFILE_SCALE,
-    PhaseTimes,
     WorkloadEvaluation,
-    build_evaluation,
-    get_or_record_trace,
     halo_params_for,
     hds_params_for,
     prepare_workload,
@@ -53,6 +43,9 @@ PAPER_BENCHMARKS = (
     "povray", "omnetpp", "xalanc", "leela", "roms",
 )
 
+#: Configurations of the Figure 13-15 matrix, in presentation order.
+MATRIX_CONFIGS = ("baseline", "halo", "hds", "random-pools")
+
 #: The nine benchmarks of Table 1, in its row order.
 TABLE1_BENCHMARKS = (
     "health", "equake", "analyzer", "ammp", "art", "ft",
@@ -60,138 +53,78 @@ TABLE1_BENCHMARKS = (
 )
 
 
-def evaluate_workload(
-    name: str,
-    trials: int = 3,
-    scale: str = "ref",
-    include_random: bool = True,
-    halo_params: Optional[HaloParams] = None,
-    cache: Optional[ArtifactCache] = None,
-    phase_times: Optional[PhaseTimes] = None,
-    engine: str = "direct",
-    families: Sequence[str] = (),
-) -> WorkloadEvaluation:
-    """Profile, optimise and measure one benchmark under every configuration.
-
-    With a *cache*, the profile + analyse phases are skipped on warm
-    re-runs; *phase_times*, when given, accumulates the per-phase
-    wall-time spent here.  *engine* selects the measurement backend:
-    ``direct`` executes each workload, while ``auto``/``columnar``/
-    ``event`` measure from the recorded event trace (one recording
-    serves every configuration and trial) — trace-driven measurement
-    requires the trace scale, so other scales fall back to direct runs.
-    *families* names extra standalone allocator families
-    (:data:`repro.allocators.ALLOCATOR_FAMILIES`) to measure alongside
-    the paper configurations; their trials land in the evaluation's
-    ``extra`` mapping.
-    """
-    workload = get_workload(name)
-    prepared = prepare_workload(name, halo_params=halo_params, cache=cache, workload=workload)
-
-    measure_kwargs: dict = {}
-    if engine != "direct":
-        if scale == PROFILE_SCALE:
-            trace = get_or_record_trace(
-                name, cache=cache, workload=workload, times=phase_times
-            )
-            measure_kwargs = {"trace": trace, "engine": engine}
-        else:
-            logger.debug(
-                "trace-driven measurement is only recorded at scale=%s; "
-                "measuring %s at scale=%s directly", PROFILE_SCALE, name, scale,
-            )
-
-    with phase_span(phase_times, "measure", workload=name):
-        baseline = run_trials(
-            lambda seed: measure_baseline(
-                workload, scale=scale, seed=seed, **measure_kwargs
-            ), trials
-        )
-        halo = run_trials(
-            lambda seed: measure_halo(
-                workload, prepared.halo, scale=scale, seed=seed, **measure_kwargs
-            ), trials
-        )
-        hds = run_trials(
-            lambda seed: measure_hds(
-                workload, prepared.hds, scale=scale, seed=seed, **measure_kwargs
-            ), trials
-        )
-        random_pools = None
-        if include_random:
-            random_pools = run_trials(
-                lambda seed: measure_random_pools(
-                    workload, scale=scale, seed=seed, **measure_kwargs
-                ), trials
-            )
-        extra = {
-            family: run_trials(
-                lambda seed, family=family: measure_family(
-                    workload, family, scale=scale, seed=seed, **measure_kwargs
-                ), trials
-            )
-            for family in families
-        }
-    if phase_times is not None:
-        phase_times.add(prepared.times)
-    return build_evaluation(prepared, baseline, halo, hds, random_pools, extra=extra)
-
-
 def evaluate_all(
     benchmarks: Sequence[str] = PAPER_BENCHMARKS,
     trials: int = 3,
     scale: str = "ref",
     include_random: bool = True,
-    jobs: int = 1,
-    cache: Optional[ArtifactCache] = None,
-    phase_times: Optional[PhaseTimes] = None,
-    task_timeout: Optional[float] = None,
-    max_retries: int = 2,
-    checkpoint=None,
-    resume: bool = False,
-    failures: Optional[list] = None,
     engine: str = "direct",
     families: Sequence[str] = (),
+    **options,
 ) -> dict[str, WorkloadEvaluation]:
     """Run the full evaluation matrix (figures 13, 14 and 15 share it).
 
-    ``jobs > 1`` fans the matrix out over worker processes via
-    :mod:`repro.harness.parallel`; results are identical to the serial
-    path either way.  The resilience knobs (*task_timeout*, *max_retries*,
-    *checkpoint*/*resume*, *failures*) only apply to the parallel engine.
-    """
-    if jobs > 1:
-        from .parallel import evaluate_all_parallel
+    Each benchmark is profiled once and analysed with both techniques,
+    then every ``(benchmark, configuration, seed)`` cell is measured.
+    *engine* selects the measurement backend: ``direct`` executes each
+    workload, while ``auto``/``columnar``/``event`` measure from the
+    recorded event trace (one recording serves every configuration and
+    trial) — trace-driven measurement requires the trace scale, so other
+    scales fall back to direct runs.  *families* names extra standalone
+    allocator families (:data:`repro.allocators.ALLOCATOR_FAMILIES`) to
+    measure alongside the paper configurations; their trials land in each
+    evaluation's ``extra`` mapping.
 
-        return evaluate_all_parallel(
-            benchmarks,
-            trials=trials,
-            scale=scale,
-            include_random=include_random,
-            jobs=jobs,
-            cache=cache,
-            phase_times=phase_times,
-            task_timeout=task_timeout,
-            max_retries=max_retries,
-            checkpoint=checkpoint,
-            resume=resume,
-            failures=failures,
-            engine=engine,
-            families=families,
-        )
-    return {
-        name: evaluate_workload(
-            name,
-            trials=trials,
-            scale=scale,
-            include_random=include_random,
-            cache=cache,
-            phase_times=phase_times,
-            engine=engine,
-            families=families,
-        )
+    *options* go to :func:`~repro.harness.parallel.run_cells`: ``jobs``,
+    ``cache``, ``phase_times`` and the resilience knobs ``task_timeout``,
+    ``max_retries``, ``fault_plan``, ``checkpoint``/``resume`` and
+    ``failures``.  They apply to serial runs exactly as to ``jobs > 1``,
+    and the results are identical either way.
+
+    Degradation: a cell that fails all its retries becomes a
+    :class:`~repro.harness.parallel.FailedMeasurement` in ``failures``;
+    its benchmark survives as long as baseline, HALO and HDS each keep at
+    least one measured trial (random pools and extra families degrade to
+    absence).  A benchmark whose prepare phase, or an entire required
+    configuration, fails is dropped from the result — the rest of the
+    matrix is unaffected.
+    """
+    seeds = trial_seeds(trials)
+    configs = [c for c in MATRIX_CONFIGS if include_random or c != "random-pools"]
+    configs.extend(f for f in families if f not in configs)
+    cells = {
+        (name, config): [Cell(name, config, seed, scale, engine=engine) for seed in seeds]
         for name in benchmarks
+        for config in configs
     }
+    results = run_cells([cell for row in cells.values() for cell in row], **options)
+
+    evaluations: dict[str, WorkloadEvaluation] = {}
+    for name in benchmarks:
+        summary = results.prepared.get(cells[name, "halo"][0].prepare_key(include_hds=True))
+        if summary is None:
+            continue
+        by_config = {config: results.trials(cells[name, config]) for config in configs}
+        missing = [c for c in ("baseline", "halo", "hds") if by_config[c] is None]
+        if missing:
+            logger.error(
+                "dropping %s from the evaluation: no surviving trials for %s",
+                name, ", ".join(missing),
+            )
+            continue
+        evaluations[name] = WorkloadEvaluation(
+            name=name,
+            baseline=by_config["baseline"],
+            halo=by_config["halo"],
+            hds=by_config["hds"],
+            random_pools=by_config.get("random-pools"),
+            halo_groups=summary.halo_groups,
+            hds_groups=summary.hds_groups,
+            hds_streams=summary.hds_streams,
+            graph_nodes=summary.graph_nodes,
+            extra={f: by_config[f] for f in families if by_config[f] is not None},
+        )
+    return evaluations
 
 
 # ---------------------------------------------------------------------------
@@ -262,13 +195,14 @@ def figure12(
     trials: int = 3,
     scale: str = "ref",
     benchmark: str = "omnetpp",
-    cache: Optional[ArtifactCache] = None,
-    phase_times: Optional[PhaseTimes] = None,
+    **options,
 ) -> FigureResult:
     """omnetpp execution time across affinity distances, vs the baseline.
 
     Values are simulated cycles (the paper reports seconds); the dashed
     baseline of the original plot is returned in ``notes['baseline']``.
+    A distance whose every trial failed is left out of the series.
+    *options* go to :func:`~repro.harness.parallel.run_cells`.
 
     The default sweep stops at 2^13 rather than the paper's 2^17: profiling
     cost grows with the affinity window (the paper itself notes the
@@ -276,27 +210,27 @@ def figure12(
     ``distances`` for the full range.
     """
     workload = get_workload(benchmark)
-    with phase_span(phase_times, "measure", workload=benchmark):
-        baseline = run_trials(
-            lambda seed: measure_baseline(workload, scale=scale, seed=seed), trials
-        )
-    times: dict[str, float] = {}
+    seeds = trial_seeds(trials)
+    baseline = [Cell(benchmark, "baseline", seed, scale) for seed in seeds]
+    sweep = {}
     for distance in distances:
         params = halo_params_for(workload).with_affinity_distance(distance)
-        prepared = prepare_workload(
-            benchmark, halo_params=params, include_hds=False, cache=cache, workload=workload
-        )
-        if phase_times is not None:
-            phase_times.add(prepared.times)
-        with phase_span(phase_times, "measure", workload=benchmark, distance=distance):
-            result = run_trials(
-                lambda seed: measure_halo(workload, prepared.halo, scale=scale, seed=seed), trials
-            )
-        times[str(distance)] = result.cycles.median
+        sweep[distance] = [
+            Cell(benchmark, "halo", seed, scale, halo_params=params) for seed in seeds
+        ]
+    results = run_cells(baseline + [cell for row in sweep.values() for cell in row], **options)
+    base = results.trials(baseline)
+    if base is None:
+        raise RuntimeError(f"every baseline trial of {benchmark} failed")
+    times = {
+        str(distance): result.cycles.median
+        for distance, row in sweep.items()
+        if (result := results.trials(row)) is not None
+    }
     return FigureResult(
         figure=f"Figure 12: {benchmark} time vs affinity distance",
         series=[FigureSeries("HALO cycles", times)],
-        notes={"baseline": baseline.cycles.median},
+        notes={"baseline": base.cycles.median},
     )
 
 
@@ -312,37 +246,26 @@ class FragmentationRow:
 def table1(
     benchmarks: Sequence[str] = TABLE1_BENCHMARKS,
     scale: str = "ref",
-    jobs: int = 1,
-    cache: Optional[ArtifactCache] = None,
-    phase_times: Optional[PhaseTimes] = None,
-    task_timeout: Optional[float] = None,
-    max_retries: int = 2,
-    failures: Optional[list] = None,
+    **options,
 ) -> list[FragmentationRow]:
-    """Fragmentation behaviour of grouped objects at peak memory usage."""
-    if jobs > 1:
-        from .parallel import table1_rows_parallel
+    """Fragmentation behaviour of grouped objects at peak memory usage.
 
-        return [
-            FragmentationRow(name, fraction, wasted)
-            for name, fraction, wasted in table1_rows_parallel(
-                benchmarks, scale=scale, jobs=jobs, cache=cache, phase_times=phase_times,
-                task_timeout=task_timeout, max_retries=max_retries, failures=failures,
-            )
-        ]
+    One HALO cell (seed 1) per benchmark; a row whose cell failed all its
+    retries is omitted.  *options* go to
+    :func:`~repro.harness.parallel.run_cells`.
+    """
+    cells = [Cell(name, "halo", 1, scale) for name in benchmarks]
+    results = run_cells(cells, **options)
     rows = []
-    for name in benchmarks:
-        workload = get_workload(name)
-        prepared = prepare_workload(name, include_hds=False, cache=cache, workload=workload)
-        if phase_times is not None:
-            phase_times.add(prepared.times)
-        with phase_span(phase_times, "measure", workload=name):
-            measurement = measure_halo(workload, prepared.halo, scale=scale, seed=1)
+    for cell in cells:
+        measurement = results.measured.get(cell.key)
+        if measurement is None:
+            continue
         frag = measurement.frag_at_peak
         if frag is None:
-            rows.append(FragmentationRow(name, 0.0, 0))
+            rows.append(FragmentationRow(cell.workload, 0.0, 0))
         else:
-            rows.append(FragmentationRow(name, frag.fraction, frag.wasted_bytes))
+            rows.append(FragmentationRow(cell.workload, frag.fraction, frag.wasted_bytes))
     return rows
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from time import perf_counter
 from typing import Callable, Optional
 
-from ..allocators import make_family_allocator
+from ..allocators import ALLOCATOR_FAMILIES
 from ..allocators.base import AddressSpace, Allocator
 from ..allocators.group import FragmentationSnapshot, GroupAllocator
 from ..allocators.random_group import RandomPoolAllocator
@@ -23,6 +23,7 @@ from ..allocators.size_class import SizeClassAllocator
 from ..cache.hierarchy import CacheHierarchy, HierarchyConfig, HierarchyStats
 from ..cache.sharing import FalseSharingTracker
 from ..cache.timing import CostModel
+from ..calder.pipeline import make_runtime as make_calder_runtime
 from ..core.pipeline import HaloArtifacts, make_runtime as make_halo_runtime
 from ..hds.pipeline import HdsArtifacts, make_runtime as make_hds_runtime
 from ..machine.events import Listener
@@ -291,124 +292,118 @@ def _publish_measurement_metrics(
         obs.inc(f"measure.alloc.{name}", value, **labels)
 
 
+#: ``(allocator factory, attach hook)`` — what :func:`run_measurement` takes.
+Configured = tuple[Callable[[AddressSpace], Allocator], Optional[Callable[[Machine], None]]]
+
+#: A configuration builder: ``(artifacts, seed) -> (factory, attach)``.
+Builder = Callable[[object, int], Configured]
+
+#: Pools of the Figure-15 random-pool allocator.
+RANDOM_POOLS = 4
+
+
+def _runtime_config(make_runtime: Callable) -> Builder:
+    """Builder for an artifact-driven runtime (HALO, HDS, Calder).
+
+    The runtime is created with the run's address space inside the
+    factory; the attach hook then wires it to the measurement machine.
+    """
+
+    def build(artifacts, seed: int) -> Configured:
+        holder: dict = {}
+
+        def factory(space: AddressSpace) -> Allocator:
+            holder["runtime"] = make_runtime(artifacts, space)
+            return holder["runtime"].allocator
+
+        return factory, lambda machine: holder["runtime"].attach(machine)
+
+    return build
+
+
+def _random_pools(artifacts, seed: int) -> Configured:
+    def factory(space: AddressSpace) -> Allocator:
+        return RandomPoolAllocator(
+            space, SizeClassAllocator(space), pools=RANDOM_POOLS, seed=seed
+        )
+
+    return factory, None
+
+
+def _family(name: str) -> Builder:
+    return lambda artifacts, seed: (ALLOCATOR_FAMILIES[name], None)
+
+
+#: Configuration name -> builder.  ``halo``/``hds``/``calder`` need their
+#: offline artifacts; the rest ignore them.  Every standalone allocator
+#: family (``baseline`` is the jemalloc-like size-class allocator)
+#: registers under its own name.
+CONFIGS: dict[str, Builder] = {
+    "halo": _runtime_config(make_halo_runtime),
+    "hds": _runtime_config(make_hds_runtime),
+    "calder": _runtime_config(make_calder_runtime),
+    "random-pools": _random_pools,
+    **{name: _family(name) for name in ALLOCATOR_FAMILIES},
+}
+
+
+def measure(
+    workload: Workload,
+    config: str,
+    artifacts=None,
+    *,
+    scale: str = "ref",
+    seed: int = 0,
+    **kwargs,
+) -> Measurement:
+    """Measure *workload* under the registered configuration *config*.
+
+    *artifacts* are the offline-phase outputs the configuration needs
+    (HALO, HDS or Calder artifacts); *kwargs* pass through to
+    :func:`run_measurement` (``trace=``/``engine=``, cost model...).
+    """
+    try:
+        build = CONFIGS[config]
+    except KeyError:
+        raise ValueError(
+            f"unknown configuration {config!r}; expected one of {tuple(CONFIGS)}"
+        ) from None
+    factory, attach = build(artifacts, seed)
+    return run_measurement(
+        workload, factory, config=config, scale=scale, seed=seed, attach=attach, **kwargs
+    )
+
+
 def measure_baseline(
     workload: Workload, scale: str = "ref", seed: int = 0, **kwargs
 ) -> Measurement:
     """Measure the unmodified workload under the jemalloc-like baseline."""
-    return run_measurement(
-        workload, SizeClassAllocator, config="baseline", scale=scale, seed=seed, **kwargs
-    )
+    return measure(workload, "baseline", scale=scale, seed=seed, **kwargs)
 
 
 def measure_halo(
-    workload: Workload,
-    artifacts: HaloArtifacts,
-    scale: str = "ref",
-    seed: int = 0,
-    **kwargs,
+    workload: Workload, artifacts: HaloArtifacts, scale: str = "ref", seed: int = 0, **kwargs
 ) -> Measurement:
     """Measure the HALO-optimised configuration."""
-    holder: dict = {}
-
-    def factory(space: AddressSpace) -> Allocator:
-        runtime = make_halo_runtime(artifacts, space)
-        holder["runtime"] = runtime
-        return runtime.allocator
-
-    def attach(machine: Machine) -> None:
-        runtime = holder["runtime"]
-        machine.instrumentation = dict(runtime.instrumentation)
-        machine.state_vector = runtime.state_vector
-
-    return run_measurement(
-        workload, factory, config="halo", scale=scale, seed=seed, attach=attach, **kwargs
-    )
+    return measure(workload, "halo", artifacts, scale=scale, seed=seed, **kwargs)
 
 
 def measure_hds(
-    workload: Workload,
-    artifacts: HdsArtifacts,
-    scale: str = "ref",
-    seed: int = 0,
-    **kwargs,
+    workload: Workload, artifacts: HdsArtifacts, scale: str = "ref", seed: int = 0, **kwargs
 ) -> Measurement:
     """Measure the hot-data-streams configuration."""
-    holder: dict = {}
-
-    def factory(space: AddressSpace) -> Allocator:
-        runtime = make_hds_runtime(artifacts, space)
-        holder["runtime"] = runtime
-        return runtime.allocator
-
-    def attach(machine: Machine) -> None:
-        holder["runtime"].attach(machine)
-
-    return run_measurement(
-        workload, factory, config="hds", scale=scale, seed=seed, attach=attach, **kwargs
-    )
-
-
-def measure_calder(
-    workload: Workload,
-    artifacts,
-    scale: str = "ref",
-    seed: int = 0,
-    **kwargs,
-) -> Measurement:
-    """Measure the Calder et al. name-based configuration."""
-    from ..calder.pipeline import make_runtime as make_calder_runtime
-
-    holder: dict = {}
-
-    def factory(space: AddressSpace) -> Allocator:
-        runtime = make_calder_runtime(artifacts, space)
-        holder["runtime"] = runtime
-        return runtime.allocator
-
-    def attach(machine: Machine) -> None:
-        holder["runtime"].attach(machine)
-
-    return run_measurement(
-        workload, factory, config="calder", scale=scale, seed=seed, attach=attach, **kwargs
-    )
+    return measure(workload, "hds", artifacts, scale=scale, seed=seed, **kwargs)
 
 
 def measure_random_pools(
-    workload: Workload,
-    scale: str = "ref",
-    seed: int = 0,
-    pools: int = 4,
-    **kwargs,
+    workload: Workload, scale: str = "ref", seed: int = 0, **kwargs
 ) -> Measurement:
     """Measure the Figure-15 random-pool allocator configuration."""
-
-    def factory(space: AddressSpace) -> Allocator:
-        fallback = SizeClassAllocator(space)
-        return RandomPoolAllocator(space, fallback, pools=pools, seed=seed)
-
-    return run_measurement(
-        workload, factory, config="random-pools", scale=scale, seed=seed, **kwargs
-    )
+    return measure(workload, "random-pools", scale=scale, seed=seed, **kwargs)
 
 
 def measure_family(
-    workload: Workload,
-    family: str,
-    scale: str = "ref",
-    seed: int = 0,
-    **kwargs,
+    workload: Workload, family: str, scale: str = "ref", seed: int = 0, **kwargs
 ) -> Measurement:
-    """Measure a registered standalone allocator family (freelist, arena...).
-
-    Families come from :data:`repro.allocators.ALLOCATOR_FAMILIES`; the
-    measurement's ``config`` label is the family name, so the counters of
-    e.g. ``freelist-bf`` and ``arena`` land alongside the paper
-    configurations in the observability harvest.
-    """
-
-    def factory(space: AddressSpace) -> Allocator:
-        return make_family_allocator(family, space)
-
-    return run_measurement(
-        workload, factory, config=family, scale=scale, seed=seed, **kwargs
-    )
+    """Measure a registered standalone allocator family (freelist, arena...)."""
+    return measure(workload, family, scale=scale, seed=seed, **kwargs)

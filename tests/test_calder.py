@@ -10,7 +10,7 @@ from repro.calder import (
     name_of,
     profile_workload,
 )
-from repro.harness.runner import measure_baseline, measure_calder
+from repro.harness.runner import measure, measure_baseline
 from repro.machine import Machine, ProgramBuilder
 from repro.allocators import SizeClassAllocator
 from repro.workloads import get_workload
@@ -91,7 +91,7 @@ class TestCalderOnWorkloads:
         workload = get_workload("health")
         artifacts = profile_workload(workload, CalderParams())
         base = measure_baseline(workload, scale="test", seed=1)
-        calder = measure_calder(workload, artifacts, scale="test", seed=1)
+        calder = measure(workload, "calder", artifacts, scale="test", seed=1)
         assert calder.config == "calder"
         assert calder.cycles > 0
         # On health the name window suffices: misses drop.

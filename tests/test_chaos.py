@@ -18,8 +18,9 @@ import pytest
 from repro.core.artifact_cache import ArtifactCache
 from repro.faults import FaultPlan, fault_plan_active, inject_into_path
 from repro.harness.checkpoint import CheckpointJournal
-from repro.harness.parallel import evaluate_all_parallel, run_trials_parallel
+from repro.harness.parallel import run_trials_parallel
 from repro.harness.prepare import PhaseTimes, get_or_record_trace, prepare_workload
+from repro.harness.reproduce import evaluate_all
 from repro.harness.runner import measure_halo
 from repro.trace.format import EventTrace
 from repro.workloads.base import get_workload
@@ -47,7 +48,7 @@ class TestChaosMatrix:
         failure report.
         """
         cache = ArtifactCache(tmp_path / "cache")
-        clean = evaluate_all_parallel(
+        clean = evaluate_all(
             BENCHMARKS, trials=1, scale="test", include_random=False,
             jobs=2, cache=cache,
         )
@@ -63,7 +64,7 @@ class TestChaosMatrix:
             kill_tasks=("measure:health:halo:test:1",),
             max_kill_attempts=1,
         )
-        chaotic = evaluate_all_parallel(
+        chaotic = evaluate_all(
             BENCHMARKS, trials=1, scale="test", include_random=False,
             jobs=2, cache=cache, phase_times=times,
             fault_plan=plan, failures=failures,
@@ -80,7 +81,7 @@ class TestChaosMatrix:
 
 class TestKillAndResume:
     def test_interrupted_run_resumes_to_identical_result(self, tmp_path):
-        clean = evaluate_all_parallel(
+        clean = evaluate_all(
             [BENCH], trials=1, scale="test", include_random=False, jobs=2
         )[BENCH]
 
@@ -92,7 +93,7 @@ class TestKillAndResume:
         # jobs=1 keeps exactly one cell in flight, so the repeated kill
         # takes out only its own task — with max_retries=0, an innocent
         # bystander sharing the broken pool would die alongside it.
-        interrupted = evaluate_all_parallel(
+        interrupted = evaluate_all(
             [BENCH], trials=1, scale="test", include_random=False, jobs=1,
             fault_plan=plan, max_retries=0, checkpoint=journal, failures=failures,
         )
@@ -105,7 +106,7 @@ class TestKillAndResume:
         assert f"measure:{BENCH}:hds:test:1" not in done
         assert len(done) == 6  # prepare + 3 configs x 2 seeds - the killed cell
 
-        resumed = evaluate_all_parallel(
+        resumed = evaluate_all(
             [BENCH], trials=1, scale="test", include_random=False, jobs=2,
             checkpoint=journal, resume=True,
         )[BENCH]
@@ -215,14 +216,14 @@ class TestSanitizedEvaluation:
     """Serial and parallel evaluations agree under ``--sanitize``.
 
     The sanitizer runs in fail-fast mode, so a single invariant or oracle
-    violation anywhere in the matrix would abort a cell and surface either
-    as an exception (serial) or a failure-report entry (parallel); a clean
-    pass over the full benchmark suite is the zero-findings assertion.
+    violation anywhere in the matrix would abort a cell and surface as a
+    failure-report entry and a missing benchmark; a clean pass over the
+    full benchmark suite is the zero-findings assertion.
     """
 
     def test_full_suite_serial_vs_parallel(self, tmp_path):
         from repro import obs
-        from repro.harness.reproduce import PAPER_BENCHMARKS, evaluate_all
+        from repro.harness.reproduce import PAPER_BENCHMARKS
         from repro.sanitize import SanitizerConfig, sanitizer_active
 
         cache = ArtifactCache(tmp_path / "cache")

@@ -16,9 +16,9 @@ from repro.harness.experiment import (
     run_trials,
     trial_seeds,
 )
-from repro.harness.parallel import evaluate_all_parallel, run_trials_parallel
+from repro.harness.parallel import run_trials_parallel
 from repro.harness.prepare import PhaseTimes
-from repro.harness.reproduce import evaluate_workload
+from repro.harness.reproduce import evaluate_all
 from repro.harness.runner import measure_baseline
 from repro.workloads.base import get_workload
 
@@ -96,8 +96,8 @@ class TestSerialParallelEquivalence:
         # shared cache) then one task per (config, seed).
         cache = ArtifactCache(tmp_path / "cache")
         times = PhaseTimes()
-        serial = evaluate_workload(BENCH, trials=2, scale="test", include_random=True)
-        parallel = evaluate_all_parallel(
+        serial = evaluate_all([BENCH], trials=2, scale="test", include_random=True)[BENCH]
+        parallel = evaluate_all(
             [BENCH], trials=2, scale="test", include_random=True,
             jobs=2, cache=cache, phase_times=times,
         )[BENCH]
@@ -138,7 +138,7 @@ class TestSerialParallelEquivalence:
 
     def test_jobs_must_be_positive(self):
         with pytest.raises(ValueError):
-            evaluate_all_parallel([BENCH], trials=1, scale="test", jobs=0)
+            evaluate_all([BENCH], trials=1, scale="test", jobs=0)
 
 
 class TestResilience:
@@ -240,11 +240,10 @@ class TestResilience:
 
     def test_evaluate_all_reports_prepare_failure_and_keeps_rest(self, tmp_path):
         from repro.faults import FaultPlan
-        from repro.harness.parallel import evaluate_all_parallel
 
         failures = []
         plan = FaultPlan(kill_tasks=(f"prepare:{BENCH}",), max_kill_attempts=99)
-        evaluations = evaluate_all_parallel(
+        evaluations = evaluate_all(
             [BENCH], trials=1, scale="test", include_random=False, jobs=2,
             cache=ArtifactCache(tmp_path / "cache"),
             fault_plan=plan, max_retries=1, failures=failures,
@@ -268,7 +267,7 @@ class TestResumeMetrics:
 
         journal = CheckpointJournal(tmp_path / "ckpt.journal")
         with obs.collecting() as first_registry:
-            first = evaluate_all_parallel(
+            first = evaluate_all(
                 [BENCH], trials=1, scale="test", include_random=False, jobs=2,
                 cache=ArtifactCache(tmp_path / "cache"), checkpoint=journal,
             )[BENCH]
@@ -277,7 +276,7 @@ class TestResumeMetrics:
         assert first_tasks == completed > 0  # every cell ran exactly once
 
         with obs.collecting() as registry:
-            resumed = evaluate_all_parallel(
+            resumed = evaluate_all(
                 [BENCH], trials=1, scale="test", include_random=False, jobs=2,
                 cache=ArtifactCache(tmp_path / "cache"), checkpoint=journal,
                 resume=True,
