@@ -22,7 +22,7 @@ event stream and attributes cache lines to threads:
   contention proxy (coherence traffic in a real machine).
 
 Single-threaded runs (every existing workload) keep all counters at
-zero for free; the tracker only ever *observes*, so measurements are
+zero (``threads_seen`` is 1); the tracker only ever *observes*, so measurements are
 unchanged whether it is attached or not.
 """
 
@@ -51,14 +51,16 @@ class FalseSharingTracker(Listener):
         # line -> first-touching thread (-1 once another thread touched it);
         # entries die with their line's tenancy, so reuse re-owns cleanly.
         self._touched: dict[int, int] = {}
-        self._threads: set[int] = set()
+        #: Threads that allocated at least once.
+        self.threads: set[int] = set()
         self.false_sharing_lines = 0
         self.shared_lines = 0
         self.cross_thread_accesses = 0
 
-    # -- tenancy ----------------------------------------------------------
+    # -- tenancy and touches (also driven directly by the columnar engine) --
 
-    def _claim(self, addr: int, size: int, thread: int) -> None:
+    def claim(self, addr: int, size: int, thread: int) -> None:
+        """*thread* places a live object over ``[addr, addr + size)``."""
         shift = self._shift
         tenancy = self._tenancy
         for line in range(addr >> shift, (addr + size - 1 >> shift) + 1):
@@ -71,7 +73,13 @@ class FalseSharingTracker(Listener):
                 entry[0] = -1
                 self.false_sharing_lines += 1
 
-    def _release(self, addr: int, size: int) -> None:
+    def alloc(self, addr: int, size: int, thread: int) -> None:
+        """*thread* allocated ``[addr, addr + size)``."""
+        self.threads.add(thread)
+        self.claim(addr, size, thread)
+
+    def release(self, addr: int, size: int) -> None:
+        """The live object over ``[addr, addr + size)`` went away."""
         shift = self._shift
         tenancy = self._tenancy
         for line in range(addr >> shift, (addr + size - 1 >> shift) + 1):
@@ -83,33 +91,9 @@ class FalseSharingTracker(Listener):
                 del tenancy[line]
                 self._touched.pop(line, None)
 
-    # -- listener hooks ---------------------------------------------------
-
-    def on_alloc(self, machine: "Machine", obj: "HeapObject") -> None:
-        thread = machine.thread_id
-        self._threads.add(thread)
-        self._claim(obj.addr, obj.size, thread)
-
-    def on_free(self, machine: "Machine", obj: "HeapObject") -> None:
-        self._release(obj.addr, obj.size)
-
-    def on_realloc(
-        self, machine: "Machine", obj: "HeapObject", old_addr: int, old_size: int
-    ) -> None:
-        self._release(old_addr, old_size)
-        self._claim(obj.addr, obj.size, machine.thread_id)
-
-    def on_access(
-        self,
-        machine: "Machine",
-        obj: "HeapObject",
-        offset: int,
-        size: int,
-        is_store: bool,
-    ) -> None:
-        thread = machine.thread_id
+    def touch(self, addr: int, size: int, thread: int) -> None:
+        """*thread* loaded or stored ``[addr, addr + size)``."""
         shift = self._shift
-        addr = obj.addr + offset
         touched = self._touched
         for line in range(addr >> shift, (addr + size - 1 >> shift) + 1):
             owner = touched.get(line)
@@ -121,6 +105,30 @@ class FalseSharingTracker(Listener):
                     touched[line] = -1
                     self.shared_lines += 1
 
+    # -- listener hooks ---------------------------------------------------
+
+    def on_alloc(self, machine: "Machine", obj: "HeapObject") -> None:
+        self.alloc(obj.addr, obj.size, machine.thread_id)
+
+    def on_free(self, machine: "Machine", obj: "HeapObject") -> None:
+        self.release(obj.addr, obj.size)
+
+    def on_realloc(
+        self, machine: "Machine", obj: "HeapObject", old_addr: int, old_size: int
+    ) -> None:
+        self.release(old_addr, old_size)
+        self.claim(obj.addr, obj.size, machine.thread_id)
+
+    def on_access(
+        self,
+        machine: "Machine",
+        obj: "HeapObject",
+        offset: int,
+        size: int,
+        is_store: bool,
+    ) -> None:
+        self.touch(obj.addr + offset, size, machine.thread_id)
+
     # -- harvest ----------------------------------------------------------
 
     def as_counters(self) -> dict[str, int]:
@@ -129,7 +137,7 @@ class FalseSharingTracker(Listener):
             "false_sharing_lines": self.false_sharing_lines,
             "shared_lines": self.shared_lines,
             "cross_thread_accesses": self.cross_thread_accesses,
-            "threads_seen": len(self._threads),
+            "threads_seen": len(self.threads),
         }
 
 

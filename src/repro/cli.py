@@ -321,10 +321,12 @@ def _build_parser() -> argparse.ArgumentParser:
     plot.add_argument(
         "--engine",
         choices=("direct", "auto", "columnar", "event"),
-        default="direct",
-        help="measurement backend for the figure matrix: direct executes "
-        "workloads; auto/columnar/event measure from recorded event traces "
-        "(requires --scale test, the trace-recording scale)",
+        default="auto",
+        help="measurement backend for the figure matrix (default: auto): "
+        "auto/columnar/event record each benchmark once at --scale and "
+        "measure every cell from that event trace (auto picks the columnar "
+        "core unless a sanitizer is active); direct executes the workload "
+        "for every cell, the reference the trace engines are tested against",
     )
     plot.add_argument(
         "--jobs",
@@ -937,6 +939,7 @@ def trace_info_lines(trace) -> list[str]:
         f"  loads:         {h.loads:,}",
         f"  stores:        {h.stores:,}",
         f"  work:          {h.works:,}",
+        f"thread switches: {h.switches:,}",
         f"accessed bytes:  {h.access_bytes:,}",
     ]
 

@@ -40,52 +40,64 @@ import numpy as np
 from ..allocators.base import AddressSpace, Allocator
 from ..allocators.group import FragmentationSnapshot, GroupAllocator
 from ..cache.hierarchy import HierarchyConfig, HierarchyStats
+from ..cache.sharing import FalseSharingTracker
 from ..cache.timing import CostModel
 from ..machine.machine import Machine, MachineMetrics
 from ..trace.format import OP_ALLOC, OP_CALL, OP_FREE, OP_RETURN, EventTrace
 from ..workloads.base import Workload
 from .kernel import expand_ranges, lru_filter, validate_geometry
+from .. import obs
 
 
 def simulate_hierarchy(
-    addr: np.ndarray, size: np.ndarray, config: HierarchyConfig
-) -> tuple[HierarchyStats, np.ndarray, np.ndarray]:
+    addr: np.ndarray, size: np.ndarray, config: HierarchyConfig, residency: bool = True
+) -> tuple[HierarchyStats, Optional[np.ndarray], Optional[np.ndarray]]:
     """Run the cache/TLB hierarchy over an (address, size) access stream.
 
     Returns the hierarchy counters plus the flat page stream and its
     per-access prefix index (``page_starts[i]`` = pages preceding access
-    *i*), which the residency pass reuses for page-touch flushing.
+    *i*), which the residency pass reuses for page-touch flushing; both
+    are None when *residency* is off.
     """
     validate_geometry(config)
     line_shift = config.line_size.bit_length() - 1
     page_shift = config.page_size.bit_length() - 1
-    end = addr + size - 1
-    lines = expand_ranges(addr >> line_shift, end >> line_shift)
-    first_page = addr >> page_shift
-    last_page = end >> page_shift
-    page_spans = last_page - first_page + 1
-    pages = expand_ranges(first_page, last_page)
-    page_starts = np.empty(addr.shape[0] + 1, dtype=np.int64)
-    page_starts[0] = 0
-    np.cumsum(page_spans, out=page_starts[1:])
+    # One int64 temporary, reused in place: last byte, then last page,
+    # then pages spanned by each access.
+    last = addr + size
+    last -= 1
+    lines = expand_ranges(addr >> line_shift, last >> line_shift)
     line = config.line_size
-    l1_misses, l1_missed = lru_filter(
+    l1_misses, missed = lru_filter(
         lines, config.l1_size // (config.l1_assoc * line), config.l1_assoc
     )
-    l2_misses, l2_missed = lru_filter(
-        l1_missed, config.l2_size // (config.l2_assoc * line), config.l2_assoc
+    accesses = int(lines.shape[0])
+    del lines
+    l2_misses, missed = lru_filter(
+        missed, config.l2_size // (config.l2_assoc * line), config.l2_assoc
     )
-    l3_misses, _ = lru_filter(
-        l2_missed, config.l3_size // (config.l3_assoc * line), config.l3_assoc
+    l3_misses, missed = lru_filter(
+        missed, config.l3_size // (config.l3_assoc * line), config.l3_assoc
     )
+    del missed
+    first_page = addr >> page_shift
+    last >>= page_shift
+    pages = expand_ranges(first_page, last)
     tlb_misses, _ = lru_filter(pages, 1, config.tlb_entries)
     stats = HierarchyStats(
-        accesses=int(lines.shape[0]),
+        accesses=accesses,
         l1_misses=l1_misses,
         l2_misses=l2_misses,
         l3_misses=l3_misses,
         tlb_misses=tlb_misses,
     )
+    if not residency:
+        return stats, None, None
+    last -= first_page
+    last += 1
+    page_starts = np.empty(addr.shape[0] + 1, dtype=np.int64)
+    page_starts[0] = 0
+    np.cumsum(last, out=page_starts[1:])
     return stats, pages, page_starts
 
 
@@ -140,12 +152,31 @@ def _build_machine(
     return machine
 
 
-def _heap_pass(cols, machine: Machine) -> tuple[list, list, int, int]:
+class _Placement:
+    """What a placement pass learned: every object's base address, the
+    realloc moves (``(acc_ptr, oid, new_base)``), every realloc's
+    resulting address in op order, the live-byte peak and the allocation
+    ordinal it was reached at, the instrumentation toggle count, and (on
+    a residency pass) the fragmentation snapshot at the peak."""
+
+    __slots__ = ("bases", "moves", "realloc_addrs", "peak_live", "peak_at", "toggles", "frag")
+
+    def __init__(self) -> None:
+        self.bases: list[int] = []
+        self.moves: list[tuple[int, int, int]] = []
+        self.realloc_addrs: list[int] = []
+        self.peak_live = 0
+        self.peak_at = -1
+        self.toggles = 0
+        self.frag: Optional[FragmentationSnapshot] = None
+
+
+def _heap_pass(cols, machine: Machine) -> _Placement:
     """Lean replay of heap operations only (stack/state-independent policy).
 
     Valid when the allocator never consults the state vector or call
-    stack (baseline, random pools): yields object base addresses, realloc
-    moves, the live-byte peak, and the instrumentation toggle count.
+    stack (baseline, random pools, the standalone families).  Thread
+    switches reach a thread-aware allocator between runs of ops.
     """
     allocator = machine.allocator
     stats = allocator.stats
@@ -154,8 +185,11 @@ def _heap_pass(cols, machine: Machine) -> tuple[list, list, int, int]:
     al_malloc = allocator.malloc
     al_free = allocator.free
     al_realloc = allocator.realloc
-    bases: list[int] = []
-    moves: list[tuple[int, int, int]] = []
+    set_thread = getattr(allocator, "set_thread", None)
+    segments = cols.segments(threaded=set_thread is not None)
+    out = _Placement()
+    bases = out.bases
+    moves = out.moves
     peak_live = 0
     if fb_stats is None and cols.reallocs == 0:
         # Fast path: no fallback means the allocator's own running peak
@@ -163,51 +197,62 @@ def _heap_pass(cols, machine: Machine) -> tuple[list, list, int, int]:
         # samples (after each malloc; frees never raise it, and there
         # are no reallocs in the stream), so per-op tracking drops out.
         append_base = bases.append
-        for ev in cols.heap_ops:
-            if ev[0] == OP_ALLOC:
-                append_base(al_malloc(ev[1]))
-            else:  # OP_FREE
-                al_free(bases[ev[1]])
-        cur = bases  # no reallocs: live addresses == base table
+        for thread, ops in segments:
+            if thread is not None:
+                set_thread(thread)
+            for ev in ops:
+                if ev[0] == OP_ALLOC:
+                    append_base(al_malloc(ev[1]))
+                else:  # OP_FREE
+                    al_free(bases[ev[1]])
         peak_live = stats.peak_live_bytes
     else:
-        cur = []
-        for op, a, b, ptr in cols.heap_ops:
-            if op == OP_ALLOC:
-                addr = al_malloc(a)
-                cur.append(addr)
-                bases.append(addr)
-                live = stats.live_bytes
-                if fb_stats is not None:
-                    live += fb_stats.live_bytes
-                if live > peak_live:
-                    peak_live = live
-            elif op == OP_FREE:
-                al_free(cur[a])
-            else:  # OP_REALLOC
-                old = cur[a]
-                new = al_realloc(old, b)
-                if new != old:
-                    cur[a] = new
-                    moves.append((ptr, a, new))
-    toggles = 0
+        cur: list[int] = []
+        realloc_addrs = out.realloc_addrs
+        for thread, ops in segments:
+            if thread is not None:
+                set_thread(thread)
+            for op, a, b, ptr in ops:
+                if op == OP_ALLOC:
+                    addr = al_malloc(a)
+                    cur.append(addr)
+                    bases.append(addr)
+                    live = stats.live_bytes
+                    if fb_stats is not None:
+                        live += fb_stats.live_bytes
+                    if live > peak_live:
+                        peak_live = live
+                elif op == OP_FREE:
+                    al_free(cur[a])
+                else:  # OP_REALLOC
+                    old = cur[a]
+                    new = al_realloc(old, b)
+                    realloc_addrs.append(new)
+                    if new != old:
+                        cur[a] = new
+                        moves.append((ptr, a, new))
+    out.peak_live = peak_live
     instrumentation = machine.instrumentation
     if instrumentation:
         # Every instrumented call toggles its bit on entry and exit
         # (trailing scopes are auto-closed by the replayer), so the total
         # is exactly two per instrumented call.
-        toggles = 2 * sum(1 for addr in cols.call_addrs if addr in instrumentation)
-    return bases, moves, peak_live, toggles
+        out.toggles = 2 * int(np.isin(cols.call_addrs, list(instrumentation)).sum())
+    return out
+
+
+#: Pages turned into Python ints at a time by the residency pass.
+_PAGE_BLOCK = 1 << 13
 
 
 def _grouped_pass(
     cols,
     machine: Machine,
-    pages: Optional[list] = None,
+    pages: Optional[np.ndarray] = None,
     page_starts: Optional[np.ndarray] = None,
     bases_check: Optional[list] = None,
     peak_ordinal: int = -1,
-) -> tuple[list, list, int, int, int, Optional[FragmentationSnapshot]]:
+) -> _Placement:
     """Replay heap *and* control events for state/stack-reading allocators.
 
     Maintains exactly what a grouped allocator can observe at malloc
@@ -224,6 +269,7 @@ def _grouped_pass(
     al_malloc = allocator.malloc
     al_free = allocator.free
     al_realloc = allocator.realloc
+    set_thread = getattr(allocator, "set_thread", None)
     state_vector = machine.state_vector
     instrumentation = machine.instrumentation
     needs_bits = bool(instrumentation)
@@ -234,9 +280,11 @@ def _grouped_pass(
     instr_get = instrumentation.get
     sv_set = state_vector.set
     sv_clear = state_vector.clear
-    bases: list[int] = []
+    out = _Placement()
+    bases = out.bases
+    moves = out.moves
+    realloc_addrs = out.realloc_addrs
     cur: list[int] = []
-    moves: list[tuple[int, int, int]] = []
     bit_stack: list = []
     toggles = 0
     peak_live = 0
@@ -244,76 +292,160 @@ def _grouped_pass(
     frag: Optional[FragmentationSnapshot] = None
     tracking = pages is not None
     touched = allocator.space._touched_pages if tracking else None
-    flushed = 0
-    for op, a, b, ptr in cols.ctrl_ops:
-        if op == OP_CALL:
-            if needs_stack:
-                stack.append(sites[a])
-            if needs_bits:
-                bit = instr_get(a)
-                bit_stack.append(bit)
-                if bit is not None:
-                    sv_set(bit)
-                    toggles += 1
-            continue
-        if op == OP_RETURN:
-            if needs_bits:
-                bit = bit_stack.pop()
-                if bit is not None:
-                    sv_clear(bit)
-                    toggles += 1
-            if needs_stack:
-                stack.pop()
-            continue
-        if tracking:
-            upto = int(page_starts[ptr])
-            if upto > flushed:
-                touched.update(pages[flushed:upto])
-                flushed = upto
-        if op == OP_ALLOC:
-            addr = al_malloc(a)
-            cur.append(addr)
-            bases.append(addr)
+    # pages[flushed:] are not yet touched; block caches pages[block_lo:block_hi]
+    # as Python ints, so no pass holds a whole trace's worth of page objects.
+    flushed = block_lo = block_hi = 0
+    block: list[int] = []
+    for thread, ops in cols.segments(ctrl=True, threaded=set_thread is not None):
+        if thread is not None:
+            set_thread(thread)
+        for op, a, b, ptr in ops:
+            if op == OP_CALL:
+                if needs_stack:
+                    stack.append(sites[a])
+                if needs_bits:
+                    bit = instr_get(a)
+                    bit_stack.append(bit)
+                    if bit is not None:
+                        sv_set(bit)
+                        toggles += 1
+                continue
+            if op == OP_RETURN:
+                if needs_bits:
+                    bit = bit_stack.pop()
+                    if bit is not None:
+                        sv_clear(bit)
+                        toggles += 1
+                if needs_stack:
+                    stack.pop()
+                continue
             if tracking:
-                if addr != bases_check[len(bases) - 1]:
-                    raise RuntimeError(
-                        "columnar engine: allocator placement diverged between "
-                        "passes (non-deterministic allocator?)"
-                    )
-                if len(bases) - 1 == peak_ordinal:
-                    frag = allocator.fragmentation()
-            else:
-                live = stats.live_bytes + fb_stats.live_bytes
-                if live > peak_live:
-                    peak_live = live
-                    peak_at = len(bases) - 1
-        elif op == OP_FREE:
-            al_free(cur[a])
-        else:  # OP_REALLOC
-            old = cur[a]
-            new = al_realloc(old, b)
-            if new != old:
-                cur[a] = new
-                moves.append((ptr, a, new))
+                upto = int(page_starts[ptr])
+                if upto > flushed:
+                    if upto > block_hi:
+                        block_lo = (upto - 1) & -_PAGE_BLOCK
+                        if block_lo > flushed:
+                            touched.update(pages[flushed:block_lo].tolist())
+                            flushed = block_lo
+                        block = pages[block_lo:block_lo + _PAGE_BLOCK].tolist()
+                        block_hi = block_lo + len(block)
+                    touched.update(block[flushed - block_lo:upto - block_lo])
+                    flushed = upto
+            if op == OP_ALLOC:
+                addr = al_malloc(a)
+                cur.append(addr)
+                bases.append(addr)
+                if tracking:
+                    if addr != bases_check[len(bases) - 1]:
+                        raise RuntimeError(
+                            "columnar engine: allocator placement diverged between "
+                            "passes (non-deterministic allocator?)"
+                        )
+                    if len(bases) - 1 == peak_ordinal:
+                        frag = allocator.fragmentation()
+                else:
+                    live = stats.live_bytes + fb_stats.live_bytes
+                    if live > peak_live:
+                        peak_live = live
+                        peak_at = len(bases) - 1
+            elif op == OP_FREE:
+                al_free(cur[a])
+            else:  # OP_REALLOC
+                old = cur[a]
+                new = al_realloc(old, b)
+                realloc_addrs.append(new)
+                if new != old:
+                    cur[a] = new
+                    moves.append((ptr, a, new))
     while bit_stack:  # truncated traces: auto-closed trailing scopes
         bit = bit_stack.pop()
         if bit is not None:
             sv_clear(bit)
             toggles += 1
-    return bases, moves, peak_live, peak_at, toggles, frag
+    out.peak_live = peak_live
+    out.peak_at = peak_at
+    out.toggles = toggles
+    out.frag = frag
+    return out
 
 
-def _address_column(cols, bases: list, moves: list) -> np.ndarray:
+def _false_sharing(cols, placement: _Placement, addr: np.ndarray) -> FalseSharingTracker:
+    """The false-sharing counters a :class:`FalseSharingTracker` would report.
+
+    Walks the heap ops and accesses in stream order on their recorded
+    threads, feeding the tracker's own tenancy and touch rules with the
+    placement pass's addresses.  A single-threaded trace cannot share a
+    line between threads, so only ``threads_seen`` (thread 0, if it
+    allocated at all) needs setting there.
+    """
+    tracker = FalseSharingTracker()
+    if not cols.switches:
+        if cols.allocs:
+            tracker.threads.add(0)
+        return tracker
+    addrs = addr.tolist()
+    sizes = cols.acc_size.tolist()
+    bases = iter(placement.bases)
+    realloc_addrs = iter(placement.realloc_addrs)
+    cur: list[int] = []
+    size_of: list[int] = []
+    acc_ends = [mark[2] for mark in cols.switches] + [len(addrs)]
+    pos = 0
+    for (thread, ops), acc_hi in zip(cols.segments(), acc_ends):
+        thread = thread or 0
+        for op, a, b, ptr in ops:
+            for i in range(pos, ptr):
+                tracker.touch(addrs[i], sizes[i], thread)
+            pos = ptr
+            if op == OP_ALLOC:
+                base = next(bases)
+                cur.append(base)
+                size_of.append(a)
+                tracker.alloc(base, a, thread)
+            elif op == OP_FREE:
+                tracker.release(cur[a], size_of[a])
+            else:  # OP_REALLOC
+                tracker.release(cur[a], size_of[a])
+                cur[a] = next(realloc_addrs)
+                size_of[a] = b
+                tracker.claim(cur[a], b, thread)
+        for i in range(pos, acc_hi):
+            tracker.touch(addrs[i], sizes[i], thread)
+        pos = acc_hi
+    return tracker
+
+
+def _address_column(cols, placement: _Placement) -> np.ndarray:
     """Absolute address per access: base-table gather plus realloc patches."""
     if cols.accesses == 0:
         return np.empty(0, dtype=np.int64)
-    bases_arr = np.asarray(bases, dtype=np.int64)
-    addr = bases_arr[cols.acc_oid] + cols.acc_offset
-    for ptr, oid, new_base in moves:
+    addr = np.asarray(placement.bases, dtype=np.int64)[cols.acc_oid]
+    addr += cols.acc_offset
+    for ptr, oid, new_base in placement.moves:
         tail_oid = cols.acc_oid[ptr:]
         sel = tail_oid == oid
         addr[ptr:][sel] = new_base + cols.acc_offset[ptr:][sel]
     return addr
+
+
+def _place(cols, machine: Machine) -> _Placement:
+    """The placement pass the machine's allocator needs."""
+    if isinstance(machine.allocator, GroupAllocator):
+        return _grouped_pass(cols, machine)
+    return _heap_pass(cols, machine)
+
+
+def _metrics(cols, toggles: int) -> MachineMetrics:
+    return MachineMetrics(
+        loads=cols.loads,
+        stores=cols.stores,
+        allocs=cols.allocs,
+        frees=cols.frees,
+        reallocs=cols.reallocs,
+        calls=cols.calls,
+        compute_cycles=_compute_cycles(cols.works),
+        instrumentation_toggles=toggles,
+    )
 
 
 def score_trace(
@@ -342,24 +474,10 @@ def score_trace(
     machine = _build_machine(
         workload, make_allocator, seed, instrumentation, state_vector, attach
     )
-    if isinstance(machine.allocator, GroupAllocator):
-        bases, moves, _, _, toggles, _ = _grouped_pass(cols, machine)
-    else:
-        bases, moves, _, toggles = _heap_pass(cols, machine)
-    addr = _address_column(cols, bases, moves)
-    size = cols.acc_size if cols.accesses else np.empty(0, dtype=np.int64)
-    cache, _, _ = simulate_hierarchy(addr, size, hconfig)
-    metrics = MachineMetrics(
-        loads=cols.loads,
-        stores=cols.stores,
-        allocs=cols.allocs,
-        frees=cols.frees,
-        reallocs=cols.reallocs,
-        calls=cols.calls,
-        compute_cycles=_compute_cycles(cols.works),
-        instrumentation_toggles=toggles,
-    )
-    return cost_model.cycles(metrics, cache)
+    placement = _place(cols, machine)
+    addr = _address_column(cols, placement)
+    cache, _, _ = simulate_hierarchy(addr, cols.acc_size, hconfig, residency=False)
+    return cost_model.cycles(_metrics(cols, placement.toggles), cache)
 
 
 def measure_columnar(
@@ -379,7 +497,8 @@ def measure_columnar(
 
     Drop-in equivalent of ``run_measurement(..., driver=TraceReplayer(
     trace, workload.program).drive)`` — same Measurement fields, same
-    ``measure.*`` observability counters — at a fraction of the cost.
+    ``measure.*`` observability counters (false sharing included) — at a
+    fraction of the cost.
     """
     from ..harness.runner import Measurement, _publish_measurement_metrics
 
@@ -392,14 +511,11 @@ def measure_columnar(
     )
     allocator = machine.allocator
     grouped = isinstance(allocator, GroupAllocator)
-    if grouped:
-        bases, moves, peak_live, peak_at, toggles, _ = _grouped_pass(cols, machine)
-    else:
-        bases, moves, peak_live, toggles = _heap_pass(cols, machine)
-
-    addr = _address_column(cols, bases, moves)
-    size = cols.acc_size if cols.accesses else np.empty(0, dtype=np.int64)
-    cache, pages, page_starts = simulate_hierarchy(addr, size, hconfig)
+    placement = _place(cols, machine)
+    addr = _address_column(cols, placement)
+    cache, pages, page_starts = simulate_hierarchy(
+        addr, cols.acc_size, hconfig, residency=grouped
+    )
 
     frag: Optional[FragmentationSnapshot] = None
     if grouped:
@@ -410,28 +526,22 @@ def measure_columnar(
             workload, make_allocator, seed, instrumentation, state_vector, attach
         )
         allocator = machine.allocator
-        _, _, _, _, _, frag = _grouped_pass(
+        frag = _grouped_pass(
             cols,
             machine,
-            pages=pages.tolist(),
+            pages=pages,
             page_starts=page_starts,
-            bases_check=bases,
-            peak_ordinal=peak_at,
-        )
+            bases_check=placement.bases,
+            peak_ordinal=placement.peak_at,
+        ).frag
+        del pages, page_starts
 
-    metrics = MachineMetrics(
-        loads=cols.loads,
-        stores=cols.stores,
-        allocs=cols.allocs,
-        frees=cols.frees,
-        reallocs=cols.reallocs,
-        calls=cols.calls,
-        compute_cycles=_compute_cycles(cols.works),
-        instrumentation_toggles=toggles,
-    )
-    _publish_measurement_metrics(
-        workload.name, config, metrics, cache, allocator, peak_live
-    )
+    metrics = _metrics(cols, placement.toggles)
+    if obs.active_registry() is not None:
+        _publish_measurement_metrics(
+            workload.name, config, metrics, cache, allocator, placement.peak_live,
+            sharing=_false_sharing(cols, placement, addr),
+        )
     return Measurement(
         workload=workload.name,
         config=config,
@@ -443,7 +553,7 @@ def measure_columnar(
         allocs=metrics.allocs,
         frees=metrics.frees,
         instrumentation_toggles=metrics.instrumentation_toggles,
-        peak_live_bytes=peak_live,
+        peak_live_bytes=placement.peak_live,
         frag_at_peak=frag,
         grouped_allocs=getattr(allocator, "grouped_allocs", 0),
         forwarded_allocs=getattr(allocator, "forwarded_allocs", 0),

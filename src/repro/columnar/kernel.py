@@ -32,6 +32,7 @@ import os
 import subprocess
 import tempfile
 from pathlib import Path
+from typing import Optional
 
 import numpy as np
 
@@ -56,8 +57,7 @@ _SOURCE = r"""
  */
 int64_t halo_lru_filter(const int64_t *keys, int64_t n,
                         int64_t num_sets, int64_t assoc, int64_t pow2,
-                        int64_t *tags, int64_t *stamps, int64_t *epochs,
-                        int64_t epoch, int64_t *miss_out)
+                        int64_t *tags, int64_t *stamps, int64_t *miss_out)
 {
     int64_t misses = 0;
     int64_t stamp = 0;
@@ -67,10 +67,9 @@ int64_t halo_lru_filter(const int64_t *keys, int64_t n,
         int64_t set = pow2 ? (key & mask) : (key % num_sets);
         int64_t *t = tags + set * assoc;
         int64_t *s = stamps + set * assoc;
-        int64_t *e = epochs + set * assoc;
         int64_t way = -1;
         for (int64_t w = 0; w < assoc; w++) {
-            if (e[w] == epoch && t[w] == key) { way = w; break; }
+            if (t[w] == key) { way = w; break; }
         }
         if (way >= 0) {
             s[way] = ++stamp;
@@ -78,7 +77,7 @@ int64_t halo_lru_filter(const int64_t *keys, int64_t n,
         }
         miss_out[misses++] = key;
         for (int64_t w = 0; w < assoc; w++) {
-            if (e[w] != epoch) { way = w; break; }
+            if (t[w] < 0) { way = w; break; }
         }
         if (way < 0) {
             way = 0;
@@ -88,7 +87,6 @@ int64_t halo_lru_filter(const int64_t *keys, int64_t n,
             }
         }
         t[way] = key;
-        e[way] = epoch;
         s[way] = ++stamp;
     }
     return misses;
@@ -133,13 +131,6 @@ _I64P = ctypes.POINTER(ctypes.c_int64)
 _kernel = None
 _kernel_fa = None
 
-#: Reused scratch state per geometry: ``(num_sets, assoc) -> [tags,
-#: stamps, epochs, next_epoch]``.  Slots whose epoch differs from the
-#: current call's are treated as empty, so reuse needs no multi-megabyte
-#: refill between calls (the L3 arrays alone are ~6 MB).
-_scratch: dict[tuple[int, int], list] = {}
-_scratch_fa: dict[int, np.ndarray] = {}
-
 
 def _compile() -> ctypes.CDLL:
     """Build (or reuse) the shared object and load it."""
@@ -181,7 +172,7 @@ def _load():
                 fn.restype = ctypes.c_int64
                 fn.argtypes = [
                     _I64P, ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
-                    ctypes.c_int64, _I64P, _I64P, _I64P, ctypes.c_int64, _I64P,
+                    ctypes.c_int64, _I64P, _I64P, _I64P,
                 ]
                 fa = lib.halo_lru_fa
                 fa.restype = ctypes.c_int64
@@ -218,49 +209,61 @@ def _lru_filter_py(keys: np.ndarray, num_sets: int, assoc: int) -> tuple[int, np
     return len(missed), np.asarray(missed, dtype=np.int64)
 
 
+def _fits(keys: np.ndarray, num_sets: int, assoc: int) -> Optional[np.ndarray]:
+    """Missed keys when no set ever holds more than *assoc* distinct keys.
+
+    Such a stream never evicts, so exactly each key's first occurrence
+    misses, whatever the replacement policy; returns those keys in stream
+    order, or None when some set overflows.
+    """
+    distinct, first = np.unique(keys, return_index=True)
+    sets = distinct & (num_sets - 1) if num_sets & (num_sets - 1) == 0 else distinct % num_sets
+    if int(np.bincount(sets, minlength=1).max()) > assoc:
+        return None
+    first.sort()
+    return keys[first]
+
+
 def lru_filter(keys: np.ndarray, num_sets: int, assoc: int) -> tuple[int, np.ndarray]:
     """Drive one LRU structure with *keys*; returns ``(misses, missed_keys)``.
 
     *keys* must be a contiguous non-negative int64 array; the missed keys
-    come back in stream order, ready to feed the next cache level.
+    come back in stream order, ready to feed the next cache level.  A
+    structure with more slots than the stream has keys (the L3 of a
+    test-scale run) is first checked for a stream that never evicts,
+    which needs no per-slot state at all; otherwise the kernel's slot
+    arrays are allocated for the call and released with it.
     """
     if num_sets <= 0 or assoc <= 0:
         raise CacheConfigError(f"impossible geometry: {num_sets} sets x {assoc} ways")
     n = int(keys.shape[0])
     if n == 0:
         return 0, keys[:0]
+    keys = np.ascontiguousarray(keys, dtype=np.int64)
+    if num_sets * assoc >= n:
+        missed = _fits(keys, num_sets, assoc)
+        if missed is not None:
+            return int(missed.shape[0]), missed
     fn = _load()
     if fn is None:
         return _lru_filter_py(keys, num_sets, assoc)
-    keys = np.ascontiguousarray(keys, dtype=np.int64)
     miss_out = np.empty(n, dtype=np.int64)
     if num_sets == 1:
-        ways = _scratch_fa.get(assoc)
-        if ways is None:
-            ways = _scratch_fa[assoc] = np.empty(assoc, dtype=np.int64)
+        ways = np.empty(assoc, dtype=np.int64)
         misses = _kernel_fa(
             keys.ctypes.data_as(_I64P), n, assoc,
             ways.ctypes.data_as(_I64P), miss_out.ctypes.data_as(_I64P),
         )
-        return int(misses), miss_out[:misses]
-    state = _scratch.get((num_sets, assoc))
-    if state is None:
-        slots = num_sets * assoc
-        state = _scratch[(num_sets, assoc)] = [
-            np.empty(slots, dtype=np.int64),
-            np.zeros(slots, dtype=np.int64),
-            np.zeros(slots, dtype=np.int64),
-            0,
-        ]
-    tags, stamps, epochs, epoch = state
-    state[3] = epoch = epoch + 1
+        return int(misses), miss_out[:misses].copy()
+    tags = np.full(num_sets * assoc, -1, dtype=np.int64)
+    stamps = np.zeros(num_sets * assoc, dtype=np.int64)
     misses = fn(
         keys.ctypes.data_as(_I64P), n, num_sets, assoc,
         1 if num_sets & (num_sets - 1) == 0 else 0,
         tags.ctypes.data_as(_I64P), stamps.ctypes.data_as(_I64P),
-        epochs.ctypes.data_as(_I64P), epoch, miss_out.ctypes.data_as(_I64P),
+        miss_out.ctypes.data_as(_I64P),
     )
-    return int(misses), miss_out[:misses]
+    return int(misses), miss_out[:misses].copy()
 
 
 def validate_geometry(config) -> None:

@@ -22,12 +22,15 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import logging
 import os
 import pickle
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Optional
+
+logger = logging.getLogger(__name__)
 
 #: Bump when the pickled bundle layout changes incompatibly.
 CACHE_FORMAT = 1
@@ -105,13 +108,20 @@ class ArtifactCache:
     def get(self, key: str) -> Optional[Any]:
         """Return the cached object for *key*, or None on a miss.
 
-        Unreadable and un-unpicklable entries count as misses.
+        Unreadable and un-unpicklable entries count as misses.  A damaged
+        pickle can fail in almost any way (a flipped byte inside a string
+        raises ``UnicodeDecodeError``, inside an opcode argument
+        ``ValueError`` or ``KeyError``...), so every load error is a miss.
         """
         path = self.path_for(key)
         try:
             with open(path, "rb") as handle:
                 value = pickle.load(handle)
-        except (OSError, pickle.UnpicklingError, EOFError, AttributeError, ImportError):
+        except OSError:
+            self.stats.misses += 1
+            return None
+        except Exception as exc:
+            logger.warning("unreadable cache entry %s (%r); treating it as a miss", path, exc)
             self.stats.misses += 1
             return None
         self.stats.hits += 1

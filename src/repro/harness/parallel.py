@@ -101,9 +101,10 @@ class Cell:
     """One cell of the evaluation matrix: a single measured run.
 
     Parameters left at None are the workload's defaults.  *engine*
-    selects the measurement backend: ``direct`` executes the workload,
-    while ``auto``/``columnar``/``event`` measure from its event trace
-    when *scale* is the trace-recording scale.
+    selects the measurement backend: ``auto``/``columnar``/``event``
+    measure from the workload's event trace at *scale* (recorded once per
+    process or cache), while ``direct`` executes the workload — the
+    oracle the trace engines are tested against.
     """
 
     workload: str
@@ -112,7 +113,7 @@ class Cell:
     scale: str = "ref"
     halo_params: Optional[HaloParams] = None
     hds_params: Optional[HdsParams] = None
-    engine: str = "direct"
+    engine: str = "auto"
 
     @cached_property
     def params_tag(self) -> str:
@@ -274,19 +275,23 @@ def _worker_task(
             clear_sanitizer()
 
 
-def _trace_for(name: str, cache_dir: Optional[str]) -> tuple[EventTrace, PhaseTimes]:
-    """Fetch (or record) the event trace for *name* in this process.
+def _trace_for(
+    name: str, cache_dir: Optional[str], scale: str = PROFILE_SCALE
+) -> tuple[EventTrace, PhaseTimes]:
+    """Fetch (or record) the event trace for (*name*, *scale*) in this process.
 
     Mirrors :func:`_prepared_for`: the returned :class:`PhaseTimes` covers
     only work this call actually performed (zero on a memo hit).
     """
-    key = trace_key_for(name)
+    key = trace_key_for(name, scale)
     memo = _TRACES.get(key)
     if memo is not None:
         return memo, PhaseTimes()
     times = PhaseTimes()
     cache = ArtifactCache(cache_dir) if cache_dir else None
-    trace = get_or_record_trace(name, cache=cache, times=times)
+    trace = get_or_record_trace(
+        name, cache=cache, workload=_workload(name), scale=scale, times=times
+    )
     _TRACES[key] = trace
     return trace, times
 
@@ -320,6 +325,13 @@ def _prepared_for(
     if memo is not None and (memo.hds is not None or not include_hds):
         return memo, PhaseTimes()
     cache = ArtifactCache(cache_dir) if cache_dir else None
+    record_times = PhaseTimes()
+
+    def profile_trace() -> EventTrace:
+        trace, times = _trace_for(name, cache_dir)
+        record_times.add(times)
+        return trace
+
     prepared = prepare_workload(
         name,
         halo_params=halo_params,
@@ -327,7 +339,9 @@ def _prepared_for(
         include_hds=include_hds,
         cache=cache,
         workload=workload,
+        trace=profile_trace,
     )
+    prepared.times.add(record_times)
     _PREPARED[key] = prepared
     return prepared, prepared.times
 
@@ -358,8 +372,8 @@ def _measure_task(cell: Cell, cache_dir: Optional[str]) -> tuple[Measurement, Ph
     times = PhaseTimes()
     workload = _workload(cell.workload)
     measure_kwargs: dict = {}
-    if cell.engine != "direct" and cell.scale == PROFILE_SCALE:
-        trace, trace_times = _trace_for(cell.workload, cache_dir)
+    if cell.engine != "direct":
+        trace, trace_times = _trace_for(cell.workload, cache_dir, cell.scale)
         times.add(trace_times)
         measure_kwargs = {"trace": trace, "engine": cell.engine}
     artifacts = None
@@ -882,7 +896,7 @@ def run_trials_parallel(
     discard_first: bool = True,
     halo_params: Optional[HaloParams] = None,
     hds_params: Optional[HdsParams] = None,
-    engine: str = "direct",
+    engine: str = "auto",
     **options,
 ) -> TrialResult:
     """Cell-runner counterpart of :func:`~repro.harness.experiment.run_trials`.

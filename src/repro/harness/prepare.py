@@ -1,10 +1,11 @@
 """Shared offline-phase preparation for the evaluation engine.
 
 Every evaluation cell run by :mod:`repro.harness.parallel` needs the
-same expensive inputs before it can measure anything: a trace-recording profile of the
-workload, the HALO artifacts derived from it, and (for Figures 13/14) the
-hot-data-streams artifacts.  :func:`prepare_workload` produces all three,
-consulting an optional :class:`~repro.core.artifact_cache.ArtifactCache`
+same expensive inputs before it can measure anything: a profile of the
+workload replayed from its recorded event trace, the HALO artifacts
+derived from it, and (for Figures 13/14) the hot-data-streams artifacts.
+:func:`prepare_workload` produces all three, consulting an optional
+:class:`~repro.core.artifact_cache.ArtifactCache`
 so warm re-runs skip the profile and analyse phases entirely, and reports
 how long each phase took so the speedup is observable in the per-phase
 wall-time report.
@@ -14,7 +15,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional, Union
 
 from ..core.artifact_cache import ArtifactCache, artifact_key
 from ..obs.metrics import MetricsSnapshot
@@ -22,7 +23,7 @@ from ..obs.spans import phase_span
 from ..core.pipeline import HaloArtifacts, HaloParams, optimise_profile, profile_workload
 from ..hds.pipeline import HdsArtifacts, HdsParams, analyse_profile
 from ..profiling.profiler import ProfileResult
-from ..trace.format import EventTrace, TraceFormatError
+from ..trace.format import FORMAT_VERSION, EventTrace, TraceFormatError
 from ..trace.record import record_workload
 from ..trace.replay import replay_profile
 from ..workloads.base import Workload, get_workload
@@ -137,10 +138,12 @@ def trace_key_for(name: str, scale: str = PROFILE_SCALE) -> str:
     Deliberately excludes every HALO/HDS parameter: the recorded event
     stream is a pure function of the workload and scale, so one cached
     trace serves all parameter configurations — that sharing is the whole
-    point of trace-driven re-runs.
+    point of trace-driven re-runs.  The trace format version is part of
+    the key: a recording from before thread switches were traced must not
+    stand in for a v3 one.
     """
     return artifact_key(
-        workload=name, profile_scale=scale, kind="event-trace"
+        workload=name, profile_scale=scale, kind="event-trace", format=FORMAT_VERSION
     )
 
 
@@ -208,8 +211,7 @@ def prepare_workload(
     include_hds: bool = True,
     cache: Optional[ArtifactCache] = None,
     workload: Optional[Workload] = None,
-    trace: Optional[EventTrace] = None,
-    use_trace: Optional[bool] = None,
+    trace: Union[EventTrace, Callable[[], EventTrace], None] = None,
 ) -> PreparedArtifacts:
     """Profile *name* and derive HALO (and optionally HDS) artifacts.
 
@@ -218,12 +220,13 @@ def prepare_workload(
     replayed from the cache — which is what lets the parallel engine and
     the warm-cache path reproduce the serial results bit-for-bit.
 
-    When an event *trace* is supplied (or ``use_trace`` enables the
-    trace-driven path — the default whenever a cache is available), the
-    profile is obtained by replaying the recorded event stream instead of
-    re-executing the workload.  Replay is bit-identical to direct
-    profiling, and the trace's cache key excludes all HALO/HDS parameters,
-    so sweeping parameters re-records nothing.
+    The profile always comes from the workload's event trace at
+    :data:`PROFILE_SCALE`: *trace* (or, when *trace* is a callable, what
+    it returns — it is only called on a cache miss), else the recording
+    :func:`get_or_record_trace` finds or makes.  Replay is bit-identical
+    to direct profiling, and the trace's cache key excludes all HALO/HDS
+    parameters, so sweeping parameters re-records nothing.  Direct
+    profiling remains only as the fallback for a corrupt trace.
     """
     workload = workload if workload is not None else get_workload(name)
     halo_params = halo_params or halo_params_for(workload)
@@ -267,30 +270,24 @@ def prepare_workload(
             return prepared
         times.cache_misses += 1
 
-    if use_trace is None:
-        use_trace = trace is not None or cache is not None
+    if callable(trace):
+        trace = trace()
+    elif trace is None:
+        trace = get_or_record_trace(name, cache=cache, workload=workload, times=times)
     profile = None
-    if use_trace:
-        if trace is None:
-            trace = get_or_record_trace(
-                name, cache=cache, workload=workload, times=times
+    with phase_span(times, "profile", workload=name, source="trace"):
+        try:
+            profile = replay_profile(trace, workload.program, halo_params, record_trace=True)
+            times.trace_replays += 1
+        except TraceFormatError as exc:
+            # Graceful degradation: a corrupt or truncated trace falls
+            # back to direct workload execution, which produces the same
+            # profile the replay would have (replay is bit-identical).
+            logger.warning(
+                "trace replay for %s failed (%s); falling back to direct execution",
+                name, exc,
             )
-        with phase_span(times, "profile", workload=name, source="trace"):
-            try:
-                profile = replay_profile(
-                    trace, workload.program, halo_params, record_trace=True
-                )
-                times.trace_replays += 1
-            except TraceFormatError as exc:
-                # Graceful degradation: a corrupt or truncated trace falls
-                # back to direct workload execution, which produces the same
-                # profile the replay would have (replay is bit-identical).
-                logger.warning(
-                    "trace replay for %s failed (%s); falling back to direct execution",
-                    name, exc,
-                )
-                times.trace_fallbacks += 1
-                profile = None
+            times.trace_fallbacks += 1
     if profile is None:
         with phase_span(times, "profile", workload=name, source="direct"):
             profile = profile_workload(

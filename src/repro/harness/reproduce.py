@@ -58,7 +58,7 @@ def evaluate_all(
     trials: int = 3,
     scale: str = "ref",
     include_random: bool = True,
-    engine: str = "direct",
+    engine: str = "auto",
     families: Sequence[str] = (),
     **options,
 ) -> dict[str, WorkloadEvaluation]:
@@ -66,11 +66,12 @@ def evaluate_all(
 
     Each benchmark is profiled once and analysed with both techniques,
     then every ``(benchmark, configuration, seed)`` cell is measured.
-    *engine* selects the measurement backend: ``direct`` executes each
-    workload, while ``auto``/``columnar``/``event`` measure from the
-    recorded event trace (one recording serves every configuration and
-    trial) — trace-driven measurement requires the trace scale, so other
-    scales fall back to direct runs.  *families* names extra standalone
+    *engine* selects the measurement backend: ``auto`` (the default),
+    ``columnar`` and ``event`` measure every cell from one recorded event
+    trace per benchmark at *scale* (the profile replays the
+    profile-scale recording), while ``direct`` executes the workload once
+    per cell — the oracle the trace engines are checked against, with
+    bit-identical results.  *families* names extra standalone
     allocator families (:data:`repro.allocators.ALLOCATOR_FAMILIES`) to
     measure alongside the paper configurations; their trials land in each
     evaluation's ``extra`` mapping.

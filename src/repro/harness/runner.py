@@ -195,14 +195,11 @@ def run_measurement(
     allocator = make_allocator(space)
     memory = CacheHierarchy(hierarchy_config)
     tracker = PeakTracker(allocator)
-    listeners: list = [tracker]
-    sharing: Optional[FalseSharingTracker] = None
-    if resolved == "direct" and driver is None:
-        # Only a directly executed workload can switch simulated threads
-        # (trace replays run entirely on thread 0), so the line-ownership
-        # tracker attaches only where it can observe anything.
-        sharing = FalseSharingTracker()
-        listeners.append(sharing)
+    # Direct runs and event replays both switch simulated threads (the
+    # trace carries every switch), so line ownership is tracked on either;
+    # the columnar engine derives the same counters from the switch table.
+    sharing = FalseSharingTracker()
+    listeners: list = [tracker, sharing]
     sanitizer = None
     sanitizer_config = active_sanitizer()
     if sanitizer_config is not None:

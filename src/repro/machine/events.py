@@ -61,5 +61,13 @@ class Listener:
         counts.
         """
 
+    def on_thread(self, machine: "Machine", thread_id: int) -> None:
+        """The simulated executing thread switched to *thread_id*.
+
+        ``machine.thread_id`` already holds the new value.  The event-trace
+        recorder stores switches so replays route heap ops to the right
+        per-thread arena.
+        """
+
     def on_finish(self, machine: "Machine") -> None:
         """The workload finished executing."""

@@ -320,6 +320,8 @@ class Machine:
         forward = getattr(self.allocator, "set_thread", None)
         if forward is not None:
             forward(thread_id)
+        for listener in self._dispatch:
+            listener.on_thread(self, thread_id)
 
     # ------------------------------------------------------------------
     # Memory management

@@ -34,25 +34,40 @@ truncated or bit-flipped trace file is detected as a
 :class:`TraceFormatError` at its first decode instead of being decoded
 into garbage events.  v1 containers (no checksum) remain readable.
 
+Format v3 adds simulated-thread switches (``Machine.set_thread``, driven by
+the multi-tenant mix scheduler) as a sparse *switch table* of
+``(event index, thread)`` pairs: the thread becomes current just before
+the event at that index.  Switches are not events — they do not count
+toward ``header.events`` and leave the event stream of a single-threaded
+workload untouched — and only actual changes of thread are stored.  The
+table (LEB128 pairs, the index delta-encoded) sits between the flags byte
+and the body; ``header.switch_bytes`` gives its length, and the CRC32
+covers table and body together.  v1 and v2 containers read as traces
+without switches.
+
 A ref-scale run costs a few MiB compressed.
 """
 
 from __future__ import annotations
 
+import io
 import json
+from array import array
 import struct
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import BinaryIO, Iterator, Optional, Union
+from itertools import chain, islice
+from typing import BinaryIO, Iterable, Iterator, Optional, Sequence, Union
 
 from ..faults.plan import active_fault_plan
 
 MAGIC = b"HALOTRC1"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
-#: Container versions this reader understands (v1 predates the body CRC).
-SUPPORTED_FORMATS = (1, 2)
+#: Container versions this reader understands (v1 predates the body CRC,
+#: v2 the thread-switch table).
+SUPPORTED_FORMATS = (1, 2, 3)
 
 #: Body-encoding flag: zlib-compressed event stream.
 FLAG_ZLIB = 0x01
@@ -104,8 +119,11 @@ class TraceHeader:
     works: int = 0
     alloc_bytes: int = 0
     access_bytes: int = 0
-    #: CRC32 of the stored (compressed) body; None on v1 traces and on
-    #: hand-built headers, which skips verification.
+    #: Thread switches in the switch table, and the table's encoded size.
+    switches: int = 0
+    switch_bytes: int = 0
+    #: CRC32 of the stored switch table and (compressed) body; None on v1
+    #: traces and on hand-built headers, which skips verification.
     crc32: Optional[int] = None
     extra: dict = field(default_factory=dict)
 
@@ -138,6 +156,38 @@ def encode_uvarint(value: int) -> bytes:
         else:
             out.append(byte)
             return bytes(out)
+
+
+def encode_switches(switches: Sequence[tuple[int, int]]) -> bytes:
+    """Encode a switch table: per entry, the event-index delta and the thread."""
+    out = bytearray()
+    last = 0
+    for position, thread in switches:
+        out += encode_uvarint(position - last)
+        out += encode_uvarint(thread)
+        last = position
+    return bytes(out)
+
+
+def decode_switches(table: bytes) -> tuple[tuple[int, int], ...]:
+    """Inverse of :func:`encode_switches`."""
+    values: list[int] = []
+    value = shift = 0
+    for byte in table:
+        value |= (byte & 0x7F) << shift
+        if byte & 0x80:
+            shift += 7
+            continue
+        values.append(value)
+        value = shift = 0
+    if shift or len(values) % 2:
+        raise TraceFormatError("truncated thread-switch table")
+    switches = []
+    position = 0
+    for delta, thread in zip(values[::2], values[1::2]):
+        position += delta
+        switches.append((position, thread))
+    return tuple(switches)
 
 
 def zigzag(value: int) -> int:
@@ -176,6 +226,7 @@ class TraceWriter:
         self._last_call_addr = 0
         self._last_oid = 0
         self._next_oid = 0
+        self._switches: list[tuple[int, int]] = []
         self._closed = False
         self._trace: Optional[EventTrace] = None
 
@@ -289,14 +340,29 @@ class TraceWriter:
         self._buffer.append(OP_END)
         self.header.events += 1
 
+    def thread(self, thread_id: int) -> None:
+        """Record a switch to simulated thread *thread_id* before the next event.
+
+        Only changes are stored: switches with no event in between collapse
+        into the last one, and a switch to the current thread is dropped
+        (every consumer of ``set_thread`` is idempotent).
+        """
+        position = self.header.events
+        switches = self._switches
+        if switches and switches[-1][0] == position:
+            switches.pop()
+        current = switches[-1][1] if switches else 0
+        if thread_id != current:
+            switches.append((position, thread_id))
+
     # -- finalisation ------------------------------------------------------
 
     def close(self) -> "EventTrace":
         """Finalise the stream and return the completed trace (idempotent).
 
-        Stamps the header with the CRC32 of the compressed body (format
-        v2), so every write path downstream of the writer can detect
-        truncation and bit-flips.
+        Stamps the header with the CRC32 of the switch table and the
+        compressed body, so every write path downstream of the writer can
+        detect truncation and bit-flips.
         """
         if not self._closed:
             if self._buffer:
@@ -305,8 +371,11 @@ class TraceWriter:
             self._chunks.append(self._compressor.flush())
             self._closed = True
             body = b"".join(self._chunks)
-            self.header.crc32 = zlib.crc32(body)
-            self._trace = EventTrace(self.header, body)
+            table = encode_switches(self._switches)
+            self.header.switches = len(self._switches)
+            self.header.switch_bytes = len(table)
+            self.header.crc32 = zlib.crc32(body, zlib.crc32(table))
+            self._trace = EventTrace(self.header, body, switch_table=table)
             self._chunks.clear()
         assert self._trace is not None
         return self._trace
@@ -468,106 +537,171 @@ _END_EVENT = (OP_END,)
 class TraceColumns:
     """Columnar (struct-of-arrays) view of one decoded event stream.
 
-    The batched simulation engine (:mod:`repro.columnar`) consumes events
-    as flat columns instead of per-event tuples:
+    The batched simulation engine (:mod:`repro.columnar`) and the profile
+    replay consume events as flat int64 columns instead of per-event
+    tuples:
 
-    * ``acc_oid`` / ``acc_offset`` / ``acc_size`` — one int64 entry per
-      load/store, in stream order.  Absolute addresses are obtained later
-      by indexing an allocator-specific base table with ``acc_oid``.
-    * ``heap_ops`` — ``(op, a, b, acc_ptr)`` tuples for ALLOC/FREE/REALLOC
-      only (``a`` = size or oid, ``b`` = realloc new size), where
-      ``acc_ptr`` is the number of accesses preceding the op.  Enough to
+    * ``acc_oid`` / ``acc_offset`` / ``acc_size`` — one entry per
+      load/store, in stream order, and ``acc_store`` (bool) marking the
+      stores.  Absolute addresses are obtained later by indexing an
+      allocator-specific base table with ``acc_oid``.
+    * ``ctrl`` — ``(op, a, b, acc_ptr)`` columns over CALL, RETURN and
+      the heap ops (``a`` = site address, size or oid; ``b`` = realloc
+      new size), where ``acc_ptr`` is the number of accesses preceding
+      the op.  Needed when an allocator's group matcher reads the state
+      vector or the live call stack, and by the profile replay.
+    * ``heap`` — the same columns over ALLOC/FREE/REALLOC only: enough to
       re-drive any allocator whose decisions ignore the call stack.
-    * ``ctrl_ops`` — the heap ops plus CALL/RETURN markers, same shape
-      (CALL's ``a`` is the site address).  Needed when the allocator's
-      group matcher reads the state vector or the live call stack.
     * ``works`` — float64 compute-cycle entries in stream order.
+    * ``switches`` — one ``(heap_index, ctrl_index, acc_index, thread)``
+      mark per thread switch: the switch takes effect before that heap
+      op, control op and access.  Empty for single-threaded traces.
 
-    All columns are built in one pass over the decoded event list and
-    cached on the owning :class:`EventTrace`.
+    *events* may be any iterable (the owning :class:`EventTrace` streams
+    its decoder straight in, so no per-event tuple list is kept);
+    *switches* is the trace's ``(event index, thread)`` table.
     """
 
     __slots__ = (
-        "acc_oid", "acc_offset", "acc_size", "heap_ops", "ctrl_ops",
-        "works", "call_addrs", "loads", "stores", "allocs", "frees",
-        "reallocs", "calls",
+        "acc_oid", "acc_offset", "acc_size", "acc_store", "ctrl", "heap", "works",
+        "call_addrs", "switches", "loads", "stores", "allocs", "frees", "reallocs",
+        "calls",
     )
 
-    def __init__(self, events: list) -> None:
+    def __init__(
+        self, events: Iterable[tuple], switches: Sequence[tuple[int, int]] = ()
+    ) -> None:
         import numpy as np
 
-        acc_oid: list[int] = []
-        acc_offset: list[int] = []
-        acc_size: list[int] = []
-        heap_ops: list[tuple] = []
-        ctrl_ops: list[tuple] = []
-        works: list[float] = []
-        call_addrs: list[int] = []
-        loads = stores = 0
-        for event in events:
-            op = event[0]
-            if op == OP_LOAD or op == OP_STORE:
-                acc_oid.append(event[1])
-                acc_offset.append(event[2])
-                acc_size.append(event[3])
-                if op == OP_STORE:
-                    stores += 1
-                else:
-                    loads += 1
-            elif op == OP_CALL:
-                call_addrs.append(event[1])
-                ctrl_ops.append((OP_CALL, event[1], 0, len(acc_oid)))
-            elif op == OP_RETURN:
-                ctrl_ops.append((OP_RETURN, 0, 0, len(acc_oid)))
-            elif op == OP_WORK:
-                works.append(event[1])
-            elif op == OP_ALLOC:
-                entry = (OP_ALLOC, event[1], 0, len(acc_oid))
-                heap_ops.append(entry)
-                ctrl_ops.append(entry)
-            elif op == OP_FREE:
-                entry = (OP_FREE, event[1], 0, len(acc_oid))
-                heap_ops.append(entry)
-                ctrl_ops.append(entry)
-            elif op == OP_REALLOC:
-                entry = (OP_REALLOC, event[1], event[2], len(acc_oid))
-                heap_ops.append(entry)
-                ctrl_ops.append(entry)
-            # OP_END carries no simulation state.
-        self.acc_oid = np.asarray(acc_oid, dtype=np.int64)
-        self.acc_offset = np.asarray(acc_offset, dtype=np.int64)
-        self.acc_size = np.asarray(acc_size, dtype=np.int64)
-        self.heap_ops = heap_ops
-        self.ctrl_ops = ctrl_ops
-        self.works = np.asarray(works, dtype=np.float64)
-        self.call_addrs = call_addrs
-        self.loads = loads
-        self.stores = stores
-        self.allocs = sum(1 for op in heap_ops if op[0] == OP_ALLOC)
-        self.frees = sum(1 for op in heap_ops if op[0] == OP_FREE)
-        self.reallocs = len(heap_ops) - self.allocs - self.frees
-        self.calls = len(call_addrs)
+        # Typed buffers: no Python int object outlives its append.
+        acc_oid, acc_offset, acc_size, ops, op_a, op_b, op_ptr = (
+            array("q") for _ in range(7)
+        )
+        acc_store = array("b")
+        works = array("d")
+
+        def fill(stream: Iterable[tuple]) -> None:
+            for event in stream:
+                op = event[0]
+                if op == OP_LOAD or op == OP_STORE:
+                    acc_oid.append(event[1])
+                    acc_offset.append(event[2])
+                    acc_size.append(event[3])
+                    acc_store.append(op == OP_STORE)
+                elif op == OP_WORK:
+                    works.append(event[1])
+                elif op != OP_END:  # END carries no simulation state
+                    ops.append(op)
+                    op_a.append(event[1] if op != OP_RETURN else 0)
+                    op_b.append(event[2] if op == OP_REALLOC else 0)
+                    op_ptr.append(len(acc_oid))
+
+        stream = iter(events)
+        marks: list[tuple[int, int, int]] = []
+        done = 0
+        for position, thread in switches:
+            fill(islice(stream, position - done))
+            done = position
+            marks.append((len(ops), len(acc_oid), thread))
+        fill(stream)
+        self.acc_oid = np.frombuffer(acc_oid, dtype=np.int64)
+        self.acc_offset = np.frombuffer(acc_offset, dtype=np.int64)
+        self.acc_size = np.frombuffer(acc_size, dtype=np.int64)
+        self.acc_store = np.frombuffer(acc_store, dtype=bool)
+        self.works = np.frombuffer(works, dtype=np.float64)
+        self.ctrl = tuple(
+            np.frombuffer(column, dtype=np.int64) for column in (ops, op_a, op_b, op_ptr)
+        )
+        kinds = self.ctrl[0]
+        is_heap = kinds >= OP_ALLOC
+        self.heap = tuple(column[is_heap] for column in self.ctrl)
+        heap_before = np.concatenate(([0], np.cumsum(is_heap)))
+        self.switches = [
+            (int(heap_before[ctrl_at]), ctrl_at, acc_at, thread)
+            for ctrl_at, acc_at, thread in marks
+        ]
+        self.call_addrs = self.ctrl[1][kinds == OP_CALL]
+        self.stores = int(np.count_nonzero(self.acc_store))
+        self.loads = self.accesses - self.stores
+        self.allocs = int(np.count_nonzero(kinds == OP_ALLOC))
+        self.frees = int(np.count_nonzero(kinds == OP_FREE))
+        self.reallocs = int(np.count_nonzero(kinds == OP_REALLOC))
+        self.calls = int(self.call_addrs.shape[0])
 
     @property
     def accesses(self) -> int:
         """Total load/store events."""
         return int(self.acc_oid.shape[0])
 
+    def segments(
+        self, ctrl: bool = False, threaded: bool = True
+    ) -> Iterator[tuple[Optional[int], Iterator[tuple[int, int, int, int]]]]:
+        """``(thread, ops)`` runs of the heap ops (or, with *ctrl*, control ops).
+
+        Each run iterates ``(op, a, b, acc_ptr)`` tuples of plain ints, in
+        stream order, up to the next thread switch; ``thread`` is the
+        thread the run executes on, None for the leading run (recordings
+        start on thread 0).  A trace without switches, or
+        ``threaded=False``, is one run, so single-threaded replays pay
+        nothing per op.
+        """
+        columns = self.ctrl if ctrl else self.heap
+        which = 1 if ctrl else 0
+        starts = [0]
+        threads: list[Optional[int]] = [None]
+        if threaded:
+            for mark in self.switches:
+                starts.append(mark[which])
+                threads.append(mark[3])
+        ends = starts[1:] + [int(columns[0].shape[0])]
+        for thread, lo, hi in zip(threads, starts, ends):
+            yield thread, _rows(columns, lo, hi)
+
+    def access_rows(self) -> Iterator[tuple[int, int, int, bool]]:
+        """Every access as an ``(oid, offset, size, is_store)`` tuple, in order."""
+        columns = (self.acc_oid, self.acc_offset, self.acc_size, self.acc_store)
+        return _rows(columns, 0, self.accesses)
+
+
+#: Rows per block when columns are iterated as tuples of plain Python values.
+_ROW_BLOCK = 1 << 13
+
+
+def _rows(columns: Sequence, lo: int, hi: int) -> Iterator[tuple]:
+    """Rows ``lo:hi`` of parallel *columns* as tuples, converted a block at a time.
+
+    Bounds the transient Python objects of a pass to one block instead of
+    a whole column's worth.
+    """
+    return chain.from_iterable(
+        zip(*(column[start:min(start + _ROW_BLOCK, hi)].tolist() for column in columns))
+        for start in range(lo, hi, _ROW_BLOCK)
+    )
+
 
 class EventTrace:
     """An immutable recorded event stream plus its identifying header.
 
-    The compressed body is the canonical representation (what travels
-    through the artifact cache and trace files); :meth:`events` decodes it
-    once into a list of event tuples and caches the result, so repeated
-    replays — the parameter-sweep case — pay the decode cost a single time.
+    The compressed body (with the v3 thread-switch table) is the canonical
+    representation — what travels through the artifact cache and trace
+    files.  :meth:`columns` decodes it once, straight into the cached
+    :class:`TraceColumns` view every replay consumes, so the parameter-sweep
+    case pays the decode cost a single time without holding a per-event
+    tuple list; :meth:`events` decodes afresh on each call.
     """
 
-    def __init__(self, header: TraceHeader, body: bytes, flags: int = FLAG_ZLIB) -> None:
+    def __init__(
+        self,
+        header: TraceHeader,
+        body: bytes,
+        flags: int = FLAG_ZLIB,
+        switch_table: bytes = b"",
+    ) -> None:
         self.header = header
         self.body = body
         self.flags = flags
-        self._events: Optional[list[tuple]] = None
+        self.switch_table = switch_table
+        self._switches: Optional[tuple[tuple[int, int], ...]] = None
         self._columns: Optional[TraceColumns] = None
 
     def __len__(self) -> int:
@@ -580,6 +714,12 @@ class EventTrace:
             f"{h.events} events, {len(self.body)} bytes)"
         )
 
+    def __getstate__(self) -> dict:
+        """Pickle the container only; decoded views are rebuilt on demand."""
+        state = dict(self.__dict__)
+        state["_switches"] = state["_columns"] = None
+        return state
+
     # -- decoding ----------------------------------------------------------
 
     def _raw_body(self) -> bytes:
@@ -591,13 +731,16 @@ class EventTrace:
         return self.body
 
     def verify(self) -> bool:
-        """Whether the stored body matches the header checksum.
+        """Whether the stored switch table and body match the header checksum.
 
         True for v1 traces and hand-built headers (no checksum recorded):
         absence of evidence is not treated as corruption.
         """
         expected = self.header.crc32
-        return expected is None or zlib.crc32(self.body) == expected
+        return expected is None or self._crc() == expected
+
+    def _crc(self) -> int:
+        return zlib.crc32(self.body, zlib.crc32(self.switch_table))
 
     def _check_body(self) -> None:
         """Raise :class:`TraceFormatError` on checksum mismatch or injected faults."""
@@ -609,46 +752,64 @@ class EventTrace:
         if not self.verify():
             raise TraceFormatError(
                 f"trace body checksum mismatch for {self.header.workload!r} "
-                f"(expected {self.header.crc32:#010x}, got {zlib.crc32(self.body):#010x})"
+                f"(expected {self.header.crc32:#010x}, got {self._crc():#010x})"
+            )
+
+    def switches(self) -> tuple[tuple[int, int], ...]:
+        """The ``(event index, thread)`` switch table (empty before v3)."""
+        if self._switches is None:
+            self._check_body()
+            switches = decode_switches(self.switch_table)
+            if len(switches) != self.header.switches or any(
+                position > self.header.events for position, _ in switches
+            ):
+                raise TraceFormatError(
+                    f"thread-switch table of {self.header.workload!r} does not "
+                    "match its header"
+                )
+            self._switches = switches
+        return self._switches
+
+    def _decoded(self, chunk_size: int = 1 << 16) -> Iterator[tuple]:
+        """Verify, inflate and decode the body, yielding events chunk by chunk.
+
+        The checksum is verified first, so truncation and bit-flips surface
+        as :class:`TraceFormatError` at the decode boundary rather than as
+        garbage events downstream.
+        """
+        self._check_body()
+        data = self._raw_body()
+        out: list[tuple] = []
+        state = [0, 0, 0]
+        pos = 0
+        count = 0
+        while pos < len(data):
+            good = _decode_into(data, pos, min(pos + chunk_size, len(data)), out, state)
+            if good == pos:
+                raise TraceFormatError(
+                    f"trailing garbage: decoded {pos} of {len(data)} body bytes"
+                )
+            pos = good
+            count += len(out)
+            yield from out
+            out.clear()
+        if count != self.header.events:
+            raise TraceFormatError(
+                f"header promises {self.header.events} events, body holds {count}"
             )
 
     def events(self) -> list[tuple]:
-        """Decode (once) and return the full event list.
-
-        The body checksum is verified first (format v2), so truncation and
-        bit-flips surface as :class:`TraceFormatError` at the decode
-        boundary rather than as garbage events downstream.
-        """
-        if self._events is None:
-            self._check_body()
-            data = self._raw_body()
-            out: list[tuple] = []
-            state = [0, 0, 0]
-            consumed = _decode_into(data, 0, len(data), out, state)
-            if consumed != len(data):
-                raise TraceFormatError(
-                    f"trailing garbage: decoded {consumed} of {len(data)} body bytes"
-                )
-            if len(out) != self.header.events:
-                raise TraceFormatError(
-                    f"header promises {self.header.events} events, body holds {len(out)}"
-                )
-            self._events = out
-        return self._events
+        """Decode and return the full event list (not cached)."""
+        return list(self._decoded())
 
     def read_all(self) -> list[tuple]:
-        """Bulk-decode the entire body in one pass (the array-decode path).
-
-        Alias of :meth:`events`: one decompression, one decode loop, one
-        cached list — the entry point batch consumers (``trace info``, the
-        columnar engine) should use instead of :meth:`iter_events`.
-        """
+        """Bulk-decode the entire body in one pass (alias of :meth:`events`)."""
         return self.events()
 
     def columns(self) -> TraceColumns:
         """Decode (once) into the cached columnar struct-of-arrays view."""
         if self._columns is None:
-            self._columns = TraceColumns(self.read_all())
+            self._columns = TraceColumns(self._decoded(), self.switches())
         return self._columns
 
     def iter_events(self, chunk_size: int = 1 << 16) -> Iterator[tuple]:
@@ -658,9 +819,6 @@ class EventTrace:
         chunk plus any partial trailing event; the constant-memory path for
         tools that scan very large traces.
         """
-        if self._events is not None:
-            yield from self._events
-            return
         self._check_body()
         decompressor = zlib.decompressobj() if self.flags & FLAG_ZLIB else None
         pending = bytearray()
@@ -683,11 +841,12 @@ class EventTrace:
     # -- container I/O -----------------------------------------------------
 
     def to_bytes(self) -> bytes:
-        """Serialise the full container (header + body)."""
+        """Serialise the full container (header, switch table, body)."""
         header_json = self.header.to_json().encode()
-        return b"".join(
-            (MAGIC, _U32.pack(len(header_json)), header_json, bytes([self.flags]), self.body)
-        )
+        return b"".join((
+            MAGIC, _U32.pack(len(header_json)), header_json, bytes([self.flags]),
+            self.switch_table, self.body,
+        ))
 
     def save(self, path: Union[str, Path]) -> Path:
         """Write the container to *path*; returns the path."""
@@ -698,18 +857,8 @@ class EventTrace:
     @staticmethod
     def from_bytes(raw: bytes) -> "EventTrace":
         """Parse a container previously produced by :meth:`to_bytes`."""
-        if raw[: len(MAGIC)] != MAGIC:
-            raise TraceFormatError("not a HALO event trace (bad magic)")
-        pos = len(MAGIC)
-        (header_len,) = _U32.unpack_from(raw, pos)
-        pos += 4
-        header = TraceHeader.from_json(raw[pos:pos + header_len].decode())
-        if header.format not in SUPPORTED_FORMATS:
-            raise TraceFormatError(f"unsupported trace format version {header.format}")
-        pos += header_len
-        flags = raw[pos]
-        pos += 1
-        return EventTrace(header, raw[pos:], flags=flags)
+        header, flags, table, offset = _read_container_head(io.BytesIO(raw))
+        return EventTrace(header, raw[offset:], flags=flags, switch_table=table)
 
     @staticmethod
     def load(path: Union[str, Path]) -> "EventTrace":
@@ -729,7 +878,9 @@ class TraceReader:
         self.path = Path(path)
         self.chunk_size = chunk_size
         with open(self.path, "rb") as handle:
-            self.header, self.flags, self._body_offset = _read_container_head(handle)
+            self.header, self.flags, self.switch_table, self._body_offset = (
+                _read_container_head(handle)
+            )
 
     def read_all(self) -> list[tuple]:
         """Bulk-decode the whole file: one read, one inflate, one decode pass.
@@ -739,7 +890,10 @@ class TraceReader:
         chunked iterator remains the constant-memory path.
         """
         raw = self.path.read_bytes()
-        trace = EventTrace(self.header, raw[self._body_offset:], flags=self.flags)
+        trace = EventTrace(
+            self.header, raw[self._body_offset:], flags=self.flags,
+            switch_table=self.switch_table,
+        )
         return trace.read_all()
 
     def __iter__(self) -> Iterator[tuple]:
@@ -747,7 +901,7 @@ class TraceReader:
         pending = bytearray()
         state = [0, 0, 0]
         out: list[tuple] = []
-        crc = 0
+        crc = zlib.crc32(self.switch_table)
         with open(self.path, "rb") as handle:
             handle.seek(self._body_offset)
             while True:
@@ -780,8 +934,11 @@ class TraceReader:
         yield from out
 
 
-def _read_container_head(handle: BinaryIO) -> tuple[TraceHeader, int, int]:
-    """Parse magic + header + flags from *handle*; returns body offset too."""
+def _read_container_head(handle: BinaryIO) -> tuple[TraceHeader, int, bytes, int]:
+    """Parse magic, header, flags and switch table from *handle*.
+
+    Returns ``(header, flags, switch_table, body_offset)``.
+    """
     magic = handle.read(len(MAGIC))
     if magic != MAGIC:
         raise TraceFormatError("not a HALO event trace (bad magic)")
@@ -790,4 +947,7 @@ def _read_container_head(handle: BinaryIO) -> tuple[TraceHeader, int, int]:
     if header.format not in SUPPORTED_FORMATS:
         raise TraceFormatError(f"unsupported trace format version {header.format}")
     flags = handle.read(1)[0]
-    return header, flags, len(MAGIC) + 4 + header_len + 1
+    table = handle.read(header.switch_bytes)
+    if len(table) != header.switch_bytes:
+        raise TraceFormatError("truncated thread-switch table")
+    return header, flags, table, len(MAGIC) + 4 + header_len + 1 + header.switch_bytes

@@ -3,8 +3,8 @@
 :class:`TraceRecorder` is a :class:`~repro.machine.events.Listener`: attach
 it to any :class:`~repro.machine.machine.Machine` and it streams every
 event — calls, returns, allocations, reallocations, frees, heap accesses,
-compute work — into a :class:`~repro.trace.format.TraceWriter`.  This is
-the analogue of the paper's Pin tool attaching to a live process
+compute work — and every simulated-thread switch into a
+:class:`~repro.trace.format.TraceWriter`.  This is the analogue of the paper's Pin tool attaching to a live process
 (Section 4.1), except the "process" is the simulated machine.
 
 :func:`record_workload` is the one-call convenience used by the harness
@@ -95,6 +95,10 @@ class TraceRecorder(Listener):
     def on_work(self, machine: "Machine", cycles: float) -> None:
         """Record compute-cycle accounting."""
         self.writer.work(cycles)
+
+    def on_thread(self, machine: "Machine", thread_id: int) -> None:
+        """Record a simulated-thread switch (a switch-table entry, not an event)."""
+        self.writer.thread(thread_id)
 
     def on_finish(self, machine: "Machine") -> None:
         """Record end-of-run and finalise the trace.

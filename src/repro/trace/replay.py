@@ -23,8 +23,9 @@ zero, ``oid == alloc_seq``), which lets the trace omit allocation ids.
 
 from __future__ import annotations
 
+from itertools import islice
 from time import perf_counter
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Iterable, Optional
 
 from ..machine.heap import HeapObject
 from .. import obs
@@ -65,7 +66,8 @@ class TraceReplayer:
         """Replay every event through *machine*'s public API.
 
         Calls ``machine.call/malloc/free/realloc/load/store/work/finish``
-        in recorded order, so the allocator, cache hierarchy, state vector
+        in recorded order — and ``machine.set_thread`` at each recorded
+        thread switch — so the allocator, cache hierarchy, state vector
         and any attached listeners observe an execution indistinguishable
         from the original workload run.  Usable as the ``driver`` argument
         of :func:`repro.harness.runner.run_measurement`.
@@ -80,34 +82,47 @@ class TraceReplayer:
         started = perf_counter()
         objects: dict[int, HeapObject] = {}
         scopes: list = []
-        load = machine.load
-        store = machine.store
-        for event in self.trace.events():
-            op = event[0]
-            if op == OP_LOAD:
-                load(objects[event[1]], event[2], event[3])
-            elif op == OP_STORE:
-                store(objects[event[1]], event[2], event[3])
-            elif op == OP_CALL:
-                scope = machine.call(event[1])
-                scope.__enter__()
-                scopes.append(scope)
-            elif op == OP_RETURN:
-                scopes.pop().__exit__(None, None, None)
-            elif op == OP_ALLOC:
-                obj = machine.malloc(event[1])
-                objects[obj.oid] = obj
-            elif op == OP_FREE:
-                machine.free(objects.pop(event[1]))
-            elif op == OP_REALLOC:
-                machine.realloc(objects[event[1]], event[2])
-            elif op == OP_WORK:
-                machine.work(event[1])
-            else:  # OP_END
-                machine.finish()
+        stream = iter(self.trace.events())
+        done = 0
+        for position, thread in self.trace.switches():
+            _drive_events(machine, islice(stream, position - done), objects, scopes)
+            machine.set_thread(thread)
+            done = position
+        _drive_events(machine, stream, objects, scopes)
         while scopes:  # pragma: no cover - only on truncated traces
             scopes.pop().__exit__(None, None, None)
         _publish_replay_metrics(self.trace, perf_counter() - started)
+
+
+def _drive_events(
+    machine: "Machine", events: Iterable[tuple], objects: dict, scopes: list
+) -> None:
+    """Feed *events* through *machine*'s public API (one thread's run)."""
+    load = machine.load
+    store = machine.store
+    for event in events:
+        op = event[0]
+        if op == OP_LOAD:
+            load(objects[event[1]], event[2], event[3])
+        elif op == OP_STORE:
+            store(objects[event[1]], event[2], event[3])
+        elif op == OP_CALL:
+            scope = machine.call(event[1])
+            scope.__enter__()
+            scopes.append(scope)
+        elif op == OP_RETURN:
+            scopes.pop().__exit__(None, None, None)
+        elif op == OP_ALLOC:
+            obj = machine.malloc(event[1])
+            objects[obj.oid] = obj
+        elif op == OP_FREE:
+            machine.free(objects.pop(event[1]))
+        elif op == OP_REALLOC:
+            machine.realloc(objects[event[1]], event[2])
+        elif op == OP_WORK:
+            machine.work(event[1])
+        else:  # OP_END
+            machine.finish()
 
 
 def _publish_replay_metrics(trace: EventTrace, elapsed: float) -> None:
@@ -152,6 +167,7 @@ def replay_profile(
 
     params = params or HaloParams()
     started = perf_counter()
+    cols = trace.columns()
     profiler = Profiler(program, params.affinity, record_trace=record_trace)
     shim = _ProfileShim()
     stack = shim.stack
@@ -161,27 +177,31 @@ def replay_profile(
     on_access = profiler.on_access
     on_alloc = profiler.on_alloc
     on_free = profiler.on_free
-    for event in trace.events():
-        op = event[0]
-        if op == OP_LOAD:
-            on_access(shim, objects[event[1]], event[2], event[3], False)
-        elif op == OP_STORE:
-            on_access(shim, objects[event[1]], event[2], event[3], True)
-        elif op == OP_CALL:
-            stack.append(sites[event[1]])
+    accesses = cols.access_rows()
+    pos = 0
+    _, ops = next(cols.segments(ctrl=True, threaded=False))
+    for op, a, b, ptr in ops:
+        if ptr != pos:
+            # The loads/stores recorded before this op, in stream order.
+            for oid, offset, size, is_store in islice(accesses, ptr - pos):
+                on_access(shim, objects[oid], offset, size, is_store)
+            pos = ptr
+        if op == OP_CALL:
+            stack.append(sites[a])
         elif op == OP_RETURN:
             stack.pop()
         elif op == OP_ALLOC:
-            obj = HeapObject(next_oid, 0, event[1], next_oid)
+            obj = HeapObject(next_oid, 0, a, next_oid)
             objects[next_oid] = obj
             next_oid += 1
             on_alloc(shim, obj)
         elif op == OP_FREE:
-            obj = objects.pop(event[1])
+            obj = objects.pop(a)
             obj.alive = False
             on_free(shim, obj)
-        elif op == OP_REALLOC:
-            objects[event[1]].size = event[2]
-        # OP_WORK / OP_END carry no profiling information.
+        else:  # OP_REALLOC
+            objects[a].size = b
+    for oid, offset, size, is_store in accesses:
+        on_access(shim, objects[oid], offset, size, is_store)
     _publish_replay_metrics(trace, perf_counter() - started)
     return profiler.result()

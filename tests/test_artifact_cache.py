@@ -84,6 +84,16 @@ class TestArtifactCache:
         cache.put("k", [3])
         assert cache.get("k") == [3]
 
+    def test_entry_with_a_damaged_string_is_a_miss(self, tmp_path):
+        # A flipped byte inside a pickled string makes the load raise
+        # UnicodeDecodeError, not an UnpicklingError.
+        cache = ArtifactCache(tmp_path)
+        cache.put("k", {"switch_table": 1})
+        blob = cache.path_for("k").read_bytes()
+        cache.path_for("k").write_bytes(blob.replace(b"switch", b"sw\xe5tch"))
+        assert cache.get("k") is None
+        assert cache.stats.misses == 1
+
     def test_truncated_entry_is_a_miss(self, tmp_path):
         cache = ArtifactCache(tmp_path)
         cache.put("k", list(range(100)))

@@ -19,7 +19,15 @@ from repro.core.artifact_cache import ArtifactCache
 from repro.faults import FaultPlan, fault_plan_active, inject_into_path
 from repro.harness.checkpoint import CheckpointJournal
 from repro.harness.parallel import run_trials_parallel
-from repro.harness.prepare import PhaseTimes, get_or_record_trace, prepare_workload
+from repro.core.pipeline import optimise_profile, profile_workload
+from repro.harness.prepare import (
+    PROFILE_SCALE,
+    PhaseTimes,
+    PreparedArtifacts,
+    get_or_record_trace,
+    halo_params_for,
+    prepare_workload,
+)
 from repro.harness.reproduce import evaluate_all
 from repro.harness.runner import measure_halo
 from repro.trace.format import EventTrace
@@ -116,6 +124,14 @@ class TestKillAndResume:
         assert resumed.graph_nodes == clean.graph_nodes
 
 
+def _directly_profiled(name: str) -> PreparedArtifacts:
+    """HALO artifacts from direct profiling (no trace), the reference side."""
+    workload = get_workload(name)
+    params = halo_params_for(workload)
+    profile = profile_workload(workload, params, scale=PROFILE_SCALE, record_trace=True)
+    return PreparedArtifacts(name, profile, optimise_profile(profile, params), None, key="")
+
+
 class TestCorruptTraceFallback:
     def test_replay_falls_back_to_direct_execution(self, caplog):
         trace = get_or_record_trace(BENCH)
@@ -125,12 +141,10 @@ class TestCorruptTraceFallback:
         assert not corrupt.verify()
 
         with caplog.at_level(logging.WARNING, logger="repro.harness.prepare"):
-            degraded = prepare_workload(
-                BENCH, trace=corrupt, use_trace=True, include_hds=False
-            )
+            degraded = prepare_workload(BENCH, trace=corrupt, include_hds=False)
         assert any("falling back to direct execution" in r.message for r in caplog.records)
 
-        direct = prepare_workload(BENCH, use_trace=False, include_hds=False)
+        direct = _directly_profiled(BENCH)
         assert [sorted(g.members) for g in degraded.halo.groups] == [
             sorted(g.members) for g in direct.halo.groups
         ]
@@ -166,7 +180,7 @@ class TestPoolExhaustion:
     def test_forced_exhaustion_degrades_but_serves_everything(self):
         # health is the heaviest grouper at test scale, so a one-chunk
         # budget genuinely runs its pools dry.
-        prepared = prepare_workload("health", use_trace=False, include_hds=False)
+        prepared = _directly_profiled("health")
         workload = get_workload("health")
         healthy = measure_halo(workload, prepared.halo, scale="test", seed=0)
         assert healthy.degraded_allocs == 0

@@ -450,11 +450,19 @@ class TestHarnessIntegration:
         assert warm.times.record == 0.0
 
     def test_trace_path_matches_direct_preparation(self, tmp_path):
-        from repro.harness.prepare import prepare_workload
+        from repro.harness.prepare import (
+            PROFILE_SCALE,
+            PreparedArtifacts,
+            halo_params_for,
+            prepare_workload,
+        )
 
         cache = ArtifactCache(tmp_path / "cache")
         via_trace = prepare_workload("health", include_hds=False, cache=cache)
-        direct = prepare_workload("health", include_hds=False, use_trace=False)
+        workload = get_workload("health")
+        params = halo_params_for(workload)
+        profile = profile_workload(workload, params, scale=PROFILE_SCALE, record_trace=True)
+        direct = PreparedArtifacts("health", profile, optimise_profile(profile, params), None, "")
         assert via_trace.profile.graph == direct.profile.graph
         assert via_trace.profile.trace == direct.profile.trace
         assert [sorted(g.members) for g in via_trace.halo.groups] == [
@@ -491,7 +499,7 @@ class TestChecksum:
 
     def test_writer_stamps_crc(self):
         trace = self._trace()
-        assert trace.header.format == 2
+        assert trace.header.format == 3
         assert trace.header.crc32 is not None
         assert trace.verify()
 
@@ -555,7 +563,7 @@ class TestChecksum:
 HEALTH_INFO_GOLDEN = [
     "workload:        health (test)",
     "program:         health",
-    "format:          v2",
+    "format:          v3",
     "events:          282,451",
     "  calls:         38,797",
     "  returns:       38,797",
@@ -565,6 +573,7 @@ HEALTH_INFO_GOLDEN = [
     "  loads:         122,724",
     "  stores:        19,585",
     "  work:          23,375",
+    "thread switches: 0",
     "accessed bytes:  1,138,472",
 ]
 
