@@ -195,11 +195,16 @@ def run_measurement(
     allocator = make_allocator(space)
     memory = CacheHierarchy(hierarchy_config)
     tracker = PeakTracker(allocator)
-    # Direct runs and event replays both switch simulated threads (the
-    # trace carries every switch), so line ownership is tracked on either;
-    # the columnar engine derives the same counters from the switch table.
+    listeners: list = [tracker]
+    # Line ownership is tracked wherever simulated threads can switch: a
+    # direct run may, an event replay does exactly where its trace records
+    # a switch.  A single-threaded replay shares no line, so it skips the
+    # per-access tracking (as the columnar engine does) and only reports
+    # its one thread.
+    threaded = trace is None or bool(trace.switches())
     sharing = FalseSharingTracker()
-    listeners: list = [tracker, sharing]
+    if threaded:
+        listeners.append(sharing)
     sanitizer = None
     sanitizer_config = active_sanitizer()
     if sanitizer_config is not None:
@@ -227,6 +232,8 @@ def run_measurement(
         sanitizer.final_check(machine)
     cache = memory.snapshot()
     metrics = machine.metrics
+    if not threaded and metrics.allocs:
+        sharing.threads.add(0)
     _publish_measurement_metrics(
         workload.name, config, metrics, cache, allocator, tracker.peak_live,
         sharing=sharing,

@@ -22,10 +22,13 @@ Co-allocatability
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 
 from .graph import AffinityGraph
+
+#: Sentinels for "no allocation of the context before / after this one".
+_NONE_BEFORE = -(1 << 62)
+_NONE_AFTER = 1 << 62
 
 
 @dataclass(frozen=True)
@@ -84,23 +87,37 @@ class AffinityRecorder:
         self._enforce_coalloc = self.params.enforce_co_allocatability
         self.graph = AffinityGraph()
         # Most-recent access per object: oid -> (cid, alloc seq,
-        # cumulative bytes *after* the access, groupable).  Insertion order
-        # is access recency (oldest first).
-        self._window: dict[int, tuple[int, int, int, bool]] = {}
+        # cumulative bytes *after* the access, groupable, previous alloc
+        # seq of the same context).  Insertion order is access recency
+        # (oldest first).
+        self._window: dict[int, tuple[int, int, int, bool, int]] = {}
         self._total_bytes = 0
         self._last_oid: int | None = None
-        # Object metadata: oid -> (cid, alloc seq, groupable).
-        self._objects: dict[int, tuple[int, int, bool]] = {}
-        # Ascending allocation sequence numbers per context (append-only).
-        self._alloc_seqs: dict[int, list[int]] = {}
+        # Object metadata: oid -> (cid, alloc seq, groupable, previous
+        # alloc seq of the same context, or _NONE_BEFORE).
+        self._objects: dict[int, tuple[int, int, bool, int]] = {}
+        # Each context's latest allocation: cid -> (oid, alloc seq).
+        self._latest: dict[int, tuple[int, int]] = {}
+        # oid -> alloc seq of the next allocation from the same context,
+        # set once that allocation happens.
+        self._next_seq: dict[int, int] = {}
 
     # -- allocation bookkeeping -------------------------------------------
 
     def on_alloc(self, oid: int, cid: int, size: int, alloc_seq: int) -> None:
-        """Register a new heap object allocated from context *cid*."""
+        """Register a new heap object allocated from context *cid*.
+
+        Allocation sequence numbers must ascend (the machine's do).
+        """
         groupable = size < self.params.max_object_size
-        self._objects[oid] = (cid, alloc_seq, groupable)
-        self._alloc_seqs.setdefault(cid, []).append(alloc_seq)
+        latest = self._latest.get(cid)
+        if latest is None:
+            previous = _NONE_BEFORE
+        else:
+            previous = latest[1]
+            self._next_seq[latest[0]] = alloc_seq
+        self._objects[oid] = (cid, alloc_seq, groupable, previous)
+        self._latest[cid] = (oid, alloc_seq)
 
     # -- access recording ---------------------------------------------------
 
@@ -117,7 +134,7 @@ class AffinityRecorder:
         info = self._objects.get(oid)
         if info is None:
             return  # object allocated before profiling attached; ignore
-        cid, alloc_seq, groupable = info
+        cid, alloc_seq, groupable, previous = info
         graph = self.graph
         node_accesses = graph.node_accesses
         node_accesses[cid] = node_accesses.get(cid, 0) + 1
@@ -126,62 +143,41 @@ class AffinityRecorder:
         edges = graph.edges
         window = self._window
         now = self._total_bytes
-        co_allocatable = self._co_allocatable
+        # Co-allocatability (inlined): no allocation strictly between the
+        # two objects may come from either context.  Both objects' own
+        # sequence numbers sit in their context's allocation order, so the
+        # question reduces to each side's neighbour in that order: the
+        # previous allocation (fixed) or the next one (known once made).
+        enforce = self._enforce_coalloc
+        next_seq = self._next_seq
+        following = next_seq.get(oid, _NONE_AFTER)
         for v_oid in reversed(window):
-            v_cid, v_seq, v_after, v_groupable = window[v_oid]
+            v_cid, v_seq, v_after, v_groupable, v_previous = window[v_oid]
             if now - v_after >= distance:
                 break  # everything older is out of the window too
             if v_oid == oid:
                 continue  # no self-affinity
-            if (
-                groupable
-                and v_groupable
-                and co_allocatable(cid, alloc_seq, v_cid, v_seq)
-            ):
+            if groupable and v_groupable:
+                if enforce:
+                    if v_seq < alloc_seq:
+                        if previous > v_seq or next_seq.get(v_oid, _NONE_AFTER) < alloc_seq:
+                            continue
+                    elif following < v_seq or v_previous > alloc_seq:
+                        continue
                 key = (cid, v_cid) if cid <= v_cid else (v_cid, cid)
                 edges[key] = edges.get(key, 0.0) + 1.0
         # Record (or refresh) this object's position in the window.
         window.pop(oid, None)
         now += nbytes
         self._total_bytes = now
-        window[oid] = (cid, alloc_seq, now, groupable)
-        # Trim entries that can never be affinitive again (inlined _trim).
+        window[oid] = (cid, alloc_seq, now, groupable, previous)
+        # Trim entries that can never be affinitive again.
         while window:
             oldest = next(iter(window))
             if now - window[oldest][2] >= distance:
                 del window[oldest]
             else:
                 break
-
-    def _trim(self) -> None:
-        """Drop window entries that can never be affinitive again."""
-        distance = self._distance
-        window = self._window
-        now = self._total_bytes
-        while window:
-            oldest = next(iter(window))
-            if now - window[oldest][2] >= distance:
-                del window[oldest]
-            else:
-                break
-
-    def _co_allocatable(self, ctx_a: int, seq_a: int, ctx_b: int, seq_b: int) -> bool:
-        """Could a shared pool have placed the two objects contiguously?
-
-        True iff no allocation strictly between the two (chronologically)
-        originated from either context.
-        """
-        if not self._enforce_coalloc:
-            return True
-        lo, hi = (seq_a, seq_b) if seq_a <= seq_b else (seq_b, seq_a)
-        for ctx in (ctx_a, ctx_b) if ctx_a != ctx_b else (ctx_a,):
-            seqs = self._alloc_seqs.get(ctx)
-            if not seqs:
-                continue
-            index = bisect_right(seqs, lo)
-            if index < len(seqs) and seqs[index] < hi:
-                return False
-        return True
 
     # -- results -------------------------------------------------------------
 

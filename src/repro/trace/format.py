@@ -556,6 +556,9 @@ class TraceColumns:
     * ``switches`` — one ``(heap_index, ctrl_index, acc_index, thread)``
       mark per thread switch: the switch takes effect before that heap
       op, control op and access.  Empty for single-threaded traces.
+    * ``kinds`` — every event's opcode (one byte each, ``OP_WORK`` for
+      both work encodings), in stream order: what the per-event replay
+      needs to interleave the other columns exactly as recorded.
 
     *events* may be any iterable (the owning :class:`EventTrace` streams
     its decoder straight in, so no per-event tuple list is kept);
@@ -564,8 +567,8 @@ class TraceColumns:
 
     __slots__ = (
         "acc_oid", "acc_offset", "acc_size", "acc_store", "ctrl", "heap", "works",
-        "call_addrs", "switches", "loads", "stores", "allocs", "frees", "reallocs",
-        "calls",
+        "call_addrs", "switches", "kinds", "loads", "stores", "allocs", "frees",
+        "reallocs", "calls",
     )
 
     def __init__(
@@ -579,10 +582,13 @@ class TraceColumns:
         )
         acc_store = array("b")
         works = array("d")
+        kinds = array("b")
 
         def fill(stream: Iterable[tuple]) -> None:
+            kind = kinds.append
             for event in stream:
                 op = event[0]
+                kind(op)
                 if op == OP_LOAD or op == OP_STORE:
                     acc_oid.append(event[1])
                     acc_offset.append(event[2])
@@ -604,6 +610,7 @@ class TraceColumns:
             done = position
             marks.append((len(ops), len(acc_oid), thread))
         fill(stream)
+        self.kinds = kinds.tobytes()
         self.acc_oid = np.frombuffer(acc_oid, dtype=np.int64)
         self.acc_offset = np.frombuffer(acc_offset, dtype=np.int64)
         self.acc_size = np.frombuffer(acc_size, dtype=np.int64)

@@ -25,13 +25,14 @@ from __future__ import annotations
 
 from itertools import islice
 from time import perf_counter
-from typing import TYPE_CHECKING, Iterable, Optional
+from typing import TYPE_CHECKING, Optional
 
 from ..machine.heap import HeapObject
 from .. import obs
 from .format import (
     OP_ALLOC,
     OP_CALL,
+    OP_END,
     OP_FREE,
     OP_LOAD,
     OP_REALLOC,
@@ -80,49 +81,62 @@ class TraceReplayer:
                 f"machine runs {machine.program.name!r}"
             )
         started = perf_counter()
+        cols = self.trace.columns()
+        feeds = (
+            cols.access_rows().__next__,
+            next(cols.segments(ctrl=True, threaded=False))[1].__next__,
+            iter(cols.works.tolist()).__next__,
+        )
         objects: dict[int, HeapObject] = {}
         scopes: list = []
-        stream = iter(self.trace.events())
         done = 0
         for position, thread in self.trace.switches():
-            _drive_events(machine, islice(stream, position - done), objects, scopes)
+            _drive_events(machine, cols.kinds[done:position], feeds, objects, scopes)
             machine.set_thread(thread)
             done = position
-        _drive_events(machine, stream, objects, scopes)
+        _drive_events(machine, cols.kinds[done:], feeds, objects, scopes)
         while scopes:  # pragma: no cover - only on truncated traces
             scopes.pop().__exit__(None, None, None)
         _publish_replay_metrics(self.trace, perf_counter() - started)
 
 
 def _drive_events(
-    machine: "Machine", events: Iterable[tuple], objects: dict, scopes: list
+    machine: "Machine", kinds: bytes, feeds: tuple, objects: dict, scopes: list
 ) -> None:
-    """Feed *events* through *machine*'s public API (one thread's run)."""
+    """Feed one thread's run of events through *machine*'s public API.
+
+    *kinds* holds the run's opcodes in stream order; *feeds* pulls the
+    next access row, control-op row and work entry from the trace columns.
+    """
+    next_access, next_op, next_work = feeds
     load = machine.load
     store = machine.store
-    for event in events:
-        op = event[0]
-        if op == OP_LOAD:
-            load(objects[event[1]], event[2], event[3])
-        elif op == OP_STORE:
-            store(objects[event[1]], event[2], event[3])
-        elif op == OP_CALL:
-            scope = machine.call(event[1])
-            scope.__enter__()
-            scopes.append(scope)
-        elif op == OP_RETURN:
-            scopes.pop().__exit__(None, None, None)
-        elif op == OP_ALLOC:
-            obj = machine.malloc(event[1])
-            objects[obj.oid] = obj
-        elif op == OP_FREE:
-            machine.free(objects.pop(event[1]))
-        elif op == OP_REALLOC:
-            machine.realloc(objects[event[1]], event[2])
-        elif op == OP_WORK:
-            machine.work(event[1])
-        else:  # OP_END
+    for kind in kinds:
+        if kind == OP_LOAD:
+            oid, offset, size, _ = next_access()
+            load(objects[oid], offset, size)
+        elif kind == OP_STORE:
+            oid, offset, size, _ = next_access()
+            store(objects[oid], offset, size)
+        elif kind == OP_WORK:
+            machine.work(next_work())
+        elif kind == OP_END:
             machine.finish()
+        else:
+            _, a, b, _ = next_op()
+            if kind == OP_CALL:
+                scope = machine.call(a)
+                scope.__enter__()
+                scopes.append(scope)
+            elif kind == OP_RETURN:
+                scopes.pop().__exit__(None, None, None)
+            elif kind == OP_ALLOC:
+                obj = machine.malloc(a)
+                objects[obj.oid] = obj
+            elif kind == OP_FREE:
+                machine.free(objects.pop(a))
+            else:  # OP_REALLOC
+                machine.realloc(objects[a], b)
 
 
 def _publish_replay_metrics(trace: EventTrace, elapsed: float) -> None:

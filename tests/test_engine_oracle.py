@@ -57,6 +57,23 @@ def inputs():
     return get
 
 
+@pytest.fixture(scope="module")
+def runs(inputs):
+    """Per (workload, config): every engine's measurement and counters.
+
+    Measured once per module, so the pinned cells below reuse the
+    matrix's runs instead of measuring them again.
+    """
+    done: dict = {}
+
+    def get(name: str, config: str) -> dict:
+        if (name, config) not in done:
+            done[name, config] = _measure_all_engines(inputs, name, config)
+        return done[name, config]
+
+    return get
+
+
 def _measure_all_engines(inputs, name: str, config: str) -> dict:
     workload, trace, prepared = inputs(name)
     artifacts = getattr(prepared, config, None)
@@ -73,19 +90,18 @@ def _measure_all_engines(inputs, name: str, config: str) -> dict:
 
 @pytest.mark.parametrize("config", CONFIGS)
 @pytest.mark.parametrize("name", WORKLOADS)
-def test_engines_agree_with_direct_execution(inputs, name, config):
-    runs = _measure_all_engines(inputs, name, config)
-    direct, direct_counters = runs["direct"]
+def test_engines_agree_with_direct_execution(runs, name, config):
+    measured = runs(name, config)
+    direct, direct_counters = measured["direct"]
     for engine in ("event", "columnar"):
-        measurement, counters = runs[engine]
+        measurement, counters = measured[engine]
         assert measurement == direct, engine
         assert counters == direct_counters, engine
 
 
-def test_arena_on_the_five_tenant_mix_is_pinned(inputs):
+def test_arena_on_the_five_tenant_mix_is_pinned(runs):
     """The figures ROADMAP recorded for direct execution of this cell."""
-    runs = _measure_all_engines(inputs, "mix-5x3-rr", "arena")
-    for engine, (measurement, counters) in runs.items():
+    for engine, (measurement, counters) in runs("mix-5x3-rr", "arena").items():
         assert measurement.cycles == 788_668, engine
         assert measurement.cache.l1_misses == 8_631, engine
         sharing = {
@@ -98,10 +114,9 @@ def test_arena_on_the_five_tenant_mix_is_pinned(inputs):
         }, engine
 
 
-def test_shared_heap_false_sharing_survives_trace_engines(inputs):
+def test_shared_heap_false_sharing_survives_trace_engines(runs):
     """The free list's false sharing shows on every engine, not only direct."""
-    runs = _measure_all_engines(inputs, "mix-5x3-rr", "freelist-bf")
-    for engine, (_, counters) in runs.items():
+    for engine, (_, counters) in runs("mix-5x3-rr", "freelist-bf").items():
         lines = [v for k, v in counters.items() if "false_sharing_lines" in k]
         assert lines and lines[0] > 0, engine
 
