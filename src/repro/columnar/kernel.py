@@ -1,4 +1,4 @@
-"""Chunked LRU state-machine kernel behind the columnar engine.
+"""The compiled kernel library: chunked LRU filtering and SEQUITUR.
 
 One primitive covers every structure in the simulated hierarchy: an LRU
 set-associative array driven by a flat stream of keys (line addresses
@@ -8,19 +8,25 @@ the miss count plus the missed keys *in stream order*, so the three
 cache levels chain exactly like the per-event hierarchy: L2 only sees
 what missed L1, L3 only what missed L2.
 
-Two interchangeable backends:
+The same library carries :func:`sequitur`, the grammar builder behind
+hot-data-stream analysis: a C replica of
+:class:`repro.hds.sequitur.Sequitur` over interned terminal codes.
 
-* a small C kernel, compiled on demand into a per-user temp directory
+Two interchangeable backends for both:
+
+* one small C library, compiled on demand into a per-user temp directory
   (keyed by a hash of its source, so stale binaries are never reused)
   and loaded through ``ctypes``;
-* a pure-Python replica of :meth:`SetAssociativeCache.access_line`'s
-  dict-LRU loop, used when no compiler is available or
-  ``REPRO_COLUMNAR_DISABLE_CC`` is set.
+* pure Python: a replica of :meth:`SetAssociativeCache.access_line`'s
+  dict-LRU loop, and the object-based ``Sequitur``.  They run when no
+  compiler is available or ``REPRO_COLUMNAR_DISABLE_CC`` is set, which
+  switches off the whole library.
 
 Both are exact: victim selection mirrors the insertion-ordered dict
 (the least recently touched way is evicted; empty ways fill first), so
 miss counts and downstream miss streams are bit-identical to the
-per-event simulation regardless of backend.
+per-event simulation regardless of backend; and the C SEQUITUR gives
+the same rule ids, bodies and rule order as the Python one.
 """
 
 from __future__ import annotations
@@ -32,7 +38,7 @@ import os
 import subprocess
 import tempfile
 from pathlib import Path
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -40,7 +46,8 @@ from ..cache.cache import CacheConfigError
 
 logger = logging.getLogger(__name__)
 
-_SOURCE = r"""
+_LRU_SOURCE = r"""
+#include <setjmp.h>
 #include <stdint.h>
 
 /* LRU set-associative filter.
@@ -125,11 +132,311 @@ int64_t halo_lru_fa(const int64_t *keys, int64_t n, int64_t capacity,
 }
 """
 
+_SEQUITUR_SOURCE = r"""
+/* SEQUITUR grammar inference: an exact replica of repro.hds.sequitur.
+ *
+ * Every operation mirrors the Python method of the same name, in the same
+ * order, so both give the same rule ids, bodies and preorder rule list.
+ * All state lives in caller-owned int32 arrays:
+ *
+ * symbols  val/prev/next: a value v >= 0 is a terminal code, v < 0 refers
+ *          to rule ~v.  Rule r's body is a circular list around its guard
+ *          symbol guard[r], whose value is ~r.
+ * rules    refs[r] counts the symbols referring to r; uses[r] is the XOR
+ *          of their slots, so when refs[r] falls to one it *is* the one
+ *          remaining use.
+ * index    the digram index: open addressing with linear probing and
+ *          backward-shift deletion, mapping the pair of values to the
+ *          digram's first symbol (hsym[i] < 0 marks an empty slot).
+ *
+ * Slots are never reused.  Running out of any array aborts the build and
+ * returns -1; the caller retries with larger arrays.
+ */
+
+typedef struct {
+    int32_t *val, *prev, *next;
+    int32_t *guard, *refs, *uses;
+    int64_t *hkey;
+    int32_t *hsym;
+    uint64_t hmask;
+    int hshift;
+    int64_t nsym, cap_sym, nrule, cap_rule, hcount;
+    jmp_buf full;
+} Seq;
+
+#define SEQ_KEY(q, a, b) \
+    (((uint64_t)(uint32_t)(q)->val[a] << 32) | (uint32_t)(q)->val[b])
+
+static inline uint64_t seq_slot(const Seq *q, uint64_t key)
+{
+    uint64_t i = (key * 0x9E3779B97F4A7C15ULL) >> q->hshift;
+    while (q->hsym[i] >= 0 && (uint64_t)q->hkey[i] != key) i = (i + 1) & q->hmask;
+    return i;
+}
+
+static inline void seq_put(Seq *q, uint64_t i, uint64_t key, int32_t s)
+{
+    if (q->hsym[i] < 0) {
+        if (2 * (q->hcount + 1) > (int64_t)q->hmask + 1) longjmp(q->full, 1);
+        q->hcount++;
+        q->hkey[i] = (int64_t)key;
+    }
+    q->hsym[i] = s;
+}
+
+static void seq_delete(Seq *q, uint64_t i)
+{
+    uint64_t j = i;
+    for (;;) {
+        j = (j + 1) & q->hmask;
+        if (q->hsym[j] < 0) break;
+        uint64_t home = ((uint64_t)q->hkey[j] * 0x9E3779B97F4A7C15ULL) >> q->hshift;
+        int stays = i < j ? (home > i && home <= j) : (home > i || home <= j);
+        if (!stays) {
+            q->hkey[i] = q->hkey[j];
+            q->hsym[i] = q->hsym[j];
+            i = j;
+        }
+    }
+    q->hsym[i] = -1;
+    q->hcount--;
+}
+
+static inline int is_guard(const Seq *q, int32_t s)
+{
+    int32_t v = q->val[s];
+    return v < 0 && q->guard[~v] == s;
+}
+
+/* The rule symbol s refers to, or -1 for terminals and guards. */
+static inline int32_t rule_of(const Seq *q, int32_t s)
+{
+    int32_t v = q->val[s];
+    return v < 0 && q->guard[~v] != s ? ~v : -1;
+}
+
+static inline void seq_link(Seq *q, int32_t left, int32_t right)
+{
+    q->next[left] = right;
+    q->prev[right] = left;
+}
+
+static int32_t new_symbol(Seq *q, int32_t v)
+{
+    if (q->nsym >= q->cap_sym) longjmp(q->full, 1);
+    int32_t s = (int32_t)q->nsym++;
+    q->val[s] = v;
+    q->prev[s] = q->next[s] = -1;
+    return s;
+}
+
+static int32_t new_rule(Seq *q)
+{
+    if (q->nrule >= q->cap_rule) longjmp(q->full, 1);
+    int32_t r = (int32_t)q->nrule++;
+    q->guard[r] = -1;
+    int32_t g = new_symbol(q, ~r);
+    q->guard[r] = g;
+    q->prev[g] = q->next[g] = g;
+    q->refs[r] = 0;
+    q->uses[r] = 0;
+    return r;
+}
+
+static void check_digram(Seq *q, int32_t first);
+
+static void remove_digram(Seq *q, int32_t first)
+{
+    int32_t second = q->next[first];
+    if (second < 0 || is_guard(q, second) || is_guard(q, first)) return;
+    uint64_t i = seq_slot(q, SEQ_KEY(q, first, second));
+    if (q->hsym[i] == first) seq_delete(q, i);
+}
+
+static void append_to_rule(Seq *q, int32_t r, int32_t v)
+{
+    int32_t s = new_symbol(q, v);
+    if (v < 0) {
+        q->refs[~v]++;
+        q->uses[~v] ^= s;
+    }
+    int32_t g = q->guard[r];
+    seq_link(q, q->prev[g], s);
+    seq_link(q, s, g);
+}
+
+static void inline_only_use(Seq *q, int32_t r)
+{
+    int32_t use = q->uses[r];
+    int32_t left = q->prev[use], right = q->next[use];
+    if (!is_guard(q, left)) remove_digram(q, left);
+    if (!is_guard(q, right)) remove_digram(q, use);
+    int32_t g = q->guard[r], first = q->next[g], last = q->prev[g];
+    if (first == g) {
+        seq_link(q, left, right);
+    } else {
+        seq_link(q, left, first);
+        seq_link(q, last, right);
+    }
+    q->refs[r]--;
+    q->uses[r] ^= use;
+    int32_t seams[2] = {left, first != g ? last : -1};
+    for (int k = 0; k < 2; k++) {
+        int32_t seam = seams[k];
+        if (seam < 0 || is_guard(q, seam)) continue;
+        int32_t follower = q->next[seam];
+        if (follower < 0 || is_guard(q, follower)) continue;
+        uint64_t key = SEQ_KEY(q, seam, follower);
+        uint64_t i = seq_slot(q, key);
+        if (q->hsym[i] < 0) seq_put(q, i, key, seam);
+    }
+}
+
+static void substitute(Seq *q, int32_t first, int32_t r)
+{
+    int32_t second = q->next[first];
+    int32_t left = q->prev[first], right = q->next[second];
+    if (!is_guard(q, left)) remove_digram(q, left);
+    if (!is_guard(q, right)) remove_digram(q, second);
+    remove_digram(q, first);
+    int32_t children[2] = {rule_of(q, first), rule_of(q, second)};
+    int32_t symbols[2] = {first, second};
+    for (int k = 0; k < 2; k++) {
+        if (children[k] >= 0) {
+            q->refs[children[k]]--;
+            q->uses[children[k]] ^= symbols[k];
+        }
+    }
+    int32_t replacement = new_symbol(q, ~r);
+    q->refs[r]++;
+    q->uses[r] ^= replacement;
+    seq_link(q, left, replacement);
+    seq_link(q, replacement, right);
+    for (int k = 0; k < 2; k++) {
+        if (children[k] >= 0 && q->refs[children[k]] == 1) inline_only_use(q, children[k]);
+    }
+    if (!is_guard(q, left)) check_digram(q, left);
+    if (!is_guard(q, right) && q->next[replacement] == right) check_digram(q, replacement);
+}
+
+static void handle_match(Seq *q, int32_t newer, int32_t older)
+{
+    int32_t second = q->next[older];
+    if (is_guard(q, q->prev[older]) && is_guard(q, q->next[second])) {
+        substitute(q, newer, ~q->val[q->prev[older]]);
+        return;
+    }
+    int32_t r = new_rule(q);
+    append_to_rule(q, r, q->val[older]);
+    append_to_rule(q, r, q->val[second]);
+    int32_t g = q->guard[r];
+    uint64_t key = SEQ_KEY(q, q->next[g], q->prev[g]);
+    seq_put(q, seq_slot(q, key), key, q->next[g]);
+    substitute(q, older, r);
+    substitute(q, newer, r);
+}
+
+static void check_digram(Seq *q, int32_t first)
+{
+    int32_t second = q->next[first];
+    if (is_guard(q, first) || second < 0 || is_guard(q, second)) return;
+    uint64_t key = SEQ_KEY(q, first, second);
+    uint64_t i = seq_slot(q, key);
+    if (q->hsym[i] < 0) {
+        seq_put(q, i, key, first);
+        return;
+    }
+    int32_t match = q->hsym[i];
+    if (match == first || q->next[match] == first) return;
+    handle_match(q, first, match);
+}
+
+/* Build the grammar of codes[0..n) and write it out flat.
+ *
+ * sym:      3 * cap_sym work slots (val, prev, next)
+ * rule:     5 * cap_rule work slots (guard, refs, uses, preorder
+ *           position, walk stack)
+ * hkey/hsym: 2**hbits index slots
+ * rule_ids: receives the live rule ids in preorder (start rule first)
+ * offsets:  rule i's body is body[offsets[i] .. offsets[i+1])
+ * body:     cap_body slots; a terminal code, or ~position of a rule
+ *
+ * Returns the number of live rules, or -1 when an array was too small.
+ */
+int64_t halo_sequitur(const int32_t *codes, int64_t n,
+                      int32_t *sym, int64_t cap_sym,
+                      int32_t *rule, int64_t cap_rule,
+                      int64_t *hkey, int32_t *hsym, int64_t hbits,
+                      int32_t *rule_ids, int32_t *offsets,
+                      int32_t *body, int64_t cap_body)
+{
+    Seq q;
+    q.val = sym; q.prev = sym + cap_sym; q.next = sym + 2 * cap_sym;
+    q.guard = rule; q.refs = rule + cap_rule; q.uses = rule + 2 * cap_rule;
+    int32_t *pos = rule + 3 * cap_rule, *stack = rule + 4 * cap_rule;
+    q.hkey = hkey; q.hsym = hsym;
+    q.hmask = ((uint64_t)1 << hbits) - 1;
+    q.hshift = 64 - (int)hbits;
+    q.nsym = 0; q.cap_sym = cap_sym; q.nrule = 0; q.cap_rule = cap_rule; q.hcount = 0;
+    for (uint64_t i = 0; i <= q.hmask; i++) hsym[i] = -1;
+    if (setjmp(q.full)) return -1;
+
+    int32_t start = new_rule(&q), g0 = q.guard[start];
+    for (int64_t i = 0; i < n; i++) {
+        int32_t s = new_symbol(&q, codes[i]);
+        seq_link(&q, q.prev[g0], s);
+        seq_link(&q, s, g0);
+        if (q.prev[s] != g0) check_digram(&q, q.prev[s]);
+    }
+
+    /* Preorder: a rule is numbered where the walk first meets it. */
+    for (int64_t r = 0; r < q.nrule; r++) pos[r] = -1;
+    int64_t count = 0, top = 0;
+    pos[start] = 0;
+    rule_ids[count++] = start;
+    stack[top++] = q.next[g0];
+    while (top > 0) {
+        int32_t s = stack[top - 1];
+        if (is_guard(&q, s)) { top--; continue; }
+        stack[top - 1] = q.next[s];
+        int32_t child = rule_of(&q, s);
+        if (child >= 0 && pos[child] < 0) {
+            pos[child] = (int32_t)count;
+            rule_ids[count++] = child;
+            stack[top++] = q.next[q.guard[child]];
+        }
+    }
+    int64_t m = 0;
+    offsets[0] = 0;
+    for (int64_t i = 0; i < count; i++) {
+        int32_t g = q.guard[rule_ids[i]];
+        for (int32_t s = q.next[g]; s != g; s = q.next[s]) {
+            if (m >= cap_body) return -1;
+            int32_t v = q.val[s];
+            body[m++] = v >= 0 ? v : ~pos[~v];
+        }
+        offsets[i + 1] = (int32_t)m;
+    }
+    return count;
+}
+"""
+
+_SOURCE = _LRU_SOURCE + _SEQUITUR_SOURCE
+
+_I32P = ctypes.POINTER(ctypes.c_int32)
 _I64P = ctypes.POINTER(ctypes.c_int64)
 
-#: Memoised compiled entry points; False means "tried and failed".
+
+class _Library(NamedTuple):
+    """The compiled library's entry points."""
+
+    lru: Callable[..., int]
+    fa: Callable[..., int]
+    sequitur: Callable[..., int]
+
+
+#: Memoised compiled library; False means "tried and failed".
 _kernel = None
-_kernel_fa = None
 
 
 def _compile() -> ctypes.CDLL:
@@ -159,34 +466,89 @@ def _compile() -> ctypes.CDLL:
     return ctypes.CDLL(str(so_path))
 
 
-def _load():
-    """The compiled filter function, or None when unavailable."""
-    global _kernel, _kernel_fa
+def _bind(lib: ctypes.CDLL, name: str, argtypes: list) -> Callable[..., int]:
+    fn = getattr(lib, name)
+    fn.restype = ctypes.c_int64
+    fn.argtypes = argtypes
+    return fn
+
+
+def _load() -> Optional[_Library]:
+    """The compiled library, or None when unavailable."""
+    global _kernel
     if _kernel is None:
         if os.environ.get("REPRO_COLUMNAR_DISABLE_CC"):
             _kernel = False
         else:
+            i64 = ctypes.c_int64
             try:
                 lib = _compile()
-                fn = lib.halo_lru_filter
-                fn.restype = ctypes.c_int64
-                fn.argtypes = [
-                    _I64P, ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
-                    ctypes.c_int64, _I64P, _I64P, _I64P,
-                ]
-                fa = lib.halo_lru_fa
-                fa.restype = ctypes.c_int64
-                fa.argtypes = [_I64P, ctypes.c_int64, ctypes.c_int64, _I64P, _I64P]
-                _kernel, _kernel_fa = fn, fa
+                _kernel = _Library(
+                    lru=_bind(lib, "halo_lru_filter",
+                              [_I64P, i64, i64, i64, i64, _I64P, _I64P, _I64P]),
+                    fa=_bind(lib, "halo_lru_fa", [_I64P, i64, i64, _I64P, _I64P]),
+                    sequitur=_bind(lib, "halo_sequitur", [
+                        _I32P, i64, _I32P, i64, _I32P, i64, _I64P, _I32P, i64,
+                        _I32P, _I32P, _I32P, i64,
+                    ]),
+                )
             except Exception as exc:  # pragma: no cover - environment-dependent
-                logger.warning("columnar C kernel unavailable (%s); using Python fallback", exc)
+                logger.warning("compiled kernels unavailable (%s); using Python fallbacks", exc)
                 _kernel = False
     return _kernel or None
 
 
 def kernel_backend() -> str:
-    """Which backend :func:`lru_filter` runs on: ``"c"`` or ``"python"``."""
+    """Which backend :func:`lru_filter` and :func:`sequitur` run on: ``"c"`` or ``"python"``."""
     return "c" if _load() is not None else "python"
+
+
+def _sequitur_capacity(n: int) -> tuple[int, int, int]:
+    """First-try work sizes for *n* terminals: symbol slots, rule slots, index bits.
+
+    Every trace met so far used under 5 symbol slots and 0.75 rule
+    creations per terminal; the index stays at most half full.
+    """
+    return 5 * n + 64, n - n // 4 + 16, (2 * n + 8).bit_length()
+
+
+def sequitur(codes: np.ndarray) -> Optional[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """SEQUITUR grammar of int32 terminal *codes* as flat arrays, or None.
+
+    Returns ``(rule_ids, offsets, body)`` in the form
+    :class:`repro.hds.streams.FlatGrammar` holds, or None when the
+    compiled library is unavailable (the caller then runs the Python
+    :class:`~repro.hds.sequitur.Sequitur`).  The kernel's state lives in
+    int32 work arrays allocated here and released with the call; they
+    start at a size that fits every grammar met so far and double until
+    the build fits.
+    """
+    lib = _load()
+    if lib is None:
+        return None
+    codes = np.ascontiguousarray(codes, dtype=np.int32)
+    n = int(codes.shape[0])
+    cap_sym, cap_rule, hbits = _sequitur_capacity(n)
+    cap_body = n + 1  # a grammar never has more symbols than its input
+    while True:
+        sym = np.empty(3 * cap_sym, dtype=np.int32)
+        rule = np.empty(5 * cap_rule, dtype=np.int32)
+        hkey = np.empty(1 << hbits, dtype=np.int64)
+        hsym = np.empty(1 << hbits, dtype=np.int32)
+        rule_ids = np.empty(cap_rule, dtype=np.int32)
+        offsets = np.empty(cap_rule + 1, dtype=np.int32)
+        body = np.empty(cap_body, dtype=np.int32)
+        count = lib.sequitur(
+            codes.ctypes.data_as(_I32P), n,
+            sym.ctypes.data_as(_I32P), cap_sym, rule.ctypes.data_as(_I32P), cap_rule,
+            hkey.ctypes.data_as(_I64P), hsym.ctypes.data_as(_I32P), hbits,
+            rule_ids.ctypes.data_as(_I32P), offsets.ctypes.data_as(_I32P),
+            body.ctypes.data_as(_I32P), cap_body,
+        )
+        if count >= 0:
+            end = int(offsets[count])
+            return rule_ids[:count].copy(), offsets[: count + 1].copy(), body[:end].copy()
+        cap_sym, cap_rule, hbits, cap_body = 2 * cap_sym, 2 * cap_rule, hbits + 1, 2 * cap_body
 
 
 def _lru_filter_py(keys: np.ndarray, num_sets: int, assoc: int) -> tuple[int, np.ndarray]:
@@ -244,20 +606,20 @@ def lru_filter(keys: np.ndarray, num_sets: int, assoc: int) -> tuple[int, np.nda
         missed = _fits(keys, num_sets, assoc)
         if missed is not None:
             return int(missed.shape[0]), missed
-    fn = _load()
-    if fn is None:
+    lib = _load()
+    if lib is None:
         return _lru_filter_py(keys, num_sets, assoc)
     miss_out = np.empty(n, dtype=np.int64)
     if num_sets == 1:
         ways = np.empty(assoc, dtype=np.int64)
-        misses = _kernel_fa(
+        misses = lib.fa(
             keys.ctypes.data_as(_I64P), n, assoc,
             ways.ctypes.data_as(_I64P), miss_out.ctypes.data_as(_I64P),
         )
         return int(misses), miss_out[:misses].copy()
     tags = np.full(num_sets * assoc, -1, dtype=np.int64)
     stamps = np.zeros(num_sets * assoc, dtype=np.int64)
-    misses = fn(
+    misses = lib.lru(
         keys.ctypes.data_as(_I64P), n, num_sets, assoc,
         1 if num_sets & (num_sets - 1) == 0 else 0,
         tags.ctypes.data_as(_I64P), stamps.ctypes.data_as(_I64P),

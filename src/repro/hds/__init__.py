@@ -10,10 +10,17 @@ from .pipeline import (
     make_runtime,
 )
 from .sequitur import Rule, Sequitur
-from .streams import HotStream, StreamAnalysis, StreamParams, extract_hot_streams
+from .streams import (
+    FlatGrammar,
+    HotStream,
+    StreamAnalysis,
+    StreamParams,
+    extract_hot_streams,
+)
 
 __all__ = [
     "CoallocationSet",
+    "FlatGrammar",
     "HdsArtifacts",
     "HdsParams",
     "HdsRuntime",

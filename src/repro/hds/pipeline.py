@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
+from .. import obs
 from ..allocators.base import AddressSpace, PAGE_SIZE
 from ..allocators.group import GroupAllocator
 from ..allocators.size_class import SizeClassAllocator
@@ -30,7 +31,7 @@ from .coalloc import (
     pack_sets,
     site_assignment,
 )
-from .streams import StreamAnalysis, StreamParams, extract_hot_streams
+from .streams import FlatGrammar, StreamAnalysis, StreamParams, extract_hot_streams
 
 
 @dataclass(frozen=True)
@@ -108,13 +109,16 @@ def analyse_profile(profile: ProfileResult, params: HdsParams | None = None) -> 
             "hot-data-stream analysis needs a profile recorded with "
             "record_trace=True"
         )
-    analysis = extract_hot_streams(profile.trace, params.streams)
-    candidates = []
-    for stream in analysis.streams:
-        candidate = coallocation_set(stream, profile.object_site, profile.object_sizes)
-        if candidate is not None:
-            candidates.append(candidate)
-    groups = pack_sets(merge_identical_sets(candidates), params.max_groups)
+    with obs.span("hds.sequitur"):
+        grammar = FlatGrammar.from_sequence(profile.trace)
+    with obs.span("hds.select"):
+        analysis = extract_hot_streams(profile.trace, params.streams, grammar)
+        candidates = []
+        for stream in analysis.streams:
+            candidate = coallocation_set(stream, profile.object_site, profile.object_sizes)
+            if candidate is not None:
+                candidates.append(candidate)
+        groups = pack_sets(merge_identical_sets(candidates), params.max_groups)
     return HdsArtifacts(
         program=profile.program,
         profile=profile,

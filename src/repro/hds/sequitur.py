@@ -15,6 +15,9 @@ algorithm maintaining its two invariants:
   count drops to one is inlined and removed.
 
 Terminals are arbitrary hashable values (the trace uses object ids).
+Hot-stream analysis runs the compiled replica in
+:mod:`repro.columnar.kernel` when it is available; this implementation is
+its fallback and its differential oracle.
 """
 
 from __future__ import annotations
@@ -134,37 +137,41 @@ class Sequitur:
 
     @property
     def rules(self) -> list[Rule]:
-        """All live rules, start rule first (ids are not contiguous)."""
-        found: dict[int, Rule] = {}
+        """All live rules in preorder from the start rule (ids are not contiguous).
 
-        def visit(rule: Rule) -> None:
-            if rule.rid in found:
-                return
-            found[rule.rid] = rule
-            for symbol in rule.symbols():
+        A rule's place is where a depth-first walk of the bodies first
+        meets it.  The walk keeps its own stack, so grammar depth is
+        unbounded.
+        """
+        found: dict[int, Rule] = {self.start.rid: self.start}
+        stack = [self.start.symbols()]
+        while stack:
+            for symbol in stack[-1]:
                 child = symbol.rule
-                if child is not None:
-                    visit(child)
-
-        visit(self.start)
+                if child is not None and child.rid not in found:
+                    found[child.rid] = child
+                    stack.append(child.symbols())
+                    break
+            else:
+                stack.pop()
         return list(found.values())
 
     def expand(self, rule: Optional[Rule] = None, limit: Optional[int] = None) -> list[Terminal]:
         """Expand *rule* (default: the whole sequence) back to terminals."""
-        rule = rule or self.start
         out: list[Terminal] = []
-        self._expand_into(rule, out, limit)
-        return out
-
-    def _expand_into(self, rule: Rule, out: list[Terminal], limit: Optional[int]) -> None:
-        for symbol in rule.symbols():
-            if limit is not None and len(out) >= limit:
-                return
-            child = symbol.rule
-            if child is not None:
-                self._expand_into(child, out, limit)
-            else:
+        stack = [(rule if rule is not None else self.start).symbols()]
+        while stack:
+            for symbol in stack[-1]:
+                if limit is not None and len(out) >= limit:
+                    return out
+                child = symbol.rule
+                if child is not None:
+                    stack.append(child.symbols())
+                    break
                 out.append(symbol.value)
+            else:
+                stack.pop()
+        return out
 
     def check_invariants(self) -> None:
         """Assert digram uniqueness and rule utility (for tests).

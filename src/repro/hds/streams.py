@@ -23,8 +23,12 @@ heap accesses":
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, Optional, Sequence
+from functools import cached_property
+from typing import Hashable, Iterable, Optional, Sequence
 
+import numpy as np
+
+from ..columnar import kernel
 from .sequitur import Rule, Sequitur
 
 
@@ -72,103 +76,201 @@ class StreamParams:
             raise ValueError(f"coverage must be in (0, 1], got {self.coverage}")
 
 
-def rule_frequencies(grammar: Sequitur) -> dict[int, int]:
-    """Occurrences of each rule in the start rule's full expansion."""
-    rules = grammar.rules
-    frequency: dict[int, int] = {grammar.start.rid: 1}
-    # Containment multiset: how many times each owner's body references a child.
-    children: dict[int, dict[int, int]] = {}
-    for rule in rules:
-        counts: dict[int, int] = {}
-        for value in rule.body():
-            if isinstance(value, Rule):
-                counts[value.rid] = counts.get(value.rid, 0) + 1
-        children[rule.rid] = counts
+def intern_terminals(values: Iterable[Hashable]) -> tuple[np.ndarray, tuple]:
+    """Dense int32 codes for *values*, plus the code -> terminal table.
 
-    # The containment graph is a DAG; propagate frequencies topologically.
-    indegree: dict[int, int] = {rule.rid: 0 for rule in rules}
-    for counts in children.values():
-        for child in counts:
-            indegree[child] += 1
-    ready = [rid for rid, degree in indegree.items() if degree == 0]
-    while ready:
-        rid = ready.pop()
-        for child, count in children[rid].items():
-            frequency[child] = frequency.get(child, 0) + frequency.get(rid, 0) * count
-            indegree[child] -= 1
-            if indegree[child] == 0:
-                ready.append(child)
+    Codes follow first appearance.  Equal terminals share a code, and
+    equality is all SEQUITUR looks at.
+    """
+    table: dict[Hashable, int] = {}
+    codes = [table.setdefault(value, len(table)) for value in values]
+    return np.asarray(codes, dtype=np.int32), tuple(table)
+
+
+@dataclass(frozen=True, eq=False)
+class FlatGrammar:
+    """A SEQUITUR grammar as flat arrays: the one form both backends emit.
+
+    Rules are numbered by *position* in preorder: 0 is the start rule,
+    and a rule's position is where a depth-first walk of the bodies first
+    meets it (:attr:`Sequitur.rules` order).  Rule ``i`` has id
+    ``rule_ids[i]`` and body ``body[offsets[i]:offsets[i + 1]]``, in
+    which a symbol ``s >= 0`` is the terminal ``terminals[s]`` and
+    ``s < 0`` refers to the rule at position ``~s``.  Every walker below
+    keeps its own stack, so grammar depth is unbounded.
+    """
+
+    terminals: tuple
+    rule_ids: np.ndarray
+    offsets: np.ndarray
+    body: np.ndarray
+
+    @classmethod
+    def from_sequence(cls, values: Iterable[Hashable]) -> "FlatGrammar":
+        """Compress *values*: compiled SEQUITUR, else the Python one."""
+        codes, terminals = intern_terminals(values)
+        flat = kernel.sequitur(codes)
+        if flat is None:
+            return cls.from_sequitur(Sequitur.from_sequence(codes.tolist()), terminals)
+        return cls(terminals, *flat)
+
+    @classmethod
+    def from_sequitur(cls, grammar: Sequitur, terminals: tuple) -> "FlatGrammar":
+        """Flatten a :class:`Sequitur` built over the codes of *terminals*."""
+        rules = grammar.rules
+        position = {rule.rid: i for i, rule in enumerate(rules)}
+        body: list[int] = []
+        offsets = [0]
+        for rule in rules:
+            body.extend(
+                ~position[value.rid] if isinstance(value, Rule) else value
+                for value in rule.body()
+            )
+            offsets.append(len(body))
+        return cls(
+            terminals,
+            np.asarray([rule.rid for rule in rules], dtype=np.int32),
+            np.asarray(offsets, dtype=np.int32),
+            np.asarray(body, dtype=np.int32),
+        )
+
+    def __len__(self) -> int:
+        return int(self.rule_ids.shape[0])
+
+    @cached_property
+    def _lists(self) -> tuple[list[int], list[int]]:
+        return self.offsets.tolist(), self.body.tolist()
+
+    @cached_property
+    def children(self) -> list[list[int]]:
+        """Positions each rule's body refers to, in body order, with repeats."""
+        refs = self.body < 0
+        owners = np.repeat(np.arange(len(self)), np.diff(self.offsets))[refs]
+        children: list[list[int]] = [[] for _ in range(len(self))]
+        for owner, child in zip(owners.tolist(), (~self.body[refs]).tolist()):
+            children[owner].append(child)
+        return children
+
+    @cached_property
+    def topological(self) -> list[int]:
+        """Positions ordered so every rule comes before the rules it uses."""
+        children = self.children
+        indegree = [0] * len(self)
+        for kids in children:
+            for child in kids:
+                indegree[child] += 1
+        order: list[int] = []
+        ready = [0]
+        while ready:
+            position = ready.pop()
+            order.append(position)
+            for child in children[position]:
+                indegree[child] -= 1
+                if indegree[child] == 0:
+                    ready.append(child)
+        return order
+
+    @cached_property
+    def lengths(self) -> list[int]:
+        """Expansion length of each rule."""
+        lengths = np.diff(self.offsets).tolist()
+        children = self.children
+        for position in reversed(self.topological):
+            kids = children[position]
+            lengths[position] += sum(lengths[child] for child in kids) - len(kids)
+        return lengths
+
+    def expand_codes(self, position: int = 0) -> list[int]:
+        """Terminal codes of rule *position*'s expansion."""
+        offsets, body = self._lists
+        out: list[int] = []
+        stack = [(offsets[position], offsets[position + 1])]
+        while stack:
+            at, end = stack.pop()
+            while at < end:
+                symbol = body[at]
+                at += 1
+                if symbol >= 0:
+                    out.append(symbol)
+                else:
+                    stack.append((at, end))
+                    at, end = offsets[~symbol], offsets[~symbol + 1]
+        return out
+
+    def expand(self, position: int = 0) -> list[Hashable]:
+        """Expand rule *position* (default: the whole sequence) to terminals."""
+        terminals = self.terminals
+        return [terminals[code] for code in self.expand_codes(position)]
+
+
+def rule_frequencies(grammar: FlatGrammar) -> list[int]:
+    """Occurrences of each rule (by position) in the start rule's full expansion."""
+    frequency = [0] * len(grammar)
+    frequency[0] = 1
+    children = grammar.children
+    for position in grammar.topological:
+        count = frequency[position]
+        for child in children[position]:
+            frequency[child] += count
     return frequency
 
 
 def extract_hot_streams(
     trace: Sequence[Hashable],
     params: StreamParams | None = None,
-    grammar: Optional[Sequitur] = None,
+    grammar: Optional[FlatGrammar] = None,
 ) -> StreamAnalysis:
     """Compress *trace* and select minimal hot data streams."""
     params = params or StreamParams()
     if grammar is None:
-        grammar = Sequitur.from_sequence(trace)
-    rules = grammar.rules
+        grammar = FlatGrammar.from_sequence(trace)
     frequency = rule_frequencies(grammar)
-
-    # Expansion lengths, memoised over the DAG.
-    lengths: dict[int, int] = {}
-
-    def length_of(rule: Rule) -> int:
-        cached = lengths.get(rule.rid)
-        if cached is not None:
-            return cached
-        total = 0
-        for value in rule.body():
-            total += length_of(value) if isinstance(value, Rule) else 1
-        lengths[rule.rid] = total
-        return total
+    lengths = grammar.lengths
+    rule_ids = grammar.rule_ids.tolist()
+    terminals = grammar.terminals
 
     # Candidates: whole rules within the length bounds; longer rules are
     # chopped into consecutive max-length windows.  The chopping reproduces
     # the truncation behaviour Section 5.2 discusses — long regular access
     # sequences become many bounded streams whose co-allocation sets are
     # fragments of the real pattern.
-    candidates: list[tuple[int, Optional[Rule], tuple]] = []  # (heat, rule, window)
-    for rule in rules:
-        if rule is grammar.start:
-            continue
-        length = length_of(rule)
-        freq = frequency.get(rule.rid, 0)
+    width = params.max_elements
+    candidates: list[tuple[int, int, tuple]] = []  # (heat, position or -1, window)
+    for position in range(1, len(grammar)):
+        length = lengths[position]
+        freq = frequency[position]
         if freq <= 0 or length < params.min_elements:
             continue
-        if length <= params.max_elements:
-            candidates.append((freq * length, rule, ()))
+        if length <= width:
+            candidates.append((freq * length, position, ()))
         else:
-            expansion = grammar.expand(rule)
-            for start in range(0, length, params.max_elements):
-                window = tuple(expansion[start : start + params.max_elements])
+            expansion = grammar.expand_codes(position)
+            for start in range(0, length, width):
+                window = tuple(terminals[code] for code in expansion[start : start + width])
                 if len(window) >= params.min_elements:
-                    candidates.append((freq * len(window), None, window))
+                    candidates.append((freq * len(window), -1, window))
     # Tie-break on (heat, rid) only: the window tuples hold arbitrary trace
     # symbols, which need not be mutually comparable (mixed ints and strings
     # raise TypeError).  Candidate construction order is deterministic and
     # the sort is stable, so equal-key windows keep their insertion order.
-    candidates.sort(key=lambda item: (-item[0], item[1].rid if item[1] else -1))
+    candidates.sort(key=lambda item: (-item[0], rule_ids[item[1]] if item[1] >= 0 else -1))
 
     # Select hottest-first until the target coverage of the trace is
     # accounted for; enforce minimality against already-selected rules.
     target = params.coverage * len(trace)
     selected: list[HotStream] = []
-    selected_rids: set[int] = set()
+    selected_rules: set[int] = set()
     seen_windows: set[tuple] = set()
     covered = 0.0
-    for heat, rule, window in candidates:
+    for heat, position, window in candidates:
         if covered >= target:
             break
-        if rule is not None:
-            if _contains_selected(rule, selected_rids):
+        if position >= 0:
+            if _contains_selected(grammar, position, selected_rules):
                 continue
-            elements = tuple(grammar.expand(rule))
-            freq = frequency.get(rule.rid, 0)
-            selected_rids.add(rule.rid)
+            elements = tuple(grammar.expand(position))
+            freq = frequency[position]
+            selected_rules.add(position)
         else:
             if window in seen_windows:
                 continue
@@ -182,24 +284,24 @@ def extract_hot_streams(
     return StreamAnalysis(
         streams=selected,
         trace_length=len(trace),
-        grammar_rules=len(rules),
+        grammar_rules=len(grammar),
         candidate_count=len(candidates),
         coverage_achieved=min(coverage_achieved, 1.0),
     )
 
 
-def _contains_selected(rule: Rule, selected: set[int]) -> bool:
-    """Whether any (transitive) sub-rule of *rule* is already selected."""
+def _contains_selected(grammar: FlatGrammar, position: int, selected: set[int]) -> bool:
+    """Whether any (transitive) sub-rule of rule *position* is already selected."""
     if not selected:
         return False
-    stack = [rule]
+    children = grammar.children
+    stack = [position]
     visited: set[int] = set()
     while stack:
-        current = stack.pop()
-        for value in current.body():
-            if isinstance(value, Rule) and value.rid not in visited:
-                if value.rid in selected:
+        for child in children[stack.pop()]:
+            if child not in visited:
+                if child in selected:
                     return True
-                visited.add(value.rid)
-                stack.append(value)
+                visited.add(child)
+                stack.append(child)
     return False

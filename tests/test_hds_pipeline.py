@@ -27,6 +27,21 @@ class TestAnalyseProfile:
         assert hds.group_of_site
         assert hds.stream_count > 0
 
+    def test_spans_split_grammar_from_selection(self):
+        from repro import obs
+
+        workload = get_workload("ft")
+        profile = profile_workload(
+            workload, HaloParams(), scale="test", record_trace=True
+        )
+        analyse_profile(profile, HdsParams())  # no registry: records nothing
+        with obs.collecting() as registry:
+            with obs.span("phase.analyse"):
+                analyse_profile(profile, HdsParams())
+        spans = registry.snapshot().spans
+        assert [s.name for s in spans] == ["phase.analyse", "hds.sequitur", "hds.select"]
+        assert [s.parent for s in spans] == [-1, 0, 0]
+
     def test_max_groups_cap(self):
         workload = get_workload("roms")
         profile = profile_workload(
