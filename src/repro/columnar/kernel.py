@@ -1,4 +1,5 @@
-"""The compiled kernel library: chunked LRU filtering and SEQUITUR.
+"""The compiled kernel library: chunked LRU filtering, SEQUITUR and the
+affinity queue.
 
 One primitive covers every structure in the simulated hierarchy: an LRU
 set-associative array driven by a flat stream of keys (line addresses
@@ -10,23 +11,27 @@ what missed L1, L3 only what missed L2.
 
 The same library carries :func:`sequitur`, the grammar builder behind
 hot-data-stream analysis: a C replica of
-:class:`repro.hds.sequitur.Sequitur` over interned terminal codes.
+:class:`repro.hds.sequitur.Sequitur` over interned terminal codes; and
+:func:`affinity`, the profile replay's affinity queue: a C replica of
+:meth:`repro.profiling.affinity.AffinityRecorder.record_access` over a
+deduplicated access stream.
 
-Two interchangeable backends for both:
+Two interchangeable backends for each:
 
 * one small C library, compiled on demand into a per-user temp directory
   (keyed by a hash of its source, so stale binaries are never reused)
   and loaded through ``ctypes``;
 * pure Python: a replica of :meth:`SetAssociativeCache.access_line`'s
-  dict-LRU loop, and the object-based ``Sequitur``.  They run when no
-  compiler is available or ``REPRO_COLUMNAR_DISABLE_CC`` is set, which
-  switches off the whole library.
+  dict-LRU loop, the object-based ``Sequitur`` and ``AffinityRecorder``.
+  They run when no compiler is available or ``REPRO_COLUMNAR_DISABLE_CC``
+  is set, which switches off the whole library.
 
 Both are exact: victim selection mirrors the insertion-ordered dict
 (the least recently touched way is evicted; empty ways fill first), so
 miss counts and downstream miss streams are bit-identical to the
-per-event simulation regardless of backend; and the C SEQUITUR gives
-the same rule ids, bodies and rule order as the Python one.
+per-event simulation regardless of backend; the C SEQUITUR gives the
+same rule ids, bodies and rule order as the Python one; and the C queue
+gives the same edges, in the same order, as the recorder.
 """
 
 from __future__ import annotations
@@ -421,8 +426,101 @@ int64_t halo_sequitur(const int32_t *codes, int64_t n,
 }
 """
 
-_SOURCE = _LRU_SOURCE + _SEQUITUR_SOURCE
+_AFFINITY_SOURCE = r"""
+/* The affinity queue: an exact replica of
+ * repro.profiling.affinity.AffinityRecorder.record_access over a
+ * deduplicated macro-access stream.
+ *
+ * oids/nbytes: n macro accesses (no two neighbours share an oid); an
+ *          object's id is also its allocation sequence number
+ * cid, groupable, prev, next: per-object columns; prev/next hold the
+ *          ids of the same context's neighbouring allocations, -1 and
+ *          INT32_MAX when there are none
+ * window   wprev/wnext/after: per-object work slots.  The window is a
+ *          doubly linked list, oldest entry first, replicating the
+ *          recorder's insertion-ordered dict; after[o] is the cumulative
+ *          byte count after o's latest access, -1 when o is not in it.
+ * index    hkey/hedge: 2**hbits slots, open addressing with linear
+ *          probing, mapping a context pair to its edge (hedge < 0: empty)
+ * edges    edge_lo/edge_hi/edge_w: cap_edge slots, in first-insertion
+ *          order, so the graph's edge dict keeps the recorder's order
+ * out      out[0] receives the window length at the end
+ *
+ * Returns the number of edges, or -1 when the edge arrays were too small.
+ */
+int64_t halo_affinity(const int32_t *oids, const int32_t *nbytes, int64_t n,
+                      const int32_t *cid, const int8_t *groupable,
+                      const int32_t *prev, const int32_t *next,
+                      int64_t distance, int64_t enforce,
+                      int32_t *wprev, int32_t *wnext, int64_t *after,
+                      int64_t *hkey, int32_t *hedge, int64_t hbits,
+                      int32_t *edge_lo, int32_t *edge_hi, int64_t *edge_w,
+                      int64_t cap_edge, int64_t *out)
+{
+    uint64_t hmask = ((uint64_t)1 << hbits) - 1;
+    int hshift = 64 - (int)hbits;
+    for (uint64_t i = 0; i <= hmask; i++) hedge[i] = -1;
+    int64_t edges = 0, length = 0, now = 0;
+    int32_t head = -1, tail = -1;
+    for (int64_t i = 0; i < n; i++) {
+        int32_t o = oids[i];
+        int32_t c = cid[o];
+        int g = groupable[o];
+        for (int32_t v = tail; v >= 0; v = wprev[v]) {
+            if (now - after[v] >= distance) break;
+            if (v == o || !g || !groupable[v]) continue;
+            if (enforce) {
+                if (v < o) {
+                    if (prev[o] > v || next[v] < o) continue;
+                } else if (next[o] < v || prev[v] > o) {
+                    continue;
+                }
+            }
+            int32_t vc = cid[v];
+            int32_t lo = c <= vc ? c : vc, hi = c <= vc ? vc : c;
+            uint64_t key = ((uint64_t)(uint32_t)lo << 32) | (uint32_t)hi;
+            uint64_t h = (key * 0x9E3779B97F4A7C15ULL) >> hshift;
+            while (hedge[h] >= 0 && (uint64_t)hkey[h] != key) h = (h + 1) & hmask;
+            if (hedge[h] < 0) {
+                if (edges >= cap_edge || 2 * (edges + 1) > (int64_t)hmask + 1) return -1;
+                hkey[h] = (int64_t)key;
+                hedge[h] = (int32_t)edges;
+                edge_lo[edges] = lo;
+                edge_hi[edges] = hi;
+                edge_w[edges++] = 0;
+            }
+            edge_w[hedge[h]]++;
+        }
+        /* Move o to the newest end of the window. */
+        if (after[o] >= 0) {
+            if (wprev[o] >= 0) wnext[wprev[o]] = wnext[o]; else head = wnext[o];
+            if (wnext[o] >= 0) wprev[wnext[o]] = wprev[o]; else tail = wprev[o];
+            length--;
+        }
+        now += nbytes[i];
+        after[o] = now;
+        wprev[o] = tail;
+        wnext[o] = -1;
+        if (tail >= 0) wnext[tail] = o; else head = o;
+        tail = o;
+        length++;
+        /* Trim entries that can never be affinitive again. */
+        while (head >= 0 && now - after[head] >= distance) {
+            int32_t old = head;
+            head = wnext[old];
+            if (head >= 0) wprev[head] = -1; else tail = -1;
+            after[old] = -1;
+            length--;
+        }
+    }
+    out[0] = length;
+    return edges;
+}
+"""
 
+_SOURCE = _LRU_SOURCE + _SEQUITUR_SOURCE + _AFFINITY_SOURCE
+
+_I8P = ctypes.POINTER(ctypes.c_int8)
 _I32P = ctypes.POINTER(ctypes.c_int32)
 _I64P = ctypes.POINTER(ctypes.c_int64)
 
@@ -433,6 +531,7 @@ class _Library(NamedTuple):
     lru: Callable[..., int]
     fa: Callable[..., int]
     sequitur: Callable[..., int]
+    affinity: Callable[..., int]
 
 
 #: Memoised compiled library; False means "tried and failed".
@@ -491,6 +590,11 @@ def _load() -> Optional[_Library]:
                         _I32P, i64, _I32P, i64, _I32P, i64, _I64P, _I32P, i64,
                         _I32P, _I32P, _I32P, i64,
                     ]),
+                    affinity=_bind(lib, "halo_affinity", [
+                        _I32P, _I32P, i64, _I32P, _I8P, _I32P, _I32P, i64, i64,
+                        _I32P, _I32P, _I64P, _I64P, _I32P, i64,
+                        _I32P, _I32P, _I64P, i64, _I64P,
+                    ]),
                 )
             except Exception as exc:  # pragma: no cover - environment-dependent
                 logger.warning("compiled kernels unavailable (%s); using Python fallbacks", exc)
@@ -499,7 +603,8 @@ def _load() -> Optional[_Library]:
 
 
 def kernel_backend() -> str:
-    """Which backend :func:`lru_filter` and :func:`sequitur` run on: ``"c"`` or ``"python"``."""
+    """Which backend :func:`lru_filter`, :func:`sequitur` and :func:`affinity`
+    run on: ``"c"`` or ``"python"``."""
     return "c" if _load() is not None else "python"
 
 
@@ -549,6 +654,84 @@ def sequitur(codes: np.ndarray) -> Optional[tuple[np.ndarray, np.ndarray, np.nda
             end = int(offsets[count])
             return rule_ids[:count].copy(), offsets[: count + 1].copy(), body[:end].copy()
         cap_sym, cap_rule, hbits, cap_body = 2 * cap_sym, 2 * cap_rule, hbits + 1, 2 * cap_body
+
+
+def _affinity_capacity(contexts: int) -> int:
+    """First-try edge slots for a graph over *contexts* contexts.
+
+    A graph has at most one edge per unordered context pair (loops
+    included); the paper benchmarks' graphs hold a few dozen.
+    """
+    return min(contexts * (contexts + 1) // 2, 256) + 1
+
+
+def affinity(
+    oids: np.ndarray,
+    nbytes: np.ndarray,
+    cid: np.ndarray,
+    groupable: np.ndarray,
+    prev: np.ndarray,
+    next_: np.ndarray,
+    distance: int,
+    enforce: bool,
+) -> Optional[tuple[np.ndarray, np.ndarray, np.ndarray, int]]:
+    """Drive the affinity queue with a deduplicated access stream, or None.
+
+    *oids*/*nbytes* are the macro accesses; *cid*, *groupable*, *prev* and
+    *next_* are per-object columns indexed by object id, which is also the
+    allocation sequence number (*prev*/*next_*: the same context's
+    neighbouring allocation, -1 or ``INT32_MAX`` when none).  Returns the
+    edges in first-insertion order as ``(lo, hi, weight)`` columns plus the
+    window length at the end, or None when the compiled library is
+    unavailable (the caller then drives
+    :class:`~repro.profiling.affinity.AffinityRecorder`).  The window and
+    edge index live in int32 work arrays allocated here; the edge arrays
+    start small and double until the graph fits.
+    """
+    lib = _load()
+    if lib is None:
+        return None
+    oids = np.ascontiguousarray(oids, dtype=np.int32)
+    nbytes = np.ascontiguousarray(nbytes, dtype=np.int32)
+    cid = np.ascontiguousarray(cid, dtype=np.int32)
+    groupable = np.ascontiguousarray(groupable, dtype=np.int8)
+    prev = np.ascontiguousarray(prev, dtype=np.int32)
+    next_ = np.ascontiguousarray(next_, dtype=np.int32)
+    objects = int(cid.shape[0])
+    if any(column.shape[0] != objects for column in (groupable, prev, next_)):
+        raise ValueError("per-object columns differ in length")
+    if oids.shape[0] != nbytes.shape[0]:
+        raise ValueError("access columns differ in length")
+    if oids.shape[0] and (int(oids.min()) < 0 or int(oids.max()) >= objects):
+        raise ValueError("access to an object id outside the per-object columns")
+    contexts = int(cid.max()) + 1 if objects else 0
+    cap_edge = _affinity_capacity(contexts)
+    wprev = np.empty(objects, dtype=np.int32)
+    wnext = np.empty(objects, dtype=np.int32)
+    after = np.empty(objects, dtype=np.int64)
+    out = np.zeros(1, dtype=np.int64)
+    while True:
+        hbits = (2 * cap_edge).bit_length()
+        hkey = np.empty(1 << hbits, dtype=np.int64)
+        hedge = np.empty(1 << hbits, dtype=np.int32)
+        lo = np.empty(cap_edge, dtype=np.int32)
+        hi = np.empty(cap_edge, dtype=np.int32)
+        weight = np.empty(cap_edge, dtype=np.int64)
+        after.fill(-1)
+        edges = lib.affinity(
+            oids.ctypes.data_as(_I32P), nbytes.ctypes.data_as(_I32P), int(oids.shape[0]),
+            cid.ctypes.data_as(_I32P), groupable.ctypes.data_as(_I8P),
+            prev.ctypes.data_as(_I32P), next_.ctypes.data_as(_I32P),
+            distance, 1 if enforce else 0,
+            wprev.ctypes.data_as(_I32P), wnext.ctypes.data_as(_I32P),
+            after.ctypes.data_as(_I64P),
+            hkey.ctypes.data_as(_I64P), hedge.ctypes.data_as(_I32P), hbits,
+            lo.ctypes.data_as(_I32P), hi.ctypes.data_as(_I32P),
+            weight.ctypes.data_as(_I64P), cap_edge, out.ctypes.data_as(_I64P),
+        )
+        if edges >= 0:
+            return lo[:edges], hi[:edges], weight[:edges], int(out[0])
+        cap_edge *= 2
 
 
 def _lru_filter_py(keys: np.ndarray, num_sets: int, assoc: int) -> tuple[int, np.ndarray]:

@@ -21,6 +21,7 @@ two runs produce identical event streams and identical cache behaviour.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import Iterable, Optional, Union
 
@@ -106,17 +107,22 @@ class _ListenerList(list):
     events are already flowing — must invalidate that cache, or the new
     listener would silently miss every subsequent event.  This subclass
     rebuilds the cache on every mutating operation, so plain
-    ``machine.listeners.append(listener)`` stays safe.
+    ``machine.listeners.append(listener)`` stays safe.  The machine is held
+    by weak reference: a strong one would make every machine a reference
+    cycle, kept alive (with its allocator and object table) until the
+    cyclic collector next runs.
     """
 
     __slots__ = ("_machine",)
 
     def __init__(self, machine: "Machine", iterable: Iterable[Listener] = ()) -> None:
         super().__init__(iterable)
-        self._machine = machine
+        self._machine = weakref.ref(machine)
 
     def _refresh(self) -> None:
-        self._machine._dispatch = tuple(self)
+        machine = self._machine()
+        if machine is not None:
+            machine._dispatch = tuple(self)
 
     def append(self, listener: Listener) -> None:
         """Register *listener* and refresh the dispatch fast path."""

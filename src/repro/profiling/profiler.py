@@ -158,26 +158,20 @@ class Profiler(Listener):
     def result(self) -> ProfileResult:
         """Finalise profiling and return the collected profile.
 
-        Also the ``profile.*`` observability harvest point: everything is
-        folded from stats this listener already gathered, so the per-event
-        hooks stay uninstrumented.
+        Everything observable is folded from stats this listener already
+        gathered, so the per-event hooks stay uninstrumented.
         """
         full_graph = self.recorder.graph
-        if obs.active_registry() is not None:
-            graph = self.recorder.filtered_graph()
-            labels = {"program": self.program.name}
-            obs.inc("profile.runs", 1, **labels)
-            obs.inc("profile.contexts", len(self.contexts), **labels)
-            obs.inc("profile.graph_nodes", len(graph), **labels)
-            obs.inc("profile.graph_edges", len(graph.edges), **labels)
-            obs.inc("profile.machine_accesses", self.machine_accesses, **labels)
-            obs.inc("profile.access_bytes", self.recorder.total_access_bytes, **labels)
-            obs.gauge_max("profile.affinity_queue_len", self.recorder.queue_length, **labels)
-            obs.gauge_max("profile.shadow_stack_depth_max", self.max_stack_depth, **labels)
+        graph = self.recorder.filtered_graph()
+        publish_profile_metrics(
+            self.program, len(self.contexts), graph, self.machine_accesses,
+            self.recorder.total_access_bytes, self.recorder.queue_length,
+            self.max_stack_depth,
+        )
         return ProfileResult(
             program=self.program,
             params=self.params,
-            graph=self.recorder.filtered_graph(),
+            graph=graph,
             full_graph=full_graph,
             contexts=self.contexts,
             context_stats=self.context_stats,
@@ -193,3 +187,31 @@ class Profiler(Listener):
     def estimated_overhead_factor(self) -> float:
         """Estimated profiling slowdown versus native execution (paper: ≤500×)."""
         return PIN_SLOWDOWN_ESTIMATE
+
+
+def publish_profile_metrics(
+    program: Program,
+    contexts: int,
+    graph: AffinityGraph,
+    machine_accesses: int,
+    access_bytes: int,
+    queue_length: int,
+    stack_depth_max: int,
+) -> None:
+    """The ``profile.*`` observability harvest; a no-op when obs is off.
+
+    The one harvest point of both profiling paths (the :class:`Profiler`
+    listener and the columnar trace replay).  *graph* is the filtered
+    graph, *queue_length* the affinity window's length at the end.
+    """
+    if obs.active_registry() is None:
+        return
+    labels = {"program": program.name}
+    obs.inc("profile.runs", 1, **labels)
+    obs.inc("profile.contexts", contexts, **labels)
+    obs.inc("profile.graph_nodes", len(graph), **labels)
+    obs.inc("profile.graph_edges", len(graph.edges), **labels)
+    obs.inc("profile.machine_accesses", machine_accesses, **labels)
+    obs.inc("profile.access_bytes", access_bytes, **labels)
+    obs.gauge_max("profile.affinity_queue_len", queue_length, **labels)
+    obs.gauge_max("profile.shadow_stack_depth_max", stack_depth_max, **labels)

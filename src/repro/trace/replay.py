@@ -8,14 +8,18 @@ Two replay paths, trading fidelity against speed:
   so measurements (cycles, miss counts, fragmentation) are bit-identical to
   re-running the workload.  Use it to sweep allocator and cache-geometry
   configurations from one recording.
-* :func:`replay_profile` skips the machine entirely and feeds the profiler
-  through a minimal shim.  The profiler only ever observes object ids,
-  sizes, allocation order, and the call stack — all of which the trace
+* :func:`replay_profile` skips the machine entirely and works on the
+  trace's columns.  The profiler only ever observes object ids, sizes,
+  allocation order, and the call stack — all of which the trace
   reproduces exactly — so the resulting
   :class:`~repro.profiling.profiler.ProfileResult` (affinity graph,
   contexts, HDS reference trace) is bit-identical to profiling the live
-  workload, at a fraction of the cost.  Use it to sweep affinity-window
-  sizes, merge tolerances, and group counts.
+  workload, at a fraction of the cost.  One walk over the control ops
+  gives every object its context, site and size; numpy builds the
+  macro-access columns; and the compiled ``halo_affinity`` kernel walks
+  the affinity window (without a compiler, the same columns drive
+  :class:`~repro.profiling.affinity.AffinityRecorder`).  Use it to sweep
+  affinity-window sizes, merge tolerances, and group counts.
 
 Both paths rely on the machine's oid-assignment invariant (sequential from
 zero, ``oid == alloc_seq``), which lets the trace omit allocation ids.
@@ -23,11 +27,17 @@ zero, ``oid == alloc_seq``), which lets the trace omit allocation ids.
 
 from __future__ import annotations
 
-from itertools import islice
 from time import perf_counter
 from typing import TYPE_CHECKING, Optional
 
+import numpy as np
+
+from ..columnar import kernel
 from ..machine.heap import HeapObject
+from ..profiling.affinity import AffinityParams, AffinityRecorder
+from ..profiling.graph import AffinityGraph
+from ..profiling.profiler import ContextStats, ProfileResult, publish_profile_metrics
+from ..profiling.shadow import ContextTable, reduced_context
 from .. import obs
 from .format import (
     OP_ALLOC,
@@ -40,6 +50,7 @@ from .format import (
     OP_STORE,
     OP_WORK,
     EventTrace,
+    TraceColumns,
     TraceFormatError,
 )
 
@@ -47,7 +58,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.pipeline import HaloParams
     from ..machine.machine import Machine
     from ..machine.program import Program
-    from ..profiling.profiler import ProfileResult
 
 
 class TraceReplayer:
@@ -149,73 +159,287 @@ def _publish_replay_metrics(trace: EventTrace, elapsed: float) -> None:
     obs.inc("trace.replay.seconds", elapsed, workload=workload)
 
 
-class _ProfileShim:
-    """Minimal machine stand-in for :func:`replay_profile`.
-
-    The profiler reads exactly one machine attribute — the live call stack —
-    so the lightweight replay maintains only that.
-    """
-
-    __slots__ = ("stack",)
-
-    def __init__(self) -> None:
-        self.stack: list = []
-
-
 def replay_profile(
     trace: EventTrace,
     program: "Program",
     params: Optional["HaloParams"] = None,
     record_trace: bool = False,
-) -> "ProfileResult":
+) -> ProfileResult:
     """Re-drive the affinity profiler from *trace* without a machine.
 
     Bit-identical to :func:`repro.core.pipeline.profile_workload` on the
-    recorded (workload, scale) — same affinity graph, context table, object
-    maps and (with ``record_trace=True``) HDS reference trace — but skips
-    the workload body, the allocator, bounds checks and metrics, which is
-    what makes warm parameter sweeps cheap.
+    recorded (workload, scale) — same affinity graph (edge and node order
+    included), context table, object maps and (with ``record_trace=True``)
+    HDS reference trace — but skips the workload body, the allocator,
+    bounds checks and metrics, which is what makes warm parameter sweeps
+    cheap.  Runs as two spans: ``profiling.contexts`` (the control walk)
+    and ``profiling.affinity`` (the access columns and the queue).
     """
     from ..core.pipeline import HaloParams
-    from ..profiling.profiler import Profiler
 
     params = params or HaloParams()
+    affinity = params.affinity
     started = perf_counter()
     cols = trace.columns()
-    profiler = Profiler(program, params.affinity, record_trace=record_trace)
-    shim = _ProfileShim()
-    stack = shim.stack
-    sites = program.sites
-    objects: dict[int, HeapObject] = {}
-    next_oid = 0
-    on_access = profiler.on_access
-    on_alloc = profiler.on_alloc
-    on_free = profiler.on_free
-    accesses = cols.access_rows()
-    pos = 0
-    _, ops = next(cols.segments(ctrl=True, threaded=False))
-    for op, a, b, ptr in ops:
-        if ptr != pos:
-            # The loads/stores recorded before this op, in stream order.
-            for oid, offset, size, is_store in islice(accesses, ptr - pos):
-                on_access(shim, objects[oid], offset, size, is_store)
-            pos = ptr
-        if op == OP_CALL:
-            stack.append(sites[a])
-        elif op == OP_RETURN:
-            stack.pop()
-        elif op == OP_ALLOC:
-            obj = HeapObject(next_oid, 0, a, next_oid)
-            objects[next_oid] = obj
-            next_oid += 1
-            on_alloc(shim, obj)
-        elif op == OP_FREE:
-            obj = objects.pop(a)
-            obj.alive = False
-            on_free(shim, obj)
-        else:  # OP_REALLOC
-            objects[a].size = b
-    for oid, offset, size, is_store in accesses:
-        on_access(shim, objects[oid], offset, size, is_store)
+    with obs.span("profiling.contexts"):
+        objects = _ObjectColumns(cols, program)
+    # One int object per oid, shared by the per-object maps and the HDS trace.
+    oid_ints = list(range(objects.cid.shape[0]))
+    with obs.span("profiling.affinity"):
+        full_graph, access_bytes, queue_length, hds_trace = _replay_accesses(
+            cols, objects, affinity, oid_ints if record_trace else None
+        )
+        graph = full_graph.filtered_by_coverage(affinity.node_coverage)
+    publish_profile_metrics(
+        program, len(objects.contexts), graph, cols.accesses, access_bytes,
+        queue_length, objects.depth_max,
+    )
+    result = ProfileResult(
+        program=program,
+        params=affinity,
+        graph=graph,
+        full_graph=full_graph,
+        contexts=objects.contexts,
+        context_stats=objects.context_stats(cols),
+        **objects.maps(oid_ints),
+        trace=hds_trace,
+        total_accesses=full_graph.total_accesses,
+        machine_accesses=cols.accesses,
+    )
     _publish_replay_metrics(trace, perf_counter() - started)
-    return profiler.result()
+    return result
+
+
+class _ObjectColumns:
+    """Per-object columns of a trace, from one pass over its control ops.
+
+    An object's id is its allocation sequence number, so every column is
+    indexed by oid.  Each call is a node of a call-site trie: two calls
+    share a node when they are made from the same site under the same
+    stack.  The pass needs no per-op Python loop: a prefix sum gives the
+    stack depth after every op, and the innermost open call at any point
+    is the last call made at the current depth, found by one
+    ``searchsorted``.  Nodes are numbered one stack depth at a time.
+    Each distinct allocating node then resolves its reduced context once,
+    in first-allocation order, so context ids are interned exactly as
+    the listener interns them.
+
+    Attributes:
+        contexts: The context table.
+        cid: Context id of each object (int32).
+        sizes: Allocation size of each object (int64).
+        nodes: Trie node of each object's allocation (int32).
+        site_of: Trie node -> immediate allocation call site (None for
+            the root: an allocation outside any call).
+        depth_max: Deepest call stack seen at an allocation.
+    """
+
+    __slots__ = ("contexts", "cid", "sizes", "nodes", "site_of", "depth_max")
+
+    def __init__(self, cols: TraceColumns, program: "Program") -> None:
+        ops, args = cols.ctrl[0], cols.ctrl[1]
+        step = (ops == OP_CALL).view(np.int8)
+        calls = np.flatnonzero(step)
+        step = step - (ops == OP_RETURN)
+        depth = np.cumsum(step, dtype=np.int32)  # stack depth after each op
+        del step
+        allocs = np.flatnonzero(ops == OP_ALLOC)
+        call_depth, alloc_depth = depth[calls], depth[allocs]
+        del depth
+        addrs, code = np.unique(args[calls], return_inverse=True)
+        # Calls sorted by (depth, position): the innermost open call at
+        # position q and depth k is the last depth-k call before q.
+        order = np.argsort(call_depth, kind="stable")
+        span = ops.shape[0] + 1
+        keys = call_depth[order].astype(np.int64) * span + calls[order]
+
+        def frame(positions: np.ndarray, depths: np.ndarray) -> np.ndarray:
+            return order[np.searchsorted(keys, depths.astype(np.int64) * span + positions) - 1]
+
+        top = int(call_depth.max(initial=0))
+        bounds = np.searchsorted(keys, np.arange(1, top + 2, dtype=np.int64) * span)
+        node = np.zeros(calls.shape[0], dtype=np.int32)
+        parents, codes = [np.array([-1])], [np.array([-1])]
+        count, sites_n = 1, max(int(addrs.shape[0]), 1)
+        for level in range(1, top + 1):
+            members = order[bounds[level - 1]:bounds[level]]
+            up = (
+                node[frame(calls[members], call_depth[members] - 1)]
+                if level > 1 else np.zeros(members.shape[0], dtype=np.int32)
+            )
+            distinct, inverse = np.unique(
+                up.astype(np.int64) * sites_n + code[members], return_inverse=True
+            )
+            node[members] = count + inverse
+            parents.append(distinct // sites_n)
+            codes.append(distinct % sites_n)
+            count += int(distinct.shape[0])
+        alloc_node = np.zeros(allocs.shape[0], dtype=np.int32)
+        deep = alloc_depth > 0
+        alloc_node[deep] = node[frame(allocs[deep], alloc_depth[deep])]
+        del calls, call_depth, code, order, keys, node, allocs, deep
+
+        parent = np.concatenate(parents).tolist()
+        site = np.concatenate(codes).tolist()
+        address = addrs.tolist()
+        contexts = ContextTable()
+        node_cid = np.zeros(count, dtype=np.int32)
+        site_of: dict[int, Optional[int]] = {0: None}
+        seen, first = np.unique(alloc_node, return_index=True)
+        for at in seen[np.argsort(first)].tolist():
+            path = []
+            walk = at
+            while walk:
+                path.append(address[site[walk]])
+                walk = parent[walk]
+            path.reverse()
+            stack = [program.sites[addr] for addr in path]
+            node_cid[at] = contexts.intern(reduced_context(program, stack))
+            site_of[at] = path[-1] if path else None
+        self.contexts = contexts
+        self.cid = node_cid[alloc_node]
+        self.sizes = args[ops == OP_ALLOC]
+        self.nodes = alloc_node
+        self.site_of = site_of
+        self.depth_max = int(alloc_depth.max(initial=0))
+
+    def maps(self, oid_ints: list[int]) -> dict[str, dict]:
+        """The profile's per-object maps, keyed by the ints of *oid_ints*.
+
+        The three maps share their key objects and table layout (each copy
+        is sized once, then its values are overwritten in place), and
+        equal sizes share one int object.
+        """
+        object_context = dict(zip(oid_ints, self.cid.tolist()))
+        object_site = object_context.copy()
+        object_site.update(enumerate(map(self.site_of.__getitem__, self.nodes.tolist())))
+        distinct, inverse = np.unique(self.sizes, return_inverse=True)
+        object_sizes = object_context.copy()
+        object_sizes.update(enumerate(map(distinct.tolist().__getitem__, inverse.tolist())))
+        return {
+            "object_context": object_context,
+            "object_site": object_site,
+            "object_sizes": object_sizes,
+        }
+
+    def context_stats(self, cols: TraceColumns) -> dict:
+        """Per-context allocation statistics, in context-id order."""
+        count = len(self.contexts)
+        cid, sizes = self.cid, self.sizes
+        allocs = np.bincount(cid, minlength=count)
+        allocated = np.zeros(count, dtype=np.int64)
+        np.add.at(allocated, cid, sizes)
+        largest = np.zeros(count, dtype=np.int64)
+        np.maximum.at(largest, cid, sizes)
+        ops_column, oid_column = cols.ctrl[0], cols.ctrl[1]
+        frees = np.bincount(cid[oid_column[ops_column == OP_FREE]], minlength=count)
+        return {
+            context: ContextStats(*row)
+            for context, row in enumerate(
+                zip(allocs.tolist(), allocated.tolist(), largest.tolist(), frees.tolist())
+            )
+        }
+
+
+def _replay_accesses(
+    cols: TraceColumns,
+    objects: _ObjectColumns,
+    params: AffinityParams,
+    oid_ints: Optional[list[int]],
+) -> tuple[AffinityGraph, int, int, Optional[list[int]]]:
+    """Feed the trace's macro accesses through the affinity queue.
+
+    Returns the full affinity graph, the macro accesses' byte total, the
+    window length at the end and, given the oids' int objects, the HDS
+    reference trace built from them.  The compiled ``halo_affinity`` walks the window when the
+    kernel library is available; otherwise the columns drive
+    :class:`~repro.profiling.affinity.AffinityRecorder` directly.
+    """
+    acc_oid = cols.acc_oid
+    # Consecutive accesses to one object form one macro access; it
+    # carries its first access's size.
+    macro = np.ones(acc_oid.shape[0], dtype=bool)
+    np.not_equal(acc_oid[1:], acc_oid[:-1], out=macro[1:])
+    oids = acc_oid[macro].astype(np.int32)
+    nbytes = cols.acc_size[macro].astype(np.int32)
+    hds_trace = None if oid_ints is None else _hds_trace(
+        cols, objects, oids, macro, params, oid_ints
+    )
+    del macro
+    cid, sizes = objects.cid, objects.sizes
+    groupable = sizes < params.max_object_size
+    prev, next_ = _context_neighbours(cid)
+    edges = kernel.affinity(
+        oids, nbytes, cid, groupable, prev, next_,
+        params.distance, params.enforce_co_allocatability,
+    )
+    del prev, next_
+    if edges is None:
+        recorder = AffinityRecorder(params)
+        on_alloc = recorder.on_alloc
+        for oid, (context, size) in enumerate(zip(cid.tolist(), sizes.tolist())):
+            on_alloc(oid, context, size, oid)
+        record = recorder.record_access
+        for oid, size in zip(oids.tolist(), nbytes.tolist()):
+            record(oid, size)
+        return (
+            recorder.graph, recorder.total_access_bytes, recorder.queue_length, hds_trace,
+        )
+    lo, hi, weight, queue_length = edges
+    access_cid = cid[oids]
+    counts = np.bincount(access_cid, minlength=len(objects.contexts))
+    seen, first = np.unique(access_cid, return_index=True)
+    order = seen[np.argsort(first)]
+    graph = AffinityGraph(
+        node_accesses=dict(zip(order.tolist(), counts[order].tolist())),
+        edges=dict(zip(zip(lo.tolist(), hi.tolist()), weight.astype(np.float64).tolist())),
+        total_accesses=int(oids.shape[0]),
+    )
+    return graph, int(nbytes.sum(dtype=np.int64)), queue_length, hds_trace
+
+
+def _context_neighbours(cid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each object's previous and next allocation from its own context.
+
+    -1 and ``INT32_MAX`` mark none.  The recorder only learns a "next"
+    allocation once it happens, but the precomputed one answers every
+    co-allocatability test the same way: a next allocation still in the
+    future is greater than both sequence numbers being compared.
+    """
+    order = np.argsort(cid, kind="stable").astype(np.int32)
+    same = cid[order[1:]] == cid[order[:-1]]
+    prev = np.full(cid.shape[0], -1, dtype=np.int32)
+    next_ = np.full(cid.shape[0], np.iinfo(np.int32).max, dtype=np.int32)
+    prev[order[1:][same]] = order[:-1][same]
+    next_[order[:-1][same]] = order[1:][same]
+    return prev, next_
+
+
+def _hds_trace(
+    cols: TraceColumns,
+    objects: _ObjectColumns,
+    oids: np.ndarray,
+    macro: np.ndarray,
+    params: AffinityParams,
+    oid_ints: list[int],
+) -> list[int]:
+    """The HDS reference trace: macro accesses, large objects as breakers.
+
+    An access to an object at or above ``max_object_size`` — at the time
+    of the access, so a realloc changes the size of later accesses —
+    becomes a unique descending sentinel (-1, -2, ...).  Object ids are
+    taken from *oid_ints*, so the trace adds no int object per entry.
+    """
+    large = objects.sizes[oids] >= params.max_object_size
+    ops_column, oid_column, size_column, ptr_column = cols.ctrl
+    resized = np.flatnonzero(ops_column == OP_REALLOC)
+    if resized.shape[0]:
+        positions = np.flatnonzero(macro)
+        for at in resized.tolist():
+            oid, size, ptr = int(oid_column[at]), int(size_column[at]), int(ptr_column[at])
+            later = int(np.searchsorted(positions, ptr))
+            large[later:][oids[later:] == oid] = size >= params.max_object_size
+    # Index into oid_ints extended by the breakers -1, -2, ...
+    index = np.where(large, len(oid_ints) - 1 + np.cumsum(large), oids)
+    symbols = oid_ints + list(range(-1, -int(np.count_nonzero(large)) - 1, -1))
+    return list(map(symbols.__getitem__, index.tolist()))
