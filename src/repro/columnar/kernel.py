@@ -1,5 +1,5 @@
-"""The compiled kernel library: chunked LRU filtering, SEQUITUR and the
-affinity queue.
+"""The compiled kernel library: chunked LRU filtering, SEQUITUR, the
+affinity queue and the trace codec.
 
 One primitive covers every structure in the simulated hierarchy: an LRU
 set-associative array driven by a flat stream of keys (line addresses
@@ -14,7 +14,10 @@ hot-data-stream analysis: a C replica of
 :class:`repro.hds.sequitur.Sequitur` over interned terminal codes; and
 :func:`affinity`, the profile replay's affinity queue: a C replica of
 :meth:`repro.profiling.affinity.AffinityRecorder.record_access` over a
-deduplicated access stream.
+deduplicated access stream; and :func:`trace_encode` / :func:`trace_decode`,
+the v3 event-body codec between raw trace columns and varint bytes: C
+replicas of :class:`repro.trace.format.TraceWriter`'s encoder and of
+``_decode_into``.
 
 Two interchangeable backends for each:
 
@@ -22,16 +25,19 @@ Two interchangeable backends for each:
   (keyed by a hash of its source, so stale binaries are never reused)
   and loaded through ``ctypes``;
 * pure Python: a replica of :meth:`SetAssociativeCache.access_line`'s
-  dict-LRU loop, the object-based ``Sequitur`` and ``AffinityRecorder``.
-  They run when no compiler is available or ``REPRO_COLUMNAR_DISABLE_CC``
-  is set, which switches off the whole library.
+  dict-LRU loop, the object-based ``Sequitur`` and ``AffinityRecorder``,
+  the trace module's own codec.  They run when no compiler is available
+  or ``REPRO_COLUMNAR_DISABLE_CC`` is set, which switches off the whole
+  library.  Every entry-point call counts as
+  ``kernel.calls{kernel, backend}`` when observability is on.
 
 Both are exact: victim selection mirrors the insertion-ordered dict
 (the least recently touched way is evicted; empty ways fill first), so
 miss counts and downstream miss streams are bit-identical to the
 per-event simulation regardless of backend; the C SEQUITUR gives the
-same rule ids, bodies and rule order as the Python one; and the C queue
-gives the same edges, in the same order, as the recorder.
+same rule ids, bodies and rule order as the Python one; the C queue
+gives the same edges, in the same order, as the recorder; and the C codec
+writes and reads the same bytes as the Python one.
 """
 
 from __future__ import annotations
@@ -47,6 +53,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
+from .. import obs
 from ..cache.cache import CacheConfigError
 
 logger = logging.getLogger(__name__)
@@ -518,9 +525,223 @@ int64_t halo_affinity(const int32_t *oids, const int32_t *nbytes, int64_t n,
 }
 """
 
-_SOURCE = _LRU_SOURCE + _SEQUITUR_SOURCE + _AFFINITY_SOURCE
+_TRACE_SOURCE = r"""
+#include <string.h>
+
+/* The trace body codec: an exact replica of repro.trace.format's encoder
+ * and decoder for the v3 event stream (LEB128, zigzag deltas, float64
+ * work), over the raw columns a recording keeps:
+ *
+ * kinds    one opcode per event (OP_WORK for both work encodings)
+ * op_a     per control op (CALL .. REALLOC): site address, size or oid
+ * resize   per REALLOC: the new size
+ * acc_*    per LOAD/STORE: oid, offset, size
+ * works    per WORK: cycles
+ */
+
+enum { T_CALL, T_RETURN, T_ALLOC, T_FREE, T_REALLOC, T_LOAD, T_STORE,
+       T_WORK, T_WORK_F64, T_END };
+
+#define T_EXACT 9007199254740992.0  /* 2**53: integral work below is a varint */
+
+static inline uint8_t *put_uvarint(uint8_t *p, uint64_t v)
+{
+    while (v >= 0x80) { *p++ = (uint8_t)(v | 0x80); v >>= 7; }
+    *p++ = (uint8_t)v;
+    return p;
+}
+
+static inline uint64_t zigzag64(uint64_t delta)
+{
+    return (delta << 1) ^ (uint64_t)-(int64_t)(delta >> 63);
+}
+
+/* Encode n events into out (cap bytes).  Returns the byte count, -1 when
+ * out is too small, -2 for a negative size or offset, -3 for an opcode
+ * that is not an event kind. */
+int64_t halo_trace_encode(const int8_t *kinds, int64_t n,
+                          const int64_t *op_a, const int64_t *resize,
+                          const int64_t *acc_oid, const int64_t *acc_offset,
+                          const int64_t *acc_size, const double *works,
+                          uint8_t *out, int64_t cap)
+{
+    uint8_t *p = out, *limit = out + cap;
+    uint64_t last_addr = 0, last_oid = 0, next_oid = 0;
+    int64_t ia = 0, ir = 0, ix = 0, iw = 0;
+    for (int64_t i = 0; i < n; i++) {
+        if (limit - p < 32) return -1;  /* the longest event is 31 bytes */
+        int op = kinds[i];
+        *p++ = (uint8_t)op;
+        switch (op) {
+        case T_LOAD: case T_STORE: {
+            uint64_t oid = (uint64_t)acc_oid[ix];
+            if (acc_offset[ix] < 0 || acc_size[ix] < 0) return -2;
+            p = put_uvarint(p, zigzag64(oid - last_oid));
+            p = put_uvarint(p, (uint64_t)acc_offset[ix]);
+            p = put_uvarint(p, (uint64_t)acc_size[ix]);
+            last_oid = oid;
+            ix++;
+            break;
+        }
+        case T_CALL: {
+            uint64_t addr = (uint64_t)op_a[ia++];
+            p = put_uvarint(p, zigzag64(addr - last_addr));
+            last_addr = addr;
+            break;
+        }
+        case T_RETURN:
+            ia++;
+            break;
+        case T_ALLOC:
+            if (op_a[ia] < 0) return -2;
+            p = put_uvarint(p, (uint64_t)op_a[ia++]);
+            last_oid = next_oid++;
+            break;
+        case T_FREE: case T_REALLOC: {
+            uint64_t oid = (uint64_t)op_a[ia++];
+            p = put_uvarint(p, zigzag64(oid - last_oid));
+            last_oid = oid;
+            if (op == T_REALLOC) {
+                if (resize[ir] < 0) return -2;
+                p = put_uvarint(p, (uint64_t)resize[ir++]);
+            }
+            break;
+        }
+        case T_WORK: {
+            double c = works[iw++];
+            if (c >= 0 && c < T_EXACT && (double)(int64_t)c == c) {
+                p = put_uvarint(p, (uint64_t)(int64_t)c);
+            } else {
+                uint64_t bits;
+                memcpy(&bits, &c, 8);
+                p[-1] = T_WORK_F64;
+                for (int k = 0; k < 8; k++) *p++ = (uint8_t)(bits >> (8 * k));
+            }
+            break;
+        }
+        case T_END:
+            break;
+        default:
+            return -3;
+        }
+    }
+    return p - out;
+}
+
+/* Read one LEB128 value; 0 on success, -1 past the end, -3 when it does
+ * not fit 64 bits. */
+static inline int get_uvarint(const uint8_t **pp, const uint8_t *end, uint64_t *out)
+{
+    const uint8_t *p = *pp;
+    uint64_t v = 0;
+    for (int shift = 0;; shift += 7) {
+        if (p >= end) return -1;
+        uint8_t b = *p++;
+        if (shift == 63 && b > 1) return -3;
+        v |= (uint64_t)(b & 0x7F) << shift;
+        if (!(b & 0x80)) break;
+    }
+    *pp = p;
+    *out = v;
+    return 0;
+}
+
+#define T_GET(v) do { int e_ = get_uvarint(&p, end, &(v)); \
+                      if (e_) { counts[5] = at; return e_; } } while (0)
+#define T_SIZE(v) do { T_GET(v); \
+                       if ((v) > (uint64_t)INT64_MAX) { counts[5] = at; return -3; } } while (0)
+
+/* Decode the raw body data[0 .. n).  With kinds == NULL, only count:
+ * counts receives events, control ops, reallocs, accesses and works.
+ * Otherwise fill the columns, sized from a counting pass.  Returns 0, or
+ * -1 for a truncated event, -2 for an unknown opcode, -3 for an
+ * over-long varint or a size past INT64_MAX; counts[5] then holds the
+ * offending event's offset. */
+int64_t halo_trace_decode(const uint8_t *data, int64_t n, int64_t *counts,
+                          int8_t *kinds, int64_t *op_a, int64_t *resize,
+                          int64_t *acc_oid, int64_t *acc_offset,
+                          int64_t *acc_size, double *works)
+{
+    const uint8_t *p = data, *end = data + n;
+    uint64_t last_addr = 0, last_oid = 0, next_oid = 0, v, w, x;
+    int64_t ne = 0, ia = 0, ir = 0, ix = 0, iw = 0;
+    int fill = kinds != 0;
+    while (p < end) {
+        int64_t at = p - data;
+        int op = *p++;
+        switch (op) {
+        case T_LOAD: case T_STORE:
+            T_GET(v); T_SIZE(w); T_SIZE(x);
+            last_oid += (v >> 1) ^ (uint64_t)-(int64_t)(v & 1);
+            if (fill) {
+                acc_oid[ix] = (int64_t)last_oid;
+                acc_offset[ix] = (int64_t)w;
+                acc_size[ix] = (int64_t)x;
+            }
+            ix++;
+            break;
+        case T_CALL:
+            T_GET(v);
+            last_addr += (v >> 1) ^ (uint64_t)-(int64_t)(v & 1);
+            if (fill) op_a[ia] = (int64_t)last_addr;
+            ia++;
+            break;
+        case T_RETURN:
+            if (fill) op_a[ia] = 0;
+            ia++;
+            break;
+        case T_ALLOC:
+            T_SIZE(v);
+            last_oid = next_oid++;
+            if (fill) op_a[ia] = (int64_t)v;
+            ia++;
+            break;
+        case T_FREE: case T_REALLOC:
+            T_GET(v);
+            last_oid += (v >> 1) ^ (uint64_t)-(int64_t)(v & 1);
+            if (op == T_REALLOC) {
+                T_SIZE(w);
+                if (fill) resize[ir] = (int64_t)w;
+                ir++;
+            }
+            if (fill) op_a[ia] = (int64_t)last_oid;
+            ia++;
+            break;
+        case T_WORK:
+            T_GET(v);
+            if (fill) works[iw] = (double)v;
+            iw++;
+            break;
+        case T_WORK_F64:
+            if (end - p < 8) { counts[5] = at; return -1; }
+            if (fill) {
+                uint64_t bits = 0;
+                for (int k = 0; k < 8; k++) bits |= (uint64_t)p[k] << (8 * k);
+                memcpy(&works[iw], &bits, 8);
+            }
+            p += 8;
+            iw++;
+            op = T_WORK;
+            break;
+        case T_END:
+            break;
+        default:
+            counts[5] = at;
+            return -2;
+        }
+        if (fill) kinds[ne] = (int8_t)op;
+        ne++;
+    }
+    counts[0] = ne; counts[1] = ia; counts[2] = ir; counts[3] = ix; counts[4] = iw;
+    return 0;
+}
+"""
+
+_SOURCE = _LRU_SOURCE + _SEQUITUR_SOURCE + _AFFINITY_SOURCE + _TRACE_SOURCE
 
 _I8P = ctypes.POINTER(ctypes.c_int8)
+_U8P = ctypes.POINTER(ctypes.c_uint8)
+_F64P = ctypes.POINTER(ctypes.c_double)
 _I32P = ctypes.POINTER(ctypes.c_int32)
 _I64P = ctypes.POINTER(ctypes.c_int64)
 
@@ -532,6 +753,8 @@ class _Library(NamedTuple):
     fa: Callable[..., int]
     sequitur: Callable[..., int]
     affinity: Callable[..., int]
+    trace_encode: Callable[..., int]
+    trace_decode: Callable[..., int]
 
 
 #: Memoised compiled library; False means "tried and failed".
@@ -595,6 +818,12 @@ def _load() -> Optional[_Library]:
                         _I32P, _I32P, _I64P, _I64P, _I32P, i64,
                         _I32P, _I32P, _I64P, i64, _I64P,
                     ]),
+                    trace_encode=_bind(lib, "halo_trace_encode", [
+                        _I8P, i64, _I64P, _I64P, _I64P, _I64P, _I64P, _F64P, _U8P, i64,
+                    ]),
+                    trace_decode=_bind(lib, "halo_trace_decode", [
+                        _U8P, i64, _I64P, _I8P, _I64P, _I64P, _I64P, _I64P, _I64P, _F64P,
+                    ]),
                 )
             except Exception as exc:  # pragma: no cover - environment-dependent
                 logger.warning("compiled kernels unavailable (%s); using Python fallbacks", exc)
@@ -603,9 +832,20 @@ def _load() -> Optional[_Library]:
 
 
 def kernel_backend() -> str:
-    """Which backend :func:`lru_filter`, :func:`sequitur` and :func:`affinity`
-    run on: ``"c"`` or ``"python"``."""
+    """Which backend every entry point of this module runs on: ``"c"`` or
+    ``"python"``."""
     return "c" if _load() is not None else "python"
+
+
+def _entry(kernel: str) -> Optional[_Library]:
+    """The library for one entry-point call, counted by backend.
+
+    ``kernel.calls{kernel, backend}`` lets a run show that no call fell
+    back to Python; a no-op when observability is off.
+    """
+    lib = _load()
+    obs.inc("kernel.calls", kernel=kernel, backend="c" if lib is not None else "python")
+    return lib
 
 
 def _sequitur_capacity(n: int) -> tuple[int, int, int]:
@@ -628,7 +868,7 @@ def sequitur(codes: np.ndarray) -> Optional[tuple[np.ndarray, np.ndarray, np.nda
     start at a size that fits every grammar met so far and double until
     the build fits.
     """
-    lib = _load()
+    lib = _entry("sequitur")
     if lib is None:
         return None
     codes = np.ascontiguousarray(codes, dtype=np.int32)
@@ -688,7 +928,7 @@ def affinity(
     edge index live in int32 work arrays allocated here; the edge arrays
     start small and double until the graph fits.
     """
-    lib = _load()
+    lib = _entry("affinity")
     if lib is None:
         return None
     oids = np.ascontiguousarray(oids, dtype=np.int32)
@@ -732,6 +972,115 @@ def affinity(
         if edges >= 0:
             return lo[:edges], hi[:edges], weight[:edges], int(out[0])
         cap_edge *= 2
+
+
+def _check_layout(kinds: np.ndarray, op_a: int, resize: int, accesses: int, works: int) -> None:
+    """Raise ValueError unless each column holds one entry per event using it.
+
+    Control ops (CALL .. REALLOC) take an ``op_a`` entry, reallocs also a
+    ``resize`` one, loads and stores an access, work events a ``works``
+    entry; ``OP_WORK_F64`` (8) is a wire code only, never a kind.
+    """
+    counts = np.bincount(kinds.view(np.uint8), minlength=256)
+    expected = (int(counts[:5].sum()), int(counts[4]), int(counts[5] + counts[6]), int(counts[7]))
+    if counts[8] or counts[10:].any() or expected != (op_a, resize, accesses, works):
+        raise ValueError("trace columns do not match the kinds column")
+
+
+def trace_encode(
+    kinds: np.ndarray,
+    op_a: np.ndarray,
+    resize: np.ndarray,
+    acc_oid: np.ndarray,
+    acc_offset: np.ndarray,
+    acc_size: np.ndarray,
+    works: np.ndarray,
+) -> Optional[bytes]:
+    """The uncompressed v3 event body of raw trace columns, or None.
+
+    *kinds* holds one opcode per event; *op_a* one entry per control op
+    (call site, allocation size or oid; 0 for a return), *resize* one per
+    realloc, the ``acc_*`` columns one per load/store and *works* one per
+    work event.  Byte-identical to :class:`repro.trace.format.TraceWriter`'s
+    Python encoder, which runs when this returns None (no compiled
+    library).  Raises ValueError for columns that do not fit *kinds* or a
+    negative size or offset, which LEB128 cannot carry.
+    """
+    lib = _entry("trace_encode")
+    if lib is None:
+        return None
+    kinds = np.ascontiguousarray(kinds, dtype=np.int8)
+    op_a, resize, acc_oid, acc_offset, acc_size = (
+        np.ascontiguousarray(column, dtype=np.int64)
+        for column in (op_a, resize, acc_oid, acc_offset, acc_size)
+    )
+    works = np.ascontiguousarray(works, dtype=np.float64)
+    if not acc_offset.shape[0] == acc_size.shape[0] == acc_oid.shape[0]:
+        raise ValueError("access columns differ in length")
+    _check_layout(kinds, op_a.shape[0], resize.shape[0], acc_oid.shape[0], works.shape[0])
+    n = int(kinds.shape[0])
+    cap = 8 * n + 64  # bodies run 3-5 bytes per event
+    while True:
+        out = np.empty(cap, dtype=np.uint8)
+        size = lib.trace_encode(
+            kinds.ctypes.data_as(_I8P), n, op_a.ctypes.data_as(_I64P),
+            resize.ctypes.data_as(_I64P), acc_oid.ctypes.data_as(_I64P),
+            acc_offset.ctypes.data_as(_I64P), acc_size.ctypes.data_as(_I64P),
+            works.ctypes.data_as(_F64P), out.ctypes.data_as(_U8P), cap,
+        )
+        if size >= 0:
+            return out[:size].tobytes()
+        if size == -2:
+            raise ValueError("negative size or offset: not encodable as LEB128")
+        if size != -1:
+            raise ValueError("kinds column holds a code that is not an event kind")
+        cap *= 2
+
+
+_DECODE_ERRORS = {
+    -1: "truncated event",
+    -2: "unknown opcode",
+    -3: "over-long varint",
+}
+
+
+def trace_decode(raw: bytes) -> Optional[tuple[np.ndarray, ...]]:
+    """Raw trace columns of an uncompressed v3 event body, or None.
+
+    The inverse of :func:`trace_encode`: returns ``(kinds, op_a, resize,
+    acc_oid, acc_offset, acc_size, works)``, or None when the compiled
+    library is unavailable (the caller then runs the Python decoder).  A
+    counting pass sizes the columns, a second fills them.  Raises
+    ValueError, naming the body offset, for a truncated event, an unknown
+    opcode or a varint that does not fit 64 bits.
+    """
+    lib = _entry("trace_decode")
+    if lib is None:
+        return None
+    data = np.frombuffer(raw, dtype=np.uint8)
+    n = int(data.shape[0])
+    counts = np.zeros(6, dtype=np.int64)
+    code = lib.trace_decode(
+        data.ctypes.data_as(_U8P), n, counts.ctypes.data_as(_I64P),
+        None, None, None, None, None, None, None,
+    )
+    if code:
+        at = int(counts[5])
+        raise ValueError(f"{_DECODE_ERRORS[code]} (opcode {data[at]}) at body offset {at}")
+    events, ctrl, reallocs, accesses, works_n = (int(c) for c in counts[:5])
+    kinds = np.empty(events, dtype=np.int8)
+    op_a = np.empty(ctrl, dtype=np.int64)
+    resize = np.empty(reallocs, dtype=np.int64)
+    acc_oid, acc_offset, acc_size = (np.empty(accesses, dtype=np.int64) for _ in range(3))
+    works = np.empty(works_n, dtype=np.float64)
+    lib.trace_decode(
+        data.ctypes.data_as(_U8P), n, counts.ctypes.data_as(_I64P),
+        kinds.ctypes.data_as(_I8P), op_a.ctypes.data_as(_I64P),
+        resize.ctypes.data_as(_I64P), acc_oid.ctypes.data_as(_I64P),
+        acc_offset.ctypes.data_as(_I64P), acc_size.ctypes.data_as(_I64P),
+        works.ctypes.data_as(_F64P),
+    )
+    return kinds, op_a, resize, acc_oid, acc_offset, acc_size, works
 
 
 def _lru_filter_py(keys: np.ndarray, num_sets: int, assoc: int) -> tuple[int, np.ndarray]:
@@ -781,6 +1130,7 @@ def lru_filter(keys: np.ndarray, num_sets: int, assoc: int) -> tuple[int, np.nda
     """
     if num_sets <= 0 or assoc <= 0:
         raise CacheConfigError(f"impossible geometry: {num_sets} sets x {assoc} ways")
+    lib = _entry("lru")
     n = int(keys.shape[0])
     if n == 0:
         return 0, keys[:0]
@@ -789,7 +1139,6 @@ def lru_filter(keys: np.ndarray, num_sets: int, assoc: int) -> tuple[int, np.nda
         missed = _fits(keys, num_sets, assoc)
         if missed is not None:
             return int(missed.shape[0]), missed
-    lib = _load()
     if lib is None:
         return _lru_filter_py(keys, num_sets, assoc)
     miss_out = np.empty(n, dtype=np.int64)

@@ -275,19 +275,22 @@ def prepare_workload(
     elif trace is None:
         trace = get_or_record_trace(name, cache=cache, workload=workload, times=times)
     profile = None
-    with phase_span(times, "profile", workload=name, source="trace"):
-        try:
+    try:
+        # Checked (and, for a trace built from bytes, decoded) outside the
+        # profile phase: its own ``trace.decode`` span times the decode.
+        trace.columns()
+        with phase_span(times, "profile", workload=name, source="trace"):
             profile = replay_profile(trace, workload.program, halo_params, record_trace=True)
-            times.trace_replays += 1
-        except TraceFormatError as exc:
-            # Graceful degradation: a corrupt or truncated trace falls
-            # back to direct workload execution, which produces the same
-            # profile the replay would have (replay is bit-identical).
-            logger.warning(
-                "trace replay for %s failed (%s); falling back to direct execution",
-                name, exc,
-            )
-            times.trace_fallbacks += 1
+        times.trace_replays += 1
+    except TraceFormatError as exc:
+        # Graceful degradation: a corrupt or truncated trace falls back
+        # to direct workload execution, which produces the same profile
+        # the replay would have (replay is bit-identical).
+        logger.warning(
+            "trace replay for %s failed (%s); falling back to direct execution",
+            name, exc,
+        )
+        times.trace_fallbacks += 1
     if profile is None:
         with phase_span(times, "profile", workload=name, source="direct"):
             profile = profile_workload(

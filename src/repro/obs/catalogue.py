@@ -9,7 +9,8 @@ documents the same set.  Names are dot-separated, grouped by family:
   produce bit-identical totals (the determinism test relies on this).
 * ``profile.*`` / ``analyse.*`` — profiling/grouping work actually
   executed; totals depend on cache warmth (a cache hit skips the work).
-* ``trace.*`` — event-trace record/replay throughput.
+* ``trace.*`` — event-trace record/decode/replay throughput.
+* ``kernel.calls`` — compiled-library entry points, by kernel and backend.
 * ``harness.*`` — resilient-runner operational counters; inherently
   nondeterministic (retries, latencies).
 * ``phase.seconds`` / spans — wall time; nondeterministic by nature.
@@ -81,6 +82,10 @@ CATALOGUE: dict[str, str] = {
     "trace.replays": "Profiles driven from a recorded trace.",
     "trace.replay.events": "Events replayed from traces.",
     "trace.replay.seconds": "Wall seconds spent replaying traces.",
+    "trace.decode.events": "Events decoded from trace bodies (fresh recordings keep their columns).",
+    "trace.decode.seconds": "Wall seconds spent decoding trace bodies into columns.",
+    # compiled kernel library (labels: kernel, backend)
+    "kernel.calls": "Kernel entry-point calls by backend (c, or the python fallback).",
     # heap sanitizer (deterministic: op counts fix the check schedule)
     "sanitize.checks": "Full heap-invariant walks executed by the sanitizer.",
     "sanitize.findings": "Invariant/oracle violations the sanitizer reported.",

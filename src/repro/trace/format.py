@@ -46,6 +46,23 @@ covers table and body together.  v1 and v2 containers read as traces
 without switches.
 
 A ref-scale run costs a few MiB compressed.
+
+Codec
+-----
+
+Recording is column-native: :class:`TraceWriter` appends each event's raw
+fields to columns, and :meth:`TraceWriter.close` encodes the body from
+them in one pass and compresses it in one zlib pass.  The closed trace
+keeps those columns as its :meth:`EventTrace.columns` view — about 33
+bytes per event, the view every consumer used to decode — so a recording
+is never decoded in the process that made it.  Traces built from bytes
+(cache hits, pool workers, trace files) decode into the same columns.
+Encoder and decoder run in the compiled kernel library
+(:func:`repro.columnar.kernel.trace_encode` / ``trace_decode``); the
+Python encoder (:meth:`TraceWriter._encode_py`) and decoder
+(:func:`_decode_into`) are the fallback and the oracle, and
+:meth:`EventTrace.iter_events` and :class:`TraceReader` stay the
+constant-memory paths.
 """
 
 from __future__ import annotations
@@ -57,9 +74,10 @@ import struct
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
-from itertools import chain, islice
+from itertools import chain
 from typing import BinaryIO, Iterable, Iterator, Optional, Sequence, Union
 
+from .. import obs
 from ..faults.plan import active_fault_plan
 
 MAGIC = b"HALOTRC1"
@@ -87,8 +105,8 @@ OP_END = 9
 _F64 = struct.Struct("<d")
 _U32 = struct.Struct("<I")
 
-#: Flush the raw event buffer into the compressor at this size.
-_FLUSH_THRESHOLD = 1 << 16
+#: Integral work below this many cycles is a varint; anything else float64.
+_EXACT = float(1 << 53)
 
 
 class TraceFormatError(Exception):
@@ -201,13 +219,23 @@ def unzigzag(value: int) -> int:
 
 
 class TraceWriter:
-    """Streaming encoder for one machine-event stream.
+    """Column-native recorder of one machine-event stream.
 
     Events are appended through the ``call``/``ret``/``alloc``/... methods
-    (typically by :class:`~repro.trace.record.TraceRecorder`), encoded
-    incrementally into a zlib compressor, and finalised by :meth:`close`
-    into an :class:`EventTrace`.  Memory stays bounded by the compressed
-    size, so ref-scale recordings do not hold the raw stream.
+    (or straight from :class:`~repro.trace.record.TraceRecorder`'s hooks)
+    as raw fields, one column each: the opcode of every event in
+    ``kinds``, one ``op_a`` entry per control op (call site, allocation
+    size or oid; 0 for a return), one ``resize`` entry per realloc, the
+    ``acc_*`` fields per load/store and the cycles per work event.  The
+    columns are lists while recording (``list.append`` is the cheapest
+    append the interpreter has) and typed arrays from :meth:`close` on,
+    which derives the header counts and byte sums from them, encodes the
+    body in one pass (the compiled codec, else :meth:`_encode_py`),
+    compresses it in one zlib pass and returns an :class:`EventTrace`
+    that keeps the columns as its :meth:`~EventTrace.columns` view.  A
+    recording therefore holds its columns — about 33 bytes per event, the
+    view every consumer used to decode — and nothing decodes what was
+    just encoded.
     """
 
     def __init__(
@@ -220,19 +248,112 @@ class TraceWriter:
         self.header = TraceHeader(
             workload=workload, scale=scale, seed=seed, program=program
         )
-        self._buffer = bytearray()
-        self._compressor = zlib.compressobj(6)
-        self._chunks: list[bytes] = []
-        self._last_call_addr = 0
-        self._last_oid = 0
+        self._kinds: list[int] = []
+        self._op_a: list[int] = []
+        self._resize: list[int] = []
+        self._acc_oid: list[int] = []
+        self._acc_offset: list[int] = []
+        self._acc_size: list[int] = []
+        self._works: list[float] = []
+        #: The implicit oid of the next allocation.
         self._next_oid = 0
         self._switches: list[tuple[int, int]] = []
+        #: Output of the Python encoder.
+        self._buffer = bytearray()
         self._closed = False
         self._trace: Optional[EventTrace] = None
 
-    # -- low-level emit ----------------------------------------------------
+    # -- event emitters ----------------------------------------------------
+
+    def call(self, site_addr: int) -> None:
+        """Record control entering the call site at *site_addr*."""
+        self._kinds.append(OP_CALL)
+        self._op_a.append(site_addr)
+
+    def ret(self) -> None:
+        """Record control returning past the innermost recorded call."""
+        self._kinds.append(OP_RETURN)
+        self._op_a.append(0)
+
+    def alloc(self, size: int) -> int:
+        """Record an allocation of *size* bytes; returns its implicit oid."""
+        self._kinds.append(OP_ALLOC)
+        self._op_a.append(size)
+        oid = self._next_oid
+        self._next_oid = oid + 1
+        return oid
+
+    def free(self, oid: int) -> None:
+        """Record the free of object *oid*."""
+        self._kinds.append(OP_FREE)
+        self._op_a.append(oid)
+
+    def realloc(self, oid: int, new_size: int) -> None:
+        """Record the reallocation of object *oid* to *new_size* bytes."""
+        self._kinds.append(OP_REALLOC)
+        self._op_a.append(oid)
+        self._resize.append(new_size)
+
+    def access(self, oid: int, offset: int, size: int, is_store: bool) -> None:
+        """Record a load or store of *size* bytes at *offset* in *oid*."""
+        self._kinds.append(OP_STORE if is_store else OP_LOAD)
+        self._acc_oid.append(oid)
+        self._acc_offset.append(offset)
+        self._acc_size.append(size)
+
+    def work(self, cycles: float) -> None:
+        """Record *cycles* of non-memory compute."""
+        self._kinds.append(OP_WORK)
+        self._works.append(cycles)
+
+    def end(self) -> None:
+        """Record the end-of-run marker (the machine's ``finish``)."""
+        self._kinds.append(OP_END)
+
+    def thread(self, thread_id: int) -> None:
+        """Record a switch to simulated thread *thread_id* before the next event.
+
+        Only changes are stored: switches with no event in between collapse
+        into the last one, and a switch to the current thread is dropped
+        (every consumer of ``set_thread`` is idempotent).
+        """
+        position = len(self._kinds)
+        switches = self._switches
+        if switches and switches[-1][0] == position:
+            switches.pop()
+        current = switches[-1][1] if switches else 0
+        if thread_id != current:
+            switches.append((position, thread_id))
+
+    # -- encoding ----------------------------------------------------------
+
+    def _take_columns(self) -> tuple:
+        """Drain the columns recorded so far into typed arrays, in codec order.
+
+        Each list is emptied once converted, so the lists and the arrays
+        never both hold the whole recording.
+        """
+        import numpy as np
+
+        def take(column: list, dtype):
+            if dtype is np.int8:
+                taken = np.frombuffer(bytes(column), dtype=dtype)
+            else:
+                taken = np.fromiter(column, dtype=dtype, count=len(column))
+            column.clear()
+            return taken
+
+        return (
+            take(self._kinds, np.int8),
+            *(take(column, np.int64) for column in (
+                self._op_a, self._resize, self._acc_oid, self._acc_offset, self._acc_size,
+            )),
+            take(self._works, np.float64),
+        )
 
     def _emit_uvarint(self, value: int) -> None:
+        if value < 0:
+            raise ValueError(f"uvarint cannot encode negative value {value}")
         buffer = self._buffer
         while True:
             byte = value & 0x7F
@@ -243,140 +364,101 @@ class TraceWriter:
                 buffer.append(byte)
                 break
 
-    def _maybe_flush(self) -> None:
-        if len(self._buffer) >= _FLUSH_THRESHOLD:
-            self._chunks.append(self._compressor.compress(bytes(self._buffer)))
-            self._buffer.clear()
-
-    # -- event emitters ----------------------------------------------------
-
-    def call(self, site_addr: int) -> None:
-        """Record control entering the call site at *site_addr*."""
-        self._buffer.append(OP_CALL)
-        self._emit_uvarint(zigzag(site_addr - self._last_call_addr))
-        self._last_call_addr = site_addr
-        header = self.header
-        header.events += 1
-        header.calls += 1
-        self._maybe_flush()
-
-    def ret(self) -> None:
-        """Record control returning past the innermost recorded call."""
-        self._buffer.append(OP_RETURN)
-        self.header.events += 1
-        self._maybe_flush()
-
-    def alloc(self, size: int) -> int:
-        """Record an allocation of *size* bytes; returns its implicit oid."""
-        self._buffer.append(OP_ALLOC)
-        self._emit_uvarint(size)
-        oid = self._next_oid
-        self._next_oid = oid + 1
-        self._last_oid = oid
-        header = self.header
-        header.events += 1
-        header.allocs += 1
-        header.alloc_bytes += size
-        self._maybe_flush()
-        return oid
-
-    def free(self, oid: int) -> None:
-        """Record the free of object *oid*."""
-        self._buffer.append(OP_FREE)
-        self._emit_uvarint(zigzag(oid - self._last_oid))
-        self._last_oid = oid
-        header = self.header
-        header.events += 1
-        header.frees += 1
-        self._maybe_flush()
-
-    def realloc(self, oid: int, new_size: int) -> None:
-        """Record the reallocation of object *oid* to *new_size* bytes."""
-        self._buffer.append(OP_REALLOC)
-        self._emit_uvarint(zigzag(oid - self._last_oid))
-        self._emit_uvarint(new_size)
-        self._last_oid = oid
-        header = self.header
-        header.events += 1
-        header.reallocs += 1
-        self._maybe_flush()
-
-    def access(self, oid: int, offset: int, size: int, is_store: bool) -> None:
-        """Record a load or store of *size* bytes at *offset* in *oid*."""
+    def _encode_py(self, kinds, op_a, resize, acc_oid, acc_offset, acc_size, works) -> bytes:
+        """The raw body of raw columns (as :meth:`_take_columns` gives them) in pure
+        Python: the fallback and the oracle of the compiled encoder, which
+        writes the same bytes."""
         buffer = self._buffer
-        buffer.append(OP_STORE if is_store else OP_LOAD)
-        delta = oid - self._last_oid
-        self._last_oid = oid
-        self._emit_uvarint((delta << 1) if delta >= 0 else ((-delta << 1) - 1))
-        self._emit_uvarint(offset)
-        self._emit_uvarint(size)
-        header = self.header
-        header.events += 1
-        if is_store:
-            header.stores += 1
-        else:
-            header.loads += 1
-        header.access_bytes += size
-        if len(buffer) >= _FLUSH_THRESHOLD:
-            self._chunks.append(self._compressor.compress(bytes(buffer)))
-            buffer.clear()
-
-    def work(self, cycles: float) -> None:
-        """Record *cycles* of non-memory compute."""
-        as_int = int(cycles)
-        if as_int == cycles and 0 <= as_int < (1 << 53):
-            self._buffer.append(OP_WORK)
-            self._emit_uvarint(as_int)
-        else:
-            self._buffer.append(OP_WORK_F64)
-            self._buffer.extend(_F64.pack(cycles))
-        header = self.header
-        header.events += 1
-        header.works += 1
-        self._maybe_flush()
-
-    def end(self) -> None:
-        """Record the end-of-run marker (the machine's ``finish``)."""
-        self._buffer.append(OP_END)
-        self.header.events += 1
-
-    def thread(self, thread_id: int) -> None:
-        """Record a switch to simulated thread *thread_id* before the next event.
-
-        Only changes are stored: switches with no event in between collapse
-        into the last one, and a switch to the current thread is dropped
-        (every consumer of ``set_thread`` is idempotent).
-        """
-        position = self.header.events
-        switches = self._switches
-        if switches and switches[-1][0] == position:
-            switches.pop()
-        current = switches[-1][1] if switches else 0
-        if thread_id != current:
-            switches.append((position, thread_id))
+        emit = self._emit_uvarint
+        next_a = iter(op_a.tolist()).__next__
+        next_resize = iter(resize.tolist()).__next__
+        next_access = zip(acc_oid.tolist(), acc_offset.tolist(), acc_size.tolist()).__next__
+        next_work = iter(works.tolist()).__next__
+        last_addr = last_oid = next_oid = 0
+        for op in kinds.tolist():
+            if op == OP_LOAD or op == OP_STORE:
+                oid, offset, size = next_access()
+                buffer.append(op)
+                emit(zigzag(oid - last_oid))
+                emit(offset)
+                emit(size)
+                last_oid = oid
+            elif op == OP_CALL:
+                addr = next_a()
+                buffer.append(op)
+                emit(zigzag(addr - last_addr))
+                last_addr = addr
+            elif op == OP_WORK:
+                cycles = next_work()
+                if cycles.is_integer() and 0 <= cycles < _EXACT:
+                    buffer.append(OP_WORK)
+                    emit(int(cycles))
+                else:
+                    buffer.append(OP_WORK_F64)
+                    buffer += _F64.pack(cycles)
+            elif op == OP_ALLOC:
+                buffer.append(op)
+                emit(next_a())
+                last_oid = next_oid
+                next_oid += 1
+            elif op == OP_FREE or op == OP_REALLOC:
+                oid = next_a()
+                buffer.append(op)
+                emit(zigzag(oid - last_oid))
+                last_oid = oid
+                if op == OP_REALLOC:
+                    emit(next_resize())
+            else:
+                if op == OP_RETURN:
+                    next_a()
+                elif op != OP_END:
+                    raise ValueError(f"kinds column holds non-event code {op}")
+                buffer.append(op)
+        body = bytes(buffer)
+        buffer.clear()
+        return body
 
     # -- finalisation ------------------------------------------------------
 
     def close(self) -> "EventTrace":
         """Finalise the stream and return the completed trace (idempotent).
 
-        Stamps the header with the CRC32 of the switch table and the
-        compressed body, so every write path downstream of the writer can
-        detect truncation and bit-flips.
+        Stamps the header with the counts and byte sums of the columns and
+        with the CRC32 of the switch table and the compressed body, so
+        every write path downstream of the writer can detect truncation
+        and bit-flips.  Events appended after this are not recorded.
         """
         if not self._closed:
-            if self._buffer:
-                self._chunks.append(self._compressor.compress(bytes(self._buffer)))
-                self._buffer.clear()
-            self._chunks.append(self._compressor.flush())
+            from ..columnar import kernel
+
             self._closed = True
-            body = b"".join(self._chunks)
+            raw = self._take_columns()
+            works = raw[-1]
+            # -0.0 cycles encode as the varint 0 and decode as 0.0; hold
+            # the value a decode gives (adding 0.0 changes nothing else).
+            works += 0.0
+            body = kernel.trace_encode(*raw)
+            if body is None:
+                body = self._encode_py(*raw)
+            compressor = zlib.compressobj(6)
+            body = compressor.compress(body) + compressor.flush()
             table = encode_switches(self._switches)
-            self.header.switches = len(self._switches)
-            self.header.switch_bytes = len(table)
-            self.header.crc32 = zlib.crc32(body, zlib.crc32(table))
-            self._trace = EventTrace(self.header, body, switch_table=table)
-            self._chunks.clear()
+            columns = TraceColumns(*raw, switches=self._switches)
+            header = self.header
+            header.events = len(columns.kinds)
+            header.calls = columns.calls
+            header.allocs = columns.allocs
+            header.frees = columns.frees
+            header.reallocs = columns.reallocs
+            header.loads = columns.loads
+            header.stores = columns.stores
+            header.works = int(columns.works.shape[0])
+            header.alloc_bytes = int(columns.ctrl[1][columns.ctrl[0] == OP_ALLOC].sum())
+            header.access_bytes = int(columns.acc_size.sum())
+            header.switches = len(self._switches)
+            header.switch_bytes = len(table)
+            header.crc32 = zlib.crc32(body, zlib.crc32(table))
+            self._trace = EventTrace(header, body, switch_table=table, columns=columns)
         assert self._trace is not None
         return self._trace
 
@@ -535,7 +617,7 @@ _END_EVENT = (OP_END,)
 
 
 class TraceColumns:
-    """Columnar (struct-of-arrays) view of one decoded event stream.
+    """Columnar (struct-of-arrays) view of one event stream.
 
     The batched simulation engine (:mod:`repro.columnar`) and the profile
     replay consume events as flat int64 columns instead of per-event
@@ -560,9 +642,12 @@ class TraceColumns:
       both work encodings), in stream order: what the per-event replay
       needs to interleave the other columns exactly as recorded.
 
-    *events* may be any iterable (the owning :class:`EventTrace` streams
-    its decoder straight in, so no per-event tuple list is kept);
-    *switches* is the trace's ``(event index, thread)`` table.
+    The view is built from the raw columns a recording appends (see
+    :class:`TraceWriter`) or the codec decodes — *kinds*, *op_a* (one
+    entry per control op), *resize* (one per realloc), the three access
+    columns and *works* — by whole-column passes; *switches* is the
+    trace's ``(event index, thread)`` table.  :meth:`from_events` builds
+    it from decoded event tuples.
     """
 
     __slots__ = (
@@ -572,68 +657,73 @@ class TraceColumns:
     )
 
     def __init__(
-        self, events: Iterable[tuple], switches: Sequence[tuple[int, int]] = ()
+        self,
+        kinds, op_a, resize, acc_oid, acc_offset, acc_size, works,
+        switches: Sequence[tuple[int, int]] = (),
     ) -> None:
         import numpy as np
 
-        # Typed buffers: no Python int object outlives its append.
-        acc_oid, acc_offset, acc_size, ops, op_a, op_b, op_ptr = (
-            array("q") for _ in range(7)
-        )
-        acc_store = array("b")
-        works = array("d")
-        kinds = array("b")
-
-        def fill(stream: Iterable[tuple]) -> None:
-            kind = kinds.append
-            for event in stream:
-                op = event[0]
-                kind(op)
-                if op == OP_LOAD or op == OP_STORE:
-                    acc_oid.append(event[1])
-                    acc_offset.append(event[2])
-                    acc_size.append(event[3])
-                    acc_store.append(op == OP_STORE)
-                elif op == OP_WORK:
-                    works.append(event[1])
-                elif op != OP_END:  # END carries no simulation state
-                    ops.append(op)
-                    op_a.append(event[1] if op != OP_RETURN else 0)
-                    op_b.append(event[2] if op == OP_REALLOC else 0)
-                    op_ptr.append(len(acc_oid))
-
-        stream = iter(events)
-        marks: list[tuple[int, int, int]] = []
-        done = 0
-        for position, thread in switches:
-            fill(islice(stream, position - done))
-            done = position
-            marks.append((len(ops), len(acc_oid), thread))
-        fill(stream)
+        kinds = _column(kinds, np.int8)
         self.kinds = kinds.tobytes()
-        self.acc_oid = np.frombuffer(acc_oid, dtype=np.int64)
-        self.acc_offset = np.frombuffer(acc_offset, dtype=np.int64)
-        self.acc_size = np.frombuffer(acc_size, dtype=np.int64)
-        self.acc_store = np.frombuffer(acc_store, dtype=bool)
-        self.works = np.frombuffer(works, dtype=np.float64)
-        self.ctrl = tuple(
-            np.frombuffer(column, dtype=np.int64) for column in (ops, op_a, op_b, op_ptr)
-        )
-        kinds = self.ctrl[0]
-        is_heap = kinds >= OP_ALLOC
+        is_acc = (kinds == OP_LOAD) | (kinds == OP_STORE)
+        is_ctrl = kinds <= OP_REALLOC
+        acc_before = np.concatenate(([0], np.cumsum(is_acc)))
+        ops = kinds[is_ctrl].astype(np.int64)
+        op_b = np.zeros(ops.shape[0], dtype=np.int64)
+        op_b[ops == OP_REALLOC] = _column(resize, np.int64)
+        self.ctrl = (ops, _column(op_a, np.int64), op_b, acc_before[:-1][is_ctrl])
+        self.acc_oid = _column(acc_oid, np.int64)
+        self.acc_offset = _column(acc_offset, np.int64)
+        self.acc_size = _column(acc_size, np.int64)
+        self.acc_store = kinds[is_acc] == OP_STORE
+        self.works = _column(works, np.float64)
+        is_heap = ops >= OP_ALLOC
         self.heap = tuple(column[is_heap] for column in self.ctrl)
-        heap_before = np.concatenate(([0], np.cumsum(is_heap)))
-        self.switches = [
-            (int(heap_before[ctrl_at]), ctrl_at, acc_at, thread)
-            for ctrl_at, acc_at, thread in marks
-        ]
-        self.call_addrs = self.ctrl[1][kinds == OP_CALL]
+        self.switches = []
+        if switches:
+            at = np.array([position for position, _ in switches], dtype=np.int64)
+            ctrl_at = np.concatenate(([0], np.cumsum(is_ctrl)))[at]
+            heap_at = np.concatenate(([0], np.cumsum(is_heap)))[ctrl_at]
+            self.switches = [
+                (int(heap), int(ctrl), int(acc), thread)
+                for heap, ctrl, acc, (_, thread) in zip(
+                    heap_at, ctrl_at, acc_before[at], switches
+                )
+            ]
+        self.call_addrs = self.ctrl[1][ops == OP_CALL]
         self.stores = int(np.count_nonzero(self.acc_store))
         self.loads = self.accesses - self.stores
-        self.allocs = int(np.count_nonzero(kinds == OP_ALLOC))
-        self.frees = int(np.count_nonzero(kinds == OP_FREE))
-        self.reallocs = int(np.count_nonzero(kinds == OP_REALLOC))
+        self.allocs = int(np.count_nonzero(ops == OP_ALLOC))
+        self.frees = int(np.count_nonzero(ops == OP_FREE))
+        self.reallocs = int(np.count_nonzero(ops == OP_REALLOC))
         self.calls = int(self.call_addrs.shape[0])
+
+    @classmethod
+    def from_events(
+        cls, events: Iterable[tuple], switches: Sequence[tuple[int, int]] = ()
+    ) -> "TraceColumns":
+        """The view of decoded event tuples (any iterable: the Python
+        decoder streams straight in, so no per-event tuple list is kept)."""
+        kinds = array("b")
+        op_a, resize, acc_oid, acc_offset, acc_size = (array("q") for _ in range(5))
+        works = array("d")
+        kind = kinds.append
+        for event in events:
+            op = event[0]
+            kind(op)
+            if op == OP_LOAD or op == OP_STORE:
+                acc_oid.append(event[1])
+                acc_offset.append(event[2])
+                acc_size.append(event[3])
+            elif op == OP_WORK:
+                works.append(event[1])
+            elif op == OP_RETURN:
+                op_a.append(0)
+            elif op != OP_END:
+                op_a.append(event[1])
+                if op == OP_REALLOC:
+                    resize.append(event[2])
+        return cls(kinds, op_a, resize, acc_oid, acc_offset, acc_size, works, switches)
 
     @property
     def accesses(self) -> int:
@@ -670,6 +760,15 @@ class TraceColumns:
         return _rows(columns, 0, self.accesses)
 
 
+def _column(values, dtype):
+    """*values* as a numpy array of *dtype*, viewing a typed buffer without a copy."""
+    import numpy as np
+
+    if isinstance(values, np.ndarray):
+        return values.astype(dtype, copy=False)
+    return np.frombuffer(values, dtype=dtype)
+
+
 #: Rows per block when columns are iterated as tuples of plain Python values.
 _ROW_BLOCK = 1 << 13
 
@@ -691,10 +790,12 @@ class EventTrace:
 
     The compressed body (with the v3 thread-switch table) is the canonical
     representation — what travels through the artifact cache and trace
-    files.  :meth:`columns` decodes it once, straight into the cached
-    :class:`TraceColumns` view every replay consumes, so the parameter-sweep
-    case pays the decode cost a single time without holding a per-event
-    tuple list; :meth:`events` decodes afresh on each call.
+    files.  :meth:`columns` gives the cached :class:`TraceColumns` view
+    every replay consumes: a fresh recording's own columns (*columns*,
+    from :meth:`TraceWriter.close`), else the body decoded once, so the
+    parameter-sweep case pays the decode cost a single time without
+    holding a per-event tuple list; :meth:`events` decodes afresh on each
+    call.
     """
 
     def __init__(
@@ -703,6 +804,7 @@ class EventTrace:
         body: bytes,
         flags: int = FLAG_ZLIB,
         switch_table: bytes = b"",
+        columns: Optional["TraceColumns"] = None,
     ) -> None:
         self.header = header
         self.body = body
@@ -710,6 +812,8 @@ class EventTrace:
         self.switch_table = switch_table
         self._switches: Optional[tuple[tuple[int, int], ...]] = None
         self._columns: Optional[TraceColumns] = None
+        #: The recording's columns, served once the body has been checked.
+        self._recorded = columns
 
     def __len__(self) -> int:
         return self.header.events
@@ -724,7 +828,7 @@ class EventTrace:
     def __getstate__(self) -> dict:
         """Pickle the container only; decoded views are rebuilt on demand."""
         state = dict(self.__dict__)
-        state["_switches"] = state["_columns"] = None
+        state["_switches"] = state["_columns"] = state["_recorded"] = None
         return state
 
     # -- decoding ----------------------------------------------------------
@@ -785,7 +889,10 @@ class EventTrace:
         garbage events downstream.
         """
         self._check_body()
-        data = self._raw_body()
+        return self._decode_events(self._raw_body(), chunk_size)
+
+    def _decode_events(self, data: bytes, chunk_size: int = 1 << 16) -> Iterator[tuple]:
+        """Decode the inflated body *data* in Python, chunk by chunk."""
         out: list[tuple] = []
         state = [0, 0, 0]
         pos = 0
@@ -814,10 +921,45 @@ class EventTrace:
         return self.events()
 
     def columns(self) -> TraceColumns:
-        """Decode (once) into the cached columnar struct-of-arrays view."""
+        """The cached columnar struct-of-arrays view.
+
+        The first call checks the body (checksum and injected decode
+        faults, :class:`TraceFormatError` either way), then serves a fresh
+        recording's own columns or decodes the body once — in the compiled
+        codec when it is available — inside a ``trace.decode`` span that
+        publishes ``trace.decode.events`` and ``trace.decode.seconds``.
+        """
         if self._columns is None:
-            self._columns = TraceColumns(self._decoded(), self.switches())
+            switches = self.switches()
+            self._check_body()
+            columns = self._recorded
+            if columns is None:
+                columns = self._decode_columns(switches)
+            self._columns, self._recorded = columns, None
         return self._columns
+
+    def _decode_columns(self, switches: Sequence[tuple[int, int]]) -> TraceColumns:
+        from ..columnar import kernel
+
+        workload = self.header.workload
+        with obs.span("trace.decode", workload=workload) as span:
+            data = self._raw_body()
+            try:
+                raw = kernel.trace_decode(data)
+                if raw is None:
+                    columns = TraceColumns.from_events(self._decode_events(data), switches)
+                else:
+                    columns = TraceColumns(*raw, switches=switches)
+            except (ValueError, OverflowError) as exc:
+                raise TraceFormatError(f"corrupt trace body of {workload!r}: {exc}") from exc
+            if len(columns.kinds) != self.header.events:
+                raise TraceFormatError(
+                    f"header promises {self.header.events} events, "
+                    f"body holds {len(columns.kinds)}"
+                )
+        obs.inc("trace.decode.events", self.header.events, workload=workload)
+        obs.inc("trace.decode.seconds", span.elapsed, workload=workload)
+        return columns
 
     def iter_events(self, chunk_size: int = 1 << 16) -> Iterator[tuple]:
         """Stream events without materialising the full list.

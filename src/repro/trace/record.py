@@ -3,9 +3,10 @@
 :class:`TraceRecorder` is a :class:`~repro.machine.events.Listener`: attach
 it to any :class:`~repro.machine.machine.Machine` and it streams every
 event — calls, returns, allocations, reallocations, frees, heap accesses,
-compute work — and every simulated-thread switch into a
-:class:`~repro.trace.format.TraceWriter`.  This is the analogue of the paper's Pin tool attaching to a live process
-(Section 4.1), except the "process" is the simulated machine.
+compute work — and every simulated-thread switch into the columns of a
+:class:`~repro.trace.format.TraceWriter`.  This is the analogue of the
+paper's Pin tool attaching to a live process (Section 4.1), except the
+"process" is the simulated machine.
 
 :func:`record_workload` is the one-call convenience used by the harness
 and CLI: run a named workload once under a recorder and return the trace.
@@ -16,7 +17,18 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Optional, Union
 
 from ..machine.events import Listener
-from .format import EventTrace, TraceWriter
+from .format import (
+    OP_ALLOC,
+    OP_CALL,
+    OP_FREE,
+    OP_LOAD,
+    OP_REALLOC,
+    OP_RETURN,
+    OP_STORE,
+    OP_WORK,
+    EventTrace,
+    TraceWriter,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..machine.heap import HeapObject
@@ -47,39 +59,55 @@ class TraceRecorder(Listener):
         seed: int = 0,
         program: str = "",
     ) -> None:
-        self.writer = TraceWriter(
+        self.writer = writer = TraceWriter(
             workload=workload, scale=scale, seed=seed, program=program
         )
         self.trace: Optional[EventTrace] = None
+        # The hooks append straight onto the writer's columns.
+        self._kinds = writer._kinds
+        self._op_a = writer._op_a
+        self._resize = writer._resize
+        self._acc_oid = writer._acc_oid
+        self._acc_offset = writer._acc_offset
+        self._acc_size = writer._acc_size
+        self._works = writer._works
 
     # -- Listener hooks ----------------------------------------------------
 
     def on_call(self, machine: "Machine", site: "CallSite") -> None:
         """Record a call event (the site address; context is implicit)."""
-        self.writer.call(site.addr)
+        self._kinds.append(OP_CALL)
+        self._op_a.append(site.addr)
 
     def on_return(self, machine: "Machine", site: "CallSite") -> None:
         """Record a return past the innermost call."""
-        self.writer.ret()
+        self._kinds.append(OP_RETURN)
+        self._op_a.append(0)
 
     def on_alloc(self, machine: "Machine", obj: "HeapObject") -> None:
         """Record an allocation; oids are implicit (sequential)."""
-        expected = self.writer.alloc(obj.size)
-        if expected != obj.oid:  # pragma: no cover - defensive
+        self._kinds.append(OP_ALLOC)
+        self._op_a.append(obj.size)
+        writer = self.writer
+        if obj.oid != writer._next_oid:  # pragma: no cover - defensive
             raise RuntimeError(
-                f"trace oid {expected} diverged from machine oid {obj.oid}; "
+                f"trace oid {writer._next_oid} diverged from machine oid {obj.oid}; "
                 "was the recorder attached mid-run?"
             )
+        writer._next_oid += 1
 
     def on_free(self, machine: "Machine", obj: "HeapObject") -> None:
         """Record a free by object id."""
-        self.writer.free(obj.oid)
+        self._kinds.append(OP_FREE)
+        self._op_a.append(obj.oid)
 
     def on_realloc(
         self, machine: "Machine", obj: "HeapObject", old_addr: int, old_size: int
     ) -> None:
         """Record a reallocation (new size; the old one is trace history)."""
-        self.writer.realloc(obj.oid, obj.size)
+        self._kinds.append(OP_REALLOC)
+        self._op_a.append(obj.oid)
+        self._resize.append(obj.size)
 
     def on_access(
         self,
@@ -90,11 +118,15 @@ class TraceRecorder(Listener):
         is_store: bool,
     ) -> None:
         """Record a load or store within an object."""
-        self.writer.access(obj.oid, offset, size, is_store)
+        self._kinds.append(OP_STORE if is_store else OP_LOAD)
+        self._acc_oid.append(obj.oid)
+        self._acc_offset.append(offset)
+        self._acc_size.append(size)
 
     def on_work(self, machine: "Machine", cycles: float) -> None:
         """Record compute-cycle accounting."""
-        self.writer.work(cycles)
+        self._kinds.append(OP_WORK)
+        self._works.append(cycles)
 
     def on_thread(self, machine: "Machine", thread_id: int) -> None:
         """Record a simulated-thread switch (a switch-table entry, not an event)."""
