@@ -211,11 +211,8 @@ def _parse_benchmarks(args: argparse.Namespace) -> Optional[tuple[str, ...]]:
 
 
 def _add_resilience_args(parser: argparse.ArgumentParser) -> None:
-    """Flags of the resilient entry points.
-
-    ``halo plot`` honours them at any ``--jobs``; ``trace sweep`` only
-    with ``--jobs > 1``.
-    """
+    """Flags of the resilient cell runner, which ``halo plot`` honours at
+    any ``--jobs``."""
     parser.add_argument(
         "--task-timeout",
         type=float,
@@ -409,15 +406,6 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="N,N,...",
         help="comma-separated group-count caps",
     )
-    t_sweep.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="worker processes (default: 1, in-process with a shared decode)",
-    )
-    _add_resilience_args(t_sweep)
-    _add_cache_args(t_sweep)
     _add_metrics_arg(t_sweep)
 
     faults = sub.add_parser(
@@ -1034,116 +1022,53 @@ def _parse_sweep_values(args: argparse.Namespace) -> tuple[str, list]:
 
 
 def _cmd_trace_sweep(args: argparse.Namespace) -> int:
-    from dataclasses import replace
-
-    from .trace import EventTrace
+    from .core.selectors import monitored_sites
+    from .trace import (
+        EventTrace,
+        sweep_affinity_distances,
+        sweep_group_counts,
+        sweep_merge_tolerances,
+    )
 
     trace = EventTrace.load(args.trace)
     workload = get_workload(trace.header.workload)
     knob, values = _parse_sweep_values(args)
+    sweep = {
+        "affinity-distance": sweep_affinity_distances,
+        "merge-tolerance": sweep_merge_tolerances,
+        "max-groups": sweep_group_counts,
+    }[knob]
     base = reproduce.halo_params_for(workload)
-    if knob == "affinity-distance":
-        configs = [base.with_affinity_distance(v) for v in values]
-    elif knob == "merge-tolerance":
-        configs = [
-            replace(base, grouping=replace(base.grouping, merge_tolerance=v))
-            for v in values
-        ]
-    else:
-        configs = [replace(base, max_groups=v) for v in values]
-
-    times = PhaseTimes()
-    with _metrics_session(args.metrics_out, times):
+    with _metrics_session(args.metrics_out):
         with obs.span(
             "halo.trace.sweep", workload=trace.header.workload, knob=knob
         ) as sweep_span:
-            rows = _run_sweep(args, trace, workload, knob, values, configs, times)
+            results = sweep(trace, workload.program, values, base)
+        rows = [
+            [
+                str(value),
+                str(len(a.groups)),
+                str(sum(len(g.members) for g in a.groups)),
+                str(len(a.profile.graph)),
+                str(len(monitored_sites(a.identification.selectors))),
+            ]
+            for value, a in results.items()
+        ]
         print(
             format_table(
                 [knob, "groups", "grouped ctxs", "graph nodes", "monitored sites"],
                 rows,
                 title=(
-                    f"{trace.header.workload}: {len(configs)}-point {knob} sweep "
+                    f"{trace.header.workload}: {len(rows)}-point {knob} sweep "
                     "from one trace"
                 ),
             )
         )
         print(
-            f"\nswept {len(configs)} configs in {sweep_span.elapsed:.2f}s "
+            f"\nswept {len(rows)} configs in {sweep_span.elapsed:.2f}s "
             "(no workload re-execution)"
         )
-        summary = resilience_summary(times)
-        if summary:
-            print(summary)
     return 0
-
-
-def _run_sweep(
-    args: argparse.Namespace,
-    trace,
-    workload,
-    knob: str,
-    values: list,
-    configs: list,
-    times: PhaseTimes,
-) -> list[list[str]]:
-    """Execute a ``trace sweep`` and return its table rows."""
-    if args.jobs > 1:
-        from .harness.checkpoint import journal_for
-        from .harness.parallel import run_sweep_parallel
-
-        cache = cache_from_args(args)
-        checkpoint = None
-        if cache is not None or args.resume:
-            checkpoint = journal_for(
-                args.cache_dir if cache is not None else None,
-                f"sweep-{trace.header.workload}",
-            )
-        failures: list = []
-        points = run_sweep_parallel(
-            trace.header.workload,
-            configs,
-            jobs=args.jobs,
-            cache=cache,
-            phase_times=times,
-            task_timeout=args.task_timeout,
-            max_retries=args.max_retries,
-            checkpoint=checkpoint,
-            resume=args.resume,
-            failures=failures,
-        )
-        _report_failures(failures)
-        # Label each surviving point from its own parameters — a failed
-        # point leaves a gap, so zipping against `values` would mislabel.
-        knob_of = {
-            "affinity-distance": lambda p: p.affinity_distance,
-            "merge-tolerance": lambda p: p.merge_tolerance,
-            "max-groups": lambda p: p.max_groups,
-        }[knob]
-        return [
-            [
-                str(knob_of(p)),
-                str(p.groups),
-                str(p.grouped_contexts),
-                str(p.graph_nodes),
-                str(p.monitored_sites),
-            ]
-            for p in points
-        ]
-    from .core.selectors import monitored_sites
-    from .trace import sweep_pipeline
-
-    artifacts = sweep_pipeline(trace, workload.program, configs)
-    return [
-        [
-            str(v),
-            str(len(a.groups)),
-            str(sum(len(g.members) for g in a.groups)),
-            str(len(a.profile.graph)),
-            str(len(monitored_sites(a.identification.selectors))),
-        ]
-        for v, a in zip(values, artifacts)
-    ]
 
 
 def _cmd_faults(args: argparse.Namespace) -> int:

@@ -43,7 +43,8 @@ from ..cache.hierarchy import HierarchyConfig, HierarchyStats
 from ..cache.sharing import FalseSharingTracker
 from ..cache.timing import CostModel
 from ..machine.machine import Machine, MachineMetrics
-from ..trace.format import OP_ALLOC, OP_CALL, OP_FREE, OP_RETURN, EventTrace
+from ..machine.program import Program
+from ..trace.format import OP_ALLOC, OP_CALL, OP_FREE, OP_RETURN, EventTrace, TraceColumns
 from ..workloads.base import Workload
 from .kernel import expand_ranges, lru_filter, validate_geometry
 from .. import obs
@@ -125,7 +126,7 @@ def _compute_cycles(works: np.ndarray) -> float:
 
 
 def _build_machine(
-    workload: Workload,
+    program: Program,
     make_allocator: Callable[[AddressSpace], Allocator],
     seed: int,
     instrumentation: Optional[dict[int, int]],
@@ -141,7 +142,7 @@ def _build_machine(
     space = AddressSpace(seed)
     allocator = make_allocator(space)
     machine = Machine(
-        workload.program,
+        program,
         allocator,
         memory=None,
         instrumentation=instrumentation,
@@ -435,6 +436,30 @@ def _place(cols, machine: Machine) -> _Placement:
     return _heap_pass(cols, machine)
 
 
+def place_trace(
+    program: Program,
+    make_allocator: Callable[[AddressSpace], Allocator],
+    trace: EventTrace,
+    seed: int = 0,
+    instrumentation: Optional[dict[int, int]] = None,
+    state_vector=None,
+    attach: Optional[Callable[[Machine], None]] = None,
+) -> tuple[TraceColumns, Machine, _Placement, np.ndarray]:
+    """Place *trace*'s heap ops on a fresh allocator, then gather addresses.
+
+    The place-then-gather step every columnar consumer shares: returns
+    the trace's columns, the machine (its allocator left in the
+    placement's end state), the placement, and the absolute address of
+    every access.
+    """
+    cols = trace.columns()
+    machine = _build_machine(
+        program, make_allocator, seed, instrumentation, state_vector, attach
+    )
+    placement = _place(cols, machine)
+    return cols, machine, placement, _address_column(cols, placement)
+
+
 def _metrics(cols, toggles: int) -> MachineMetrics:
     return MachineMetrics(
         loads=cols.loads,
@@ -470,12 +495,9 @@ def score_trace(
     """
     cost_model = cost_model or CostModel()
     hconfig = hierarchy_config or HierarchyConfig()
-    cols = trace.columns()
-    machine = _build_machine(
-        workload, make_allocator, seed, instrumentation, state_vector, attach
+    cols, _, placement, addr = place_trace(
+        workload.program, make_allocator, trace, seed, instrumentation, state_vector, attach
     )
-    placement = _place(cols, machine)
-    addr = _address_column(cols, placement)
     cache, _, _ = simulate_hierarchy(addr, cols.acc_size, hconfig, residency=False)
     return cost_model.cycles(_metrics(cols, placement.toggles), cache)
 
@@ -504,15 +526,11 @@ def measure_columnar(
 
     cost_model = cost_model or CostModel()
     hconfig = hierarchy_config or HierarchyConfig()
-    cols = trace.columns()
-
-    machine = _build_machine(
-        workload, make_allocator, seed, instrumentation, state_vector, attach
+    cols, machine, placement, addr = place_trace(
+        workload.program, make_allocator, trace, seed, instrumentation, state_vector, attach
     )
     allocator = machine.allocator
     grouped = isinstance(allocator, GroupAllocator)
-    placement = _place(cols, machine)
-    addr = _address_column(cols, placement)
     cache, pages, page_starts = simulate_hierarchy(
         addr, cols.acc_size, hconfig, residency=grouped
     )
@@ -523,7 +541,7 @@ def measure_columnar(
         # with page residency so the fragmentation snapshot at the peak
         # allocation is exact (purges and header touches included).
         machine = _build_machine(
-            workload, make_allocator, seed, instrumentation, state_vector, attach
+            workload.program, make_allocator, seed, instrumentation, state_vector, attach
         )
         allocator = machine.allocator
         frag = _grouped_pass(

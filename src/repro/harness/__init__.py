@@ -18,7 +18,7 @@ from .prepare import (
     hds_params_for,
     prepare_workload,
 )
-from ..trace.access import AccessTrace, AccessTraceRecorder, replay_geometries
+from ..trace.access import AccessTrace, AccessTraceRecorder
 from .runner import (
     Measurement,
     PeakTracker,
@@ -54,7 +54,6 @@ __all__ = [
     "prepare_workload",
     "run_cells",
     "run_measurement",
-    "replay_geometries",
     "run_trials",
     "run_trials_parallel",
     "speedup",

@@ -1,11 +1,11 @@
 """On-disk checkpoint journal for the resilient evaluation engine.
 
-The parallel engine's unit of work is one cell of the evaluation matrix —
-a ``(benchmark, configuration, seed)`` measurement, a prepare task, or a
-sweep point.  The journal records each completed cell as it finishes, so
-an interrupted or partially-failed run resumes from completed work
-instead of re-measuring the whole matrix (cells are deterministic, so a
-resumed run is bit-identical to an uninterrupted one).
+The cell runner's unit of work is one cell of the evaluation matrix —
+a ``(benchmark, configuration, seed)`` measurement or a prepare task.
+The journal records each completed cell as it finishes, so an
+interrupted or partially-failed run resumes from completed work instead
+of re-measuring the whole matrix (cells are deterministic, so a resumed
+run is bit-identical to an uninterrupted one).
 
 Record framing is corruption-tolerant by construction: each record is
 ``MAGIC | u32 payload length | u32 CRC32 | pickled (key, value)``.  A torn

@@ -56,8 +56,7 @@ from pathlib import Path
 from typing import Any, Callable, Iterator, Optional, Sequence, Union
 
 from ..core.artifact_cache import ArtifactCache, artifact_key
-from ..core.pipeline import HaloParams, optimise_profile
-from ..core.selectors import monitored_sites
+from ..core.pipeline import HaloParams
 from ..faults.plan import FaultPlan, clear_fault_plan, install_fault_plan
 from ..hds.pipeline import HdsParams
 from ..sanitize.invariants import (
@@ -69,7 +68,6 @@ from ..sanitize.invariants import (
 from ..obs import metrics as obs_metrics
 from ..obs.spans import phase_span
 from ..trace.format import EventTrace
-from ..trace.replay import replay_profile
 from .checkpoint import CheckpointJournal
 from .experiment import TrialResult, aggregate_trials, trial_seeds
 from .prepare import (
@@ -229,7 +227,7 @@ _PREPARED: dict[tuple, PreparedArtifacts] = {}
 #: Per-process memo of decoded event traces, keyed by the trace cache key.
 #: Decoding is the expensive part of a warm replay, so each process
 #: decodes a given workload's trace at most once regardless of how many
-#: cells or sweep points it processes.
+#: cells it processes.
 _TRACES: dict[str, EventTrace] = {}
 
 
@@ -294,12 +292,6 @@ def _trace_for(
     )
     _TRACES[key] = trace
     return trace, times
-
-
-def _record_trace_task(name: str, cache_dir: Optional[str]) -> tuple[str, int, PhaseTimes]:
-    """Task ensuring *name*'s trace exists in the shared cache."""
-    trace, times = _trace_for(name, cache_dir)
-    return name, trace.header.events, times
 
 
 def _prepared_for(
@@ -920,146 +912,3 @@ def run_trials_parallel(
             + "; ".join(str(f) for f in results.failures)
         )
     return result
-
-
-# -- trace-driven parameter sweeps --------------------------------------------
-
-
-@dataclass
-class SweepPoint:
-    """Offline-pipeline summary for one parameter configuration.
-
-    What a sweep wants to see per config: how the affinity graph and the
-    resulting grouping/instrumentation respond to the knobs.  All fields
-    derive from a trace replay — no workload execution is involved.
-    """
-
-    workload: str
-    affinity_distance: int
-    merge_tolerance: float
-    max_groups: Optional[int]
-    groups: int
-    grouped_contexts: int
-    graph_nodes: int
-    monitored_sites: int
-    times: PhaseTimes = field(default_factory=PhaseTimes)
-
-
-def _sweep_task(
-    name: str, halo_params: HaloParams, cache_dir: Optional[str]
-) -> SweepPoint:
-    """Task for one sweep point: one pipeline run from trace for one config."""
-    times = PhaseTimes()
-    trace, trace_times = _trace_for(name, cache_dir)
-    times.add(trace_times)
-    workload = _workload(name)
-    with phase_span(times, "profile", workload=name, source="trace"):
-        profile = replay_profile(trace, workload.program, halo_params)
-    times.trace_replays += 1
-    with phase_span(times, "analyse", workload=name):
-        artifacts = optimise_profile(profile, halo_params)
-    return SweepPoint(
-        workload=name,
-        affinity_distance=halo_params.affinity.distance,
-        merge_tolerance=halo_params.grouping.merge_tolerance,
-        max_groups=halo_params.max_groups,
-        groups=len(artifacts.groups),
-        grouped_contexts=sum(len(g.members) for g in artifacts.groups),
-        graph_nodes=len(profile.graph),
-        monitored_sites=len(monitored_sites(artifacts.identification.selectors)),
-        times=times,
-    )
-
-
-def _sweep_key(name: str, config: HaloParams) -> str:
-    """Stable journal key for one sweep point (parameter-content hash)."""
-    digest = artifact_key(
-        workload=name,
-        profile_scale=PROFILE_SCALE,
-        halo_params=config,
-        kind="sweep-point",
-    )
-    return f"sweep:{name}:{digest[:16]}"
-
-
-def run_sweep_parallel(
-    name: str,
-    configs: Sequence[HaloParams],
-    jobs: int = 2,
-    cache: Optional[ArtifactCache] = None,
-    phase_times: Optional[PhaseTimes] = None,
-    task_timeout: Optional[float] = None,
-    max_retries: int = 2,
-    fault_plan: Optional[FaultPlan] = None,
-    checkpoint: Optional[Union[CheckpointJournal, str, Path]] = None,
-    resume: bool = False,
-    failures: Optional[list[FailedMeasurement]] = None,
-) -> list[SweepPoint]:
-    """Fan a trace-driven parameter sweep out over worker processes.
-
-    The workload is recorded at most once (a first wave populates the
-    shared trace cache); every configuration then replays the recording.
-    Point order follows *configs*; points that fail every retry are
-    omitted and reported via *failures*.  A corrupt trace never fails a
-    point: the replay layer falls back to direct execution per
-    :func:`~repro.harness.prepare.prepare_workload` semantics.
-    """
-    if jobs < 1:
-        raise ValueError(f"need at least one job, got {jobs}")
-    total = PhaseTimes()
-    journal = _as_journal(checkpoint)
-    done = _preload(journal, resume)
-    runner = _ResilientRunner(
-        jobs,
-        RetryPolicy(task_timeout=task_timeout, max_retries=max_retries),
-        fault_plan=fault_plan,
-        journal=journal,
-    )
-    with _shared_cache_dir(cache, runner.inline) as cache_dir:
-        try:
-            record_key = f"record:{name}"
-            if record_key not in done:
-                record = runner.run([
-                    _TaskSpec(
-                        key=record_key,
-                        fn=_record_trace_task,
-                        args=(name, cache_dir),
-                        workload=name,
-                        kind="record",
-                    )
-                ])
-                all_record_failures = record.failures
-                _fold_report(total, record)
-                for _, _, record_times in record.fresh.values():
-                    total.add(record_times)
-            else:
-                all_record_failures = []
-            keys = [_sweep_key(name, config) for config in configs]
-            specs = [
-                _TaskSpec(
-                    key=key,
-                    fn=_sweep_task,
-                    args=(name, config, cache_dir),
-                    workload=name,
-                    config=f"point-{index}",
-                    kind="sweep",
-                )
-                for index, (key, config) in enumerate(zip(keys, configs))
-                if key not in done
-            ]
-            report = runner.run(specs)
-        finally:
-            runner.close()
-    results = dict(done)
-    results.update(report.fresh)
-    points = [results[key] for key in keys if key in results]
-    for point in report.fresh.values():
-        if isinstance(point, SweepPoint):
-            total.add(point.times)
-    _fold_report(total, report)
-    if failures is not None:
-        failures.extend(all_record_failures)
-        failures.extend(report.failures)
-    if phase_times is not None:
-        phase_times.add(total)
-    return points

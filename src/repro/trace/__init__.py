@@ -5,22 +5,20 @@ measurement run.  This package removes that cost the way trace-driven
 binary-optimisation pipelines do: a :class:`TraceRecorder` captures the
 complete machine-event stream (calls, returns, allocations, frees,
 reallocations, heap accesses, compute work) into a compact varint/delta
-binary format, and a :class:`TraceReplayer` (or the lightweight
-:func:`replay_profile`) re-drives the affinity profiler, the HDS pipeline,
-and full allocator/cache measurements directly from the recording.
+binary format; :func:`replay_profile` re-drives the affinity profiler from
+it, the columnar engine (:mod:`repro.columnar`) measures allocator/cache
+configurations from its columns, and :class:`TraceReplayer` re-drives a
+full per-event :class:`~repro.machine.machine.Machine` as the oracle.
 
 Because workloads are deterministic in ``(name, scale)`` and never observe
 heap addresses, one trace per workload serves *every* parameter
 configuration — see :mod:`repro.trace.sweep` for the record-once,
-sweep-many helpers.
+sweep-many helpers (one in-process path each, ``halo trace sweep``
+included) and :mod:`repro.trace.access` for byte-address traces derived
+from the columnar placement.
 """
 
-from .access import (
-    AccessTrace,
-    AccessTraceRecorder,
-    derive_access_trace,
-    replay_geometries,
-)
+from .access import AccessTrace, AccessTraceRecorder, derive_access_trace
 from .format import (
     EventTrace,
     TraceFormatError,
@@ -50,7 +48,6 @@ __all__ = [
     "TraceWriter",
     "derive_access_trace",
     "record_workload",
-    "replay_geometries",
     "replay_profile",
     "sweep_affinity_distances",
     "sweep_cache_geometries",

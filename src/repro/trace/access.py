@@ -14,16 +14,21 @@ one event recording concretises into a different address trace per
 allocator, which is exactly the placement-vs-behaviour split the paper's
 offline/online boundary rests on.
 
-Traces are stored as flat numpy arrays, so a ref-scale run costs a few MiB.
+Both directions reuse the columnar engine: derivation is its placement
+pass plus the address gather (:func:`~repro.columnar.engine.place_trace`),
+and :meth:`AccessTrace.replay` is its filter chain
+(:func:`~repro.columnar.engine.simulate_hierarchy`).  The live recorder
+stays as the oracle derivation is tested against.  Traces are stored as
+flat numpy arrays, so a ref-scale run costs a few MiB.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ..cache.hierarchy import CacheHierarchy, HierarchyConfig, HierarchyStats
+from ..cache.hierarchy import HierarchyConfig, HierarchyStats
 from ..machine.events import Listener
 from ..machine.machine import Machine
 
@@ -67,84 +72,19 @@ class AccessTrace:
     def __len__(self) -> int:
         return int(self.addresses.shape[0])
 
-    def line_stream(self, line_size: int = 64) -> np.ndarray:
-        """The trace as a flat array of line addresses (straddles expanded).
-
-        Computed vectorised: for each access, the lines from
-        ``addr >> shift`` to ``(addr + size - 1) >> shift`` inclusive.
-        """
-        shift = line_size.bit_length() - 1
-        first = self.addresses >> shift
-        last = (self.addresses + self.sizes - 1) >> shift
-        spans = (last - first + 1).astype(np.int64)
-        if not len(self):
-            return np.empty(0, dtype=np.int64)
-        # Expand [first, last] ranges with a repeat + cumulative offset trick.
-        total = int(spans.sum())
-        starts = np.repeat(first, spans)
-        offsets = np.arange(total) - np.repeat(np.cumsum(spans) - spans, spans)
-        return starts + offsets
-
-    def replay(
-        self, config: HierarchyConfig | None = None, engine: str = "columnar"
-    ) -> HierarchyStats:
+    def replay(self, config: HierarchyConfig | None = None) -> HierarchyStats:
         """Drive a fresh hierarchy with this trace and return its counters.
 
-        The default ``columnar`` engine runs each structure as one
-        chunked :func:`~repro.columnar.kernel.lru_filter` pass (bit-
-        identical counters, far faster for geometry sweeps); pass
-        ``engine="event"`` to drive the per-line simulator instead.
+        Runs the columnar filter chain
+        (:func:`~repro.columnar.engine.simulate_hierarchy`), bit-identical
+        to feeding each access to :meth:`CacheHierarchy.access`.
         """
-        if engine == "columnar":
-            from ..columnar.kernel import lru_filter, validate_geometry
+        from ..columnar.engine import simulate_hierarchy
 
-            config = config or HierarchyConfig()
-            validate_geometry(config)
-            line = config.line_size
-            line_shift = line.bit_length() - 1
-            page_shift = config.page_size.bit_length() - 1
-            lines = self.line_stream(line)
-            # The per-line loop feeds the TLB one page per *line*.
-            pages = lines << line_shift >> page_shift
-            l1_misses, l1_missed = lru_filter(
-                lines, config.l1_size // (config.l1_assoc * line), config.l1_assoc
-            )
-            l2_misses, l2_missed = lru_filter(
-                l1_missed, config.l2_size // (config.l2_assoc * line), config.l2_assoc
-            )
-            l3_misses, _ = lru_filter(
-                l2_missed, config.l3_size // (config.l3_assoc * line), config.l3_assoc
-            )
-            tlb_misses, _ = lru_filter(pages, 1, config.tlb_entries)
-            return HierarchyStats(
-                accesses=int(lines.shape[0]),
-                l1_misses=l1_misses,
-                l2_misses=l2_misses,
-                l3_misses=l3_misses,
-                tlb_misses=tlb_misses,
-            )
-        if engine != "event":
-            raise ValueError(f"unknown replay engine {engine!r}")
-        hierarchy = CacheHierarchy(config)
-        l1 = hierarchy.l1.access_line
-        l2 = hierarchy.l2.access_line
-        l3 = hierarchy.l3.access_line
-        tlb = hierarchy.tlb.access_page
-        page_shift = hierarchy.config.page_size.bit_length() - 1
-        line_shift = hierarchy.config.line_size.bit_length() - 1
-        for line in self.line_stream(hierarchy.config.line_size).tolist():
-            if not l1(line):
-                if not l2(line):
-                    l3(line)
-            tlb(line << line_shift >> page_shift)
-        return hierarchy.snapshot()
-
-
-def replay_geometries(
-    trace: AccessTrace, configs: Sequence[HierarchyConfig]
-) -> list[HierarchyStats]:
-    """Replay *trace* through each geometry in *configs*."""
-    return [trace.replay(config) for config in configs]
+        stats, _, _ = simulate_hierarchy(
+            self.addresses, self.sizes, config or HierarchyConfig(), residency=False
+        )
+        return stats
 
 
 def derive_access_trace(
@@ -155,18 +95,14 @@ def derive_access_trace(
 ) -> AccessTrace:
     """Concretise an event trace into a byte-address trace.
 
-    Replays the placement-independent event stream through a real allocator
-    (default: the jemalloc-like size-class baseline) so every access gains
-    an absolute address.  Different allocator factories or seeds yield
-    different address traces from the same recording.
+    Places the placement-independent event stream's heap operations on a
+    real allocator (default: the jemalloc-like size-class baseline) with
+    the columnar placement pass, so every access gains an absolute
+    address.  Different allocator factories or seeds yield different
+    address traces from the same recording.
     """
-    from ..allocators.base import AddressSpace
     from ..allocators.size_class import SizeClassAllocator
-    from .replay import TraceReplayer
+    from ..columnar.engine import place_trace
 
-    if make_allocator is None:
-        make_allocator = SizeClassAllocator
-    recorder = AccessTraceRecorder()
-    machine = Machine(program, make_allocator(AddressSpace(seed)), listeners=[recorder])
-    TraceReplayer(trace, program).drive(machine)
-    return recorder.trace()
+    cols, _, _, addresses = place_trace(program, make_allocator or SizeClassAllocator, trace, seed)
+    return AccessTrace(addresses, cols.acc_size.astype(np.int32))

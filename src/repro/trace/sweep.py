@@ -13,6 +13,10 @@ single knob family:
 * :func:`sweep_group_counts` — the ``max_groups`` cap.
 * :func:`sweep_cache_geometries` — §5.2 what-if cache configurations, via a
   derived byte-address trace.
+
+``halo trace sweep`` runs these helpers in process: a sweep point costs
+one kernel-backed affinity replay at most, less than handing it to a
+worker process would.
 """
 
 from __future__ import annotations
@@ -98,11 +102,10 @@ def sweep_cache_geometries(
 ) -> list["HierarchyStats"]:
     """Replay one recording through each cache geometry (§5.2 what-ifs).
 
-    Concretises the event trace into a byte-address trace under the
-    baseline allocator once, then replays the addresses through every
-    geometry.
+    Places the trace under the baseline allocator once (the columnar
+    placement pass), then re-runs only the cache/TLB filters per geometry.
     """
-    from .access import derive_access_trace, replay_geometries
+    from .access import derive_access_trace
 
     address_trace = derive_access_trace(trace, program, seed=seed)
-    return replay_geometries(address_trace, configs)
+    return [address_trace.replay(config) for config in configs]

@@ -293,20 +293,56 @@ class TestHierarchySimulation:
 
     @pytest.mark.parametrize("seed", range(3))
     def test_access_trace_replay_engines_agree(self, seed):
+        """AccessTrace.replay (the columnar filter chain) == per-access hierarchy."""
         rng = np.random.default_rng(300 + seed)
         n = 2500
         addrs = (rng.integers(0, 1 << 26, size=n) + (1 << 36)).astype(np.int64)
         sizes = rng.choice([1, 8, 64, 200], size=n).astype(np.int32)
         trace = AccessTrace(addrs, sizes)
         for config in (HierarchyConfig(), HierarchyConfig(l1_size=8 * 1024, tlb_entries=8)):
-            assert trace.replay(config) == trace.replay(config, engine="event")
+            hierarchy = CacheHierarchy(config)
+            for a, s in zip(addrs.tolist(), sizes.tolist()):
+                hierarchy.access(a, s)
+            assert trace.replay(config) == hierarchy.snapshot()
 
-    def test_access_trace_replay_rejects_unknown_engine(self):
-        trace = AccessTrace(
-            np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int32)
-        )
-        with pytest.raises(ValueError, match="unknown replay engine"):
-            trace.replay(engine="warp")
+
+#: Cache geometries for the what-if sweep: the default, an embedded-class
+#: part with 8K/128K/2M caches and a 16-entry TLB, and the evaluation
+#: machine's named config.
+GEOMETRIES = (
+    HierarchyConfig(),
+    HierarchyConfig(
+        l1_size=8 * 1024, l1_assoc=4,
+        l2_size=128 * 1024, l2_assoc=8,
+        l3_size=2048 * 1024, l3_assoc=8,
+        tlb_entries=16,
+    ),
+    HierarchyConfig.xeon_w2195(),
+)
+
+
+class TestCacheGeometrySweep:
+    """One placement, many filter runs == one full measurement per geometry."""
+
+    @pytest.mark.parametrize("name", ["health", "povray", "mix-5x3-rr"])
+    def test_matches_measure_columnar(self, name):
+        from repro.allocators import ALLOCATOR_FAMILIES
+        from repro.columnar.engine import measure_columnar
+        from repro.trace import record_workload, sweep_cache_geometries
+
+        workload = get_workload(name)
+        trace = record_workload(name, scale="test")
+        swept = sweep_cache_geometries(trace, workload.program, GEOMETRIES, seed=3)
+        measured = [
+            measure_columnar(
+                workload, ALLOCATOR_FAMILIES["baseline"], "baseline", trace,
+                scale="test", seed=3, hierarchy_config=geometry,
+            ).cache
+            for geometry in GEOMETRIES
+        ]
+        assert swept == measured
+        # The embedded part must actually miss more, or the sweep is vacuous.
+        assert swept[1].l1_misses > swept[0].l1_misses
 
 
 class TestTraceColumns:

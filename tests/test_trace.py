@@ -608,7 +608,7 @@ class TestCli:
             main(
                 [
                     "trace", "sweep", str(trace_file),
-                    "--merge-tolerance", "0.01,0.2", "--no-cache",
+                    "--merge-tolerance", "0.01,0.2",
                 ]
             )
             == 0
@@ -616,3 +616,57 @@ class TestCli:
         out = capsys.readouterr().out
         assert "2-point merge-tolerance sweep" in out
         assert "no workload re-execution" in out
+
+    def test_sweep_replays_the_given_trace_in_process(self, tmp_path, capsys):
+        """``trace sweep`` sweeps the file it is given: it never records,
+        replays once per distinct affinity setting, and prints exactly
+        what :func:`sweep_pipeline` computes from that file."""
+        import json
+        from dataclasses import replace
+
+        from repro.cli import main
+        from repro.core.selectors import monitored_sites
+        from repro.harness.prepare import halo_params_for
+        from repro.trace import sweep_pipeline
+
+        trace_file = tmp_path / "health-seed5.trace"
+        record = ["trace", "record", "-b", "health", "--seed", "5", "-o", str(trace_file)]
+        assert main(record) == 0
+        trace = EventTrace.load(trace_file)
+        workload = get_workload("health")
+        base = halo_params_for(workload)
+        tolerances, distances = (0.05, 0.4, 0.8), (8, 128, 512)
+        knobs = [
+            ("--merge-tolerance", tolerances, 1, [
+                replace(base, grouping=replace(base.grouping, merge_tolerance=t))
+                for t in tolerances
+            ]),
+            ("--affinity-distance", distances, 3, [
+                base.with_affinity_distance(d) for d in distances
+            ]),
+        ]
+        for flag, values, replays, configs in knobs:
+            metrics = tmp_path / f"{flag[2:]}.json"
+            capsys.readouterr()
+            sweep = ["trace", "sweep", str(trace_file), flag, ",".join(map(str, values))]
+            assert main(sweep + ["--metrics-out", str(metrics)]) == 0
+            out = capsys.readouterr().out
+            counters = json.loads(metrics.read_text())["counters"]
+            assert not [key for key in counters if key.startswith("trace.records")]
+            assert sum(
+                value for key, value in counters.items() if key.startswith("trace.replays")
+            ) == replays
+            lines = out.splitlines()
+            start = next(i for i, line in enumerate(lines) if line.startswith("---")) + 1
+            rows = [line.split() for line in lines[start:start + len(values)]]
+            expected = [
+                [
+                    str(value),
+                    str(len(a.groups)),
+                    str(sum(len(g.members) for g in a.groups)),
+                    str(len(a.profile.graph)),
+                    str(len(monitored_sites(a.identification.selectors))),
+                ]
+                for value, a in zip(values, sweep_pipeline(trace, workload.program, configs))
+            ]
+            assert rows == expected

@@ -5,28 +5,15 @@ import pytest
 
 from repro.allocators import AddressSpace, SizeClassAllocator
 from repro.cache import CacheHierarchy, HierarchyConfig
-from repro.trace.access import AccessTrace, AccessTraceRecorder, replay_geometries
+from repro.trace.access import AccessTrace, AccessTraceRecorder
 from repro.machine import Machine
 from repro.workloads import get_workload
 
 
 class TestAccessTrace:
-    def test_line_stream_simple(self):
-        trace = AccessTrace(np.array([0, 64, 128]), np.array([8, 8, 8]))
-        assert trace.line_stream(64).tolist() == [0, 1, 2]
-
-    def test_line_stream_straddle(self):
-        trace = AccessTrace(np.array([60]), np.array([8]))
-        assert trace.line_stream(64).tolist() == [0, 1]
-
-    def test_line_stream_large_access(self):
-        trace = AccessTrace(np.array([0]), np.array([256]))
-        assert trace.line_stream(64).tolist() == [0, 1, 2, 3]
-
     def test_empty(self):
         trace = AccessTrace(np.array([], dtype=np.int64), np.array([], dtype=np.int32))
         assert len(trace) == 0
-        assert trace.line_stream().size == 0
         assert trace.replay().accesses == 0
 
     def test_mismatched_arrays_rejected(self):
@@ -68,7 +55,7 @@ class TestReplayEquivalence:
             l3_size=2048 * 1024, l3_assoc=8,
             tlb_entries=16,
         )
-        default_stats, lean_stats = replay_geometries(trace, [HierarchyConfig(), lean])
+        default_stats, lean_stats = trace.replay(HierarchyConfig()), trace.replay(lean)
         assert lean_stats.l1_misses >= default_stats.l1_misses
         assert lean_stats.l2_misses >= default_stats.l2_misses
         assert lean_stats.tlb_misses >= default_stats.tlb_misses
