@@ -41,7 +41,13 @@ from .base import (
 
 
 class GroupMatcher(Protocol):
-    """Decides group membership from the group-state vector (Section 4.3)."""
+    """Decides group membership from the group-state vector (Section 4.3).
+
+    ``match`` must depend only on *state* and, for a matcher with a
+    ``machine`` attribute, on that machine's live call stack: the
+    columnar engine calls it once per distinct (state, stack) and reuses
+    the answer for every allocation with the same pair.
+    """
 
     def match(self, state: int) -> Optional[int]:
         """Return the matching group id for state-vector value *state*."""

@@ -3,32 +3,39 @@
 ``measure_columnar`` produces the same :class:`Measurement` a per-event
 :class:`~repro.trace.replay.TraceReplayer` run would — bit-identical
 cycles, per-level cache/TLB miss counts, allocator statistics, peak
-live bytes and fragmentation-at-peak — without dispatching one Python
-method call per event.  The decomposition exploits three structural
-facts of the simulator:
+live bytes and fragmentation-at-peak — in one Python loop over the heap
+operations alone.  The decomposition exploits four structural facts of
+the simulator:
 
-* **Placement is residency-independent.**  Every allocator's placement
-  decisions read only the operation sequence (plus, for grouped
-  allocators, the state vector / call stack at each allocation), never
-  page residency — so heap operations can be replayed in a lean loop
-  that skips all page accounting, yielding every object's base address
-  up front.
+* **Selectors are a function of the call/return stream.**  A grouped
+  allocator's matcher reads only the group-state vector and the live
+  call stack at each allocation.  Both follow from the control ops
+  alone: bit *b* is set iff its last toggle before the op was a set,
+  and the stack is a node of the trace's call-site trie.  Numpy gives
+  every allocation its (state, node) key up front, and the matcher runs
+  once per distinct key (spans ``columnar.selectors`` and
+  ``columnar.place``), so the loop never walks a call or a return.
+* **Live bytes are a prefix sum.**  Every allocator counts requested
+  sizes, so the live-byte peak, and the allocation it is reached at,
+  are known before placement starts.
 * **The hierarchy factorises per structure.**  L1/L2/L3/TLB are
   independent state machines; the interleaved per-access walk is
   equivalent to running the full line stream through L1, its miss
   stream through L2, and so on — which is what the chunked
   :func:`~repro.columnar.kernel.lru_filter` kernel does over
-  precomputed set/tag columns.
-* **Fragmentation is only read at one instant.**  The per-event path
-  snapshots fragmentation at every new live-byte peak; only the last
-  snapshot survives.  The lean pass locates that allocation ordinal,
-  and a second pass with page-residency flushes reproduces the snapshot
-  exactly once.
+  precomputed set/tag columns (``columnar.hierarchy``).
+* **Fragmentation is only read at one instant.**  Placement never reads
+  page residency, so the loop touches no page for an access.  At the
+  peak allocation it snapshots the allocator's live and high-water
+  bytes and the chunk pages the allocator touched itself, and it logs
+  every chunk purge with its op position.  A chunk page is resident at
+  the peak iff its last touch (the allocator's, or an access's from the
+  hierarchy's page stream) came after its last purge
+  (``columnar.residency``).
 
-Runs with a grouped allocator therefore take two passes (lean, then
-residency-tracking); the jemalloc-like baseline and random-pool
-configurations need only the lean pass.  The per-event Machine path
-remains the differential oracle — see ``tests/test_columnar.py``.
+The per-event Machine path remains the differential oracle — see
+``tests/test_columnar.py``, ``tests/test_selector_columns.py`` and
+``tests/test_engine_oracle.py``.
 """
 
 from __future__ import annotations
@@ -37,14 +44,16 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from ..allocators.base import AddressSpace, Allocator
+from ..allocators.base import PAGE_SHIFT, PAGE_SIZE, AddressSpace, Allocator
 from ..allocators.group import FragmentationSnapshot, GroupAllocator
 from ..cache.hierarchy import HierarchyConfig, HierarchyStats
 from ..cache.sharing import FalseSharingTracker
 from ..cache.timing import CostModel
 from ..machine.machine import Machine, MachineMetrics
 from ..machine.program import Program
-from ..trace.format import OP_ALLOC, OP_CALL, OP_FREE, OP_RETURN, EventTrace, TraceColumns
+from ..trace.format import (
+    OP_ALLOC, OP_CALL, OP_FREE, OP_REALLOC, CallTrie, EventTrace, TraceColumns,
+)
 from ..workloads.base import Workload
 from .kernel import expand_ranges, lru_filter, validate_geometry
 from .. import obs
@@ -57,8 +66,8 @@ def simulate_hierarchy(
 
     Returns the hierarchy counters plus the flat page stream and its
     per-access prefix index (``page_starts[i]`` = pages preceding access
-    *i*), which the residency pass reuses for page-touch flushing; both
-    are None when *residency* is off.
+    *i*), from which the fragmentation snapshot's page residency is
+    computed; both are None when *residency* is off.
     """
     validate_geometry(config)
     line_shift = config.line_size.bit_length() - 1
@@ -125,248 +134,264 @@ def _compute_cycles(works: np.ndarray) -> float:
     return total
 
 
-def _build_machine(
-    program: Program,
-    make_allocator: Callable[[AddressSpace], Allocator],
-    seed: int,
-    instrumentation: Optional[dict[int, int]],
-    state_vector,
-    attach: Optional[Callable[[Machine], None]],
-) -> Machine:
-    """One fresh (space, allocator, machine) triple, attach hooks applied.
-
-    Mirrors ``run_measurement``'s construction order exactly — factory,
-    then machine, then attach — so holder-based runtime factories (halo,
-    hds, calder) wire their matcher/state-vector into the right pass.
-    """
-    space = AddressSpace(seed)
-    allocator = make_allocator(space)
-    machine = Machine(
-        program,
-        allocator,
-        memory=None,
-        instrumentation=instrumentation,
-        state_vector=state_vector,
-    )
-    if attach is not None:
-        attach(machine)
-    return machine
-
-
 class _Placement:
-    """What a placement pass learned: every object's base address, the
+    """What the placement pass learned: every object's base address, the
     realloc moves (``(acc_ptr, oid, new_base)``), every realloc's
-    resulting address in op order, the live-byte peak and the allocation
-    ordinal it was reached at, the instrumentation toggle count, and (on
-    a residency pass) the fragmentation snapshot at the peak."""
+    resulting address in op order, the live-byte peak, the
+    instrumentation toggle count, and for a grouped allocator the
+    distinct selector keys it resolved and the heap at the peak."""
 
-    __slots__ = ("bases", "moves", "realloc_addrs", "peak_live", "peak_at", "toggles", "frag")
+    __slots__ = ("bases", "moves", "realloc_addrs", "peak_live", "toggles", "keys", "peak")
 
     def __init__(self) -> None:
         self.bases: list[int] = []
         self.moves: list[tuple[int, int, int]] = []
         self.realloc_addrs: list[int] = []
-        self.peak_live = 0
-        self.peak_at = -1
-        self.toggles = 0
-        self.frag: Optional[FragmentationSnapshot] = None
+        self.peak_live = self.toggles = self.keys = 0
+        self.peak: Optional[_Peak] = None
 
 
-def _heap_pass(cols, machine: Machine) -> _Placement:
-    """Lean replay of heap operations only (stack/state-independent policy).
+def _live_peak(cols, allocator: Allocator) -> tuple[int, int]:
+    """The live-byte peak and the allocation ordinal it is first reached at.
 
-    Valid when the allocator never consults the state vector or call
-    stack (baseline, random pools, the standalone families).  Thread
-    switches reach a thread-aware allocator between runs of ops.
+    Every allocator counts requested sizes, so live bytes are a prefix
+    sum over the heap columns, sampled after allocations as the
+    per-event tracker samples them.  An allocator on the base-class
+    ``realloc`` keeps a block's recorded size through a shrink.
+    """
+    if not cols.allocs:
+        return 0, -1
+    ops, a, b, _ = cols.heap
+    is_alloc = ops == OP_ALLOC
+    held = a[is_alloc]  # bytes each object holds, by oid
+    delta = a.copy()
+    if cols.reallocs:
+        keeps = type(allocator).realloc is Allocator.realloc
+        for at in np.flatnonzero(ops == OP_REALLOC).tolist():
+            oid, size = int(a[at]), int(b[at])
+            size = max(size, int(held[oid])) if keeps else size
+            delta[at] = size - held[oid]
+            held[oid] = size
+    frees = ops == OP_FREE
+    delta[frees] = -held[a[frees]]
+    live = np.cumsum(delta)[is_alloc]
+    at = int(np.argmax(live))
+    return int(live[at]), at
+
+
+def _state_words(ops: np.ndarray, trie: CallTrie, instrumentation: dict, at: np.ndarray):
+    """The group-state vector before each control op of *at*, as 64-bit
+    words (bit *b* in word ``b // 64``).
+
+    Bit *b* is set iff its last toggle before the op was a set: a call
+    through a site instrumented with *b* sets it, and the return that
+    closes that call clears it.  That is the non-reference-counted
+    :meth:`~repro.machine.machine.GroupStateVector.clear`: returning from
+    a recursive re-entry clears the bit under a still-open outer call.
+    Each toggle that changes its bit adds or removes ``1 << b``, so a
+    word is a prefix sum of changes (mod 2**64, exact: it is in range).
+    """
+    site_bit = np.array([instrumentation.get(site, -1) for site in trie.sites], dtype=np.int64)
+    call_bit = site_bit[trie.call_site]
+    toggle_bit = np.full(ops.shape[0], -1, dtype=np.int64)
+    toggle_bit[trie.calls] = call_bit
+    returns, closes = trie.closing()
+    toggle_bit[returns] = call_bit[closes]
+    position = np.flatnonzero(toggle_bit >= 0)
+    bit = toggle_bit[position]
+    on = (ops[position] == OP_CALL).view(np.int8)
+    # Each bit's toggles in stream order give its value before each one.
+    by_bit = np.argsort(bit, kind="stable")
+    same = bit[by_bit[1:]] == bit[by_bit[:-1]]
+    was = np.zeros_like(on)
+    was[by_bit[1:][same]] = on[by_bit[:-1][same]]
+    change = on - was
+    before = np.searchsorted(position, at)  # toggles preceding each op
+    words = []
+    for word in range(int(bit.max(initial=-1)) // 64 + 1):
+        mine = (change != 0) & (bit >> 6 == word)
+        one = np.left_shift(np.uint64(1), (bit[mine] & 63).astype(np.uint64))
+        step = np.zeros(position.shape[0] + 1, dtype=np.uint64)
+        step[1:][mine] = np.where(change[mine] > 0, one, ~one + np.uint64(1))
+        words.append(np.cumsum(step, dtype=np.uint64)[before])
+    return words
+
+
+class _Selectors:
+    """The group allocator's matcher while the placement pass runs.
+
+    Every heap op that may call ``malloc`` (allocs and reallocs) has a
+    key: the group-state word (under instrumentation) and the
+    call-site-trie node of the live stack (when the matcher reads the
+    stack).  The real matcher runs once per distinct key, with
+    ``machine.stack`` materialised from the node.  The pass sets ``key``,
+    and the state vector to that key's word, before each such op;
+    ``match`` then returns the key's group.  A state that is not the
+    op's own (a fault-flipped vector) resolves its own key.
+    """
+
+    __slots__ = ("key", "keys", "states", "nodes", "gids", "matcher", "_machine", "_trie")
+
+    def __init__(self, cols, machine: Machine) -> None:
+        self.matcher = matcher = machine.allocator.matcher
+        instrumentation = machine.instrumentation
+        reads_stack = hasattr(matcher, "machine")
+        ops = cols.ctrl[0]
+        at = np.flatnonzero((ops == OP_ALLOC) | (ops == OP_REALLOC))
+        trie = cols.call_trie() if cols.calls and (reads_stack or instrumentation) else None
+        words = _state_words(ops, trie, instrumentation, at) if trie and instrumentation else []
+        node = trie.nodes(at) if trie and reads_stack else np.zeros(at.shape[0], dtype=np.int32)
+        key = np.zeros(at.shape[0], dtype=np.int64)
+        for column in (*words, node):
+            _, code = np.unique(column, return_inverse=True)
+            _, key = np.unique(key * (int(code.max(initial=0)) + 1) + code, return_inverse=True)
+        first = np.unique(key, return_index=True)[1].tolist()
+        self.key = 0
+        self.keys = key.tolist()
+        self.states = [sum(int(word[i]) << (64 * w) for w, word in enumerate(words)) for i in first]
+        self.nodes = node[first].tolist()
+        self._machine, self._trie = machine, trie
+        self.gids = list(map(self._resolve, self.states, self.nodes))
+
+    def _resolve(self, state: int, node: int) -> Optional[int]:
+        if self._trie is not None:
+            sites = self._machine.program.sites
+            self._machine.stack[:] = [sites[addr] for addr in self._trie.path(node)]
+        return self.matcher.match(state)
+
+    def match(self, state: int) -> Optional[int]:
+        key = self.key
+        if state == self.states[key]:
+            return self.gids[key]
+        return self._resolve(state, self.nodes[key])
+
+
+class _Peak:
+    """The grouped heap at the live-byte peak, as the placement pass saw it.
+
+    The allocator's snapshot has exact live and high-water bytes, but
+    its resident bytes count only the chunk pages the allocator touched
+    itself (``held``): the pass touches no page for an access.
+    ``purges`` are the chunk purges before the peak, as
+    ``(acc_ptr, base, size)``.
+    """
+
+    __slots__ = ("frag", "ptr", "spans", "held", "purges")
+
+    def __init__(self, allocator: GroupAllocator, ptr: int, purges: list) -> None:
+        self.frag = allocator.fragmentation()
+        self.ptr = ptr
+        self.spans = sorted(  # each chunk's first and last page
+            (chunk.base >> PAGE_SHIFT, (chunk.base + chunk.size - 1) >> PAGE_SHIFT)
+            for chunk in allocator._chunks.values()
+        )
+        self.held = np.array(sorted(allocator.space._touched_pages), dtype=np.int64)
+        self.purges = list(purges)
+
+    def fragmentation(self, pages: np.ndarray, page_starts: np.ndarray) -> FragmentationSnapshot:
+        """The snapshot with page residency from the hierarchy's page stream.
+
+        A chunk page is resident iff its last touch before the peak (the
+        allocator's, or an access's) came after its last purge.  Access
+        *i* precedes a heap op at ``acc_ptr`` *p* iff *i* < *p*, so a
+        purge at *p* wipes the stream's pages before ``page_starts[p]``.
+        """
+        if not self.spans:
+            return self.frag  # no chunk yet: nothing grouped is resident
+        first, last = np.array(self.spans, dtype=np.int64).T
+        chunk_pages = np.unique(np.concatenate([np.arange(lo, hi + 1) for lo, hi in self.spans]))
+        # Stream position of each chunk page's last access before the peak.
+        touched = pages[:int(page_starts[self.ptr])]
+        slot = np.minimum(np.searchsorted(chunk_pages, touched), chunk_pages.shape[0] - 1)
+        inside = np.flatnonzero(chunk_pages[slot] == touched)
+        newest = np.full(chunk_pages.shape[0], -1, dtype=np.int64)
+        np.maximum.at(newest, slot[inside], inside)
+        wiped = np.zeros(chunk_pages.shape[0], dtype=np.int64)
+        for ptr, base, size in self.purges:
+            span = [base >> PAGE_SHIFT, (base + size - 1) >> PAGE_SHIFT]
+            lo, hi = np.searchsorted(chunk_pages, span)
+            wiped[lo:hi + 1] = page_starts[ptr]
+        resident = np.union1d(chunk_pages[newest >= wiped], self.held)
+        counted = np.searchsorted(resident, last, side="right") - np.searchsorted(resident, first)
+        return FragmentationSnapshot(
+            live_bytes=self.frag.live_bytes,
+            resident_bytes=int(counted.sum()) * PAGE_SIZE,
+            high_water_bytes=self.frag.high_water_bytes,
+        )
+
+
+def _place(cols, machine: Machine) -> _Placement:
+    """The one placement pass: every heap op, in stream order, on the
+    machine's allocator; calls and returns are never walked.
+
+    A grouped allocator consults the selector keys (``columnar.selectors``)
+    through a matcher stand-in, logs its chunk purges, and is
+    snapshotted at the peak allocation.  Thread switches reach a
+    thread-aware allocator between runs of ops.
     """
     allocator = machine.allocator
-    stats = allocator.stats
-    fallback = getattr(allocator, "fallback", None)
-    fb_stats = fallback.stats if fallback is not None else None
-    al_malloc = allocator.malloc
-    al_free = allocator.free
-    al_realloc = allocator.realloc
-    set_thread = getattr(allocator, "set_thread", None)
-    segments = cols.segments(threaded=set_thread is not None)
     out = _Placement()
-    bases = out.bases
-    moves = out.moves
-    peak_live = 0
-    if fb_stats is None and cols.reallocs == 0:
-        # Fast path: no fallback means the allocator's own running peak
-        # is sampled at exactly the same instants the per-event tracker
-        # samples (after each malloc; frees never raise it, and there
-        # are no reallocs in the stream), so per-op tracking drops out.
-        append_base = bases.append
-        for thread, ops in segments:
-            if thread is not None:
-                set_thread(thread)
-            for ev in ops:
-                if ev[0] == OP_ALLOC:
-                    append_base(al_malloc(ev[1]))
-                else:  # OP_FREE
-                    al_free(bases[ev[1]])
-        peak_live = stats.peak_live_bytes
-    else:
-        cur: list[int] = []
-        realloc_addrs = out.realloc_addrs
-        for thread, ops in segments:
-            if thread is not None:
-                set_thread(thread)
-            for op, a, b, ptr in ops:
-                if op == OP_ALLOC:
-                    addr = al_malloc(a)
-                    cur.append(addr)
-                    bases.append(addr)
-                    live = stats.live_bytes
-                    if fb_stats is not None:
-                        live += fb_stats.live_bytes
-                    if live > peak_live:
-                        peak_live = live
-                elif op == OP_FREE:
-                    al_free(cur[a])
-                else:  # OP_REALLOC
-                    old = cur[a]
-                    new = al_realloc(old, b)
-                    realloc_addrs.append(new)
-                    if new != old:
-                        cur[a] = new
-                        moves.append((ptr, a, new))
-    out.peak_live = peak_live
+    out.peak_live, peak_at = _live_peak(cols, allocator)
     instrumentation = machine.instrumentation
     if instrumentation:
         # Every instrumented call toggles its bit on entry and exit
         # (trailing scopes are auto-closed by the replayer), so the total
         # is exactly two per instrumented call.
         out.toggles = 2 * int(np.isin(cols.call_addrs, list(instrumentation)).sum())
-    return out
+    grouped = isinstance(allocator, GroupAllocator)
+    snap = peak_at + 1 if grouped else 0
+    purges: list[tuple[int, int, int]] = []
+    ptr = 0
+    if grouped:
+        with obs.span("columnar.selectors"):
+            selectors = _Selectors(cols, machine)
+        out.keys = len(selectors.gids)
+        next_key = iter(selectors.keys).__next__
+        states = selectors.states
+        vector = machine.state_vector
+        space = allocator.space
+        purge = space.purge
 
+        def log_purge(base: int, size: int) -> None:
+            purges.append((ptr, base, size))  # ptr: the heap op being placed
+            purge(base, size)
 
-#: Pages turned into Python ints at a time by the residency pass.
-_PAGE_BLOCK = 1 << 13
-
-
-def _grouped_pass(
-    cols,
-    machine: Machine,
-    pages: Optional[np.ndarray] = None,
-    page_starts: Optional[np.ndarray] = None,
-    bases_check: Optional[list] = None,
-    peak_ordinal: int = -1,
-) -> _Placement:
-    """Replay heap *and* control events for state/stack-reading allocators.
-
-    Maintains exactly what a grouped allocator can observe at malloc
-    time — the state-vector bits of instrumented sites and (for matchers
-    that read it) the live call stack.  Without *pages*, this is the
-    lean discovery pass; with *pages*/*page_starts* it additionally
-    replays page residency (touching each access's pages before the next
-    heap operation, which is when purges can observe them) and captures
-    the fragmentation snapshot at allocation *peak_ordinal*.
-    """
-    allocator = machine.allocator
-    stats = allocator.stats
-    fb_stats = allocator.fallback.stats
-    al_malloc = allocator.malloc
-    al_free = allocator.free
-    al_realloc = allocator.realloc
+        allocator.matcher = selectors
+        space.purge = log_purge
+    al_malloc, al_free, al_realloc = allocator.malloc, allocator.free, allocator.realloc
     set_thread = getattr(allocator, "set_thread", None)
-    state_vector = machine.state_vector
-    instrumentation = machine.instrumentation
-    needs_bits = bool(instrumentation)
-    matcher = getattr(allocator, "matcher", None)
-    needs_stack = matcher is not None and hasattr(matcher, "machine")
-    stack = machine.stack
-    sites = machine.program.sites
-    instr_get = instrumentation.get
-    sv_set = state_vector.set
-    sv_clear = state_vector.clear
-    out = _Placement()
-    bases = out.bases
-    moves = out.moves
-    realloc_addrs = out.realloc_addrs
+    bases, moves, realloc_addrs = out.bases, out.moves, out.realloc_addrs
     cur: list[int] = []
-    bit_stack: list = []
-    toggles = 0
-    peak_live = 0
-    peak_at = -1
-    frag: Optional[FragmentationSnapshot] = None
-    tracking = pages is not None
-    touched = allocator.space._touched_pages if tracking else None
-    # pages[flushed:] are not yet touched; block caches pages[block_lo:block_hi]
-    # as Python ints, so no pass holds a whole trace's worth of page objects.
-    flushed = block_lo = block_hi = 0
-    block: list[int] = []
-    for thread, ops in cols.segments(ctrl=True, threaded=set_thread is not None):
-        if thread is not None:
-            set_thread(thread)
-        for op, a, b, ptr in ops:
-            if op == OP_CALL:
-                if needs_stack:
-                    stack.append(sites[a])
-                if needs_bits:
-                    bit = instr_get(a)
-                    bit_stack.append(bit)
-                    if bit is not None:
-                        sv_set(bit)
-                        toggles += 1
-                continue
-            if op == OP_RETURN:
-                if needs_bits:
-                    bit = bit_stack.pop()
-                    if bit is not None:
-                        sv_clear(bit)
-                        toggles += 1
-                if needs_stack:
-                    stack.pop()
-                continue
-            if tracking:
-                upto = int(page_starts[ptr])
-                if upto > flushed:
-                    if upto > block_hi:
-                        block_lo = (upto - 1) & -_PAGE_BLOCK
-                        if block_lo > flushed:
-                            touched.update(pages[flushed:block_lo].tolist())
-                            flushed = block_lo
-                        block = pages[block_lo:block_lo + _PAGE_BLOCK].tolist()
-                        block_hi = block_lo + len(block)
-                    touched.update(block[flushed - block_lo:upto - block_lo])
-                    flushed = upto
-            if op == OP_ALLOC:
-                addr = al_malloc(a)
-                cur.append(addr)
-                bases.append(addr)
-                if tracking:
-                    if addr != bases_check[len(bases) - 1]:
-                        raise RuntimeError(
-                            "columnar engine: allocator placement diverged between "
-                            "passes (non-deterministic allocator?)"
-                        )
-                    if len(bases) - 1 == peak_ordinal:
-                        frag = allocator.fragmentation()
-                else:
-                    live = stats.live_bytes + fb_stats.live_bytes
-                    if live > peak_live:
-                        peak_live = live
-                        peak_at = len(bases) - 1
-            elif op == OP_FREE:
-                al_free(cur[a])
-            else:  # OP_REALLOC
-                old = cur[a]
-                new = al_realloc(old, b)
-                realloc_addrs.append(new)
-                if new != old:
-                    cur[a] = new
-                    moves.append((ptr, a, new))
-    while bit_stack:  # truncated traces: auto-closed trailing scopes
-        bit = bit_stack.pop()
-        if bit is not None:
-            sv_clear(bit)
-            toggles += 1
-    out.peak_live = peak_live
-    out.peak_at = peak_at
-    out.toggles = toggles
-    out.frag = frag
+    try:
+        with obs.span("columnar.place"):
+            for thread, ops in cols.segments(threaded=set_thread is not None):
+                if thread is not None:
+                    set_thread(thread)
+                for op, a, b, ptr in ops:
+                    if op == OP_FREE:
+                        al_free(cur[a])
+                        continue
+                    if grouped:
+                        selectors.key = key = next_key()
+                        vector.value = states[key]
+                    if op == OP_ALLOC:
+                        addr = al_malloc(a)
+                        cur.append(addr)
+                        bases.append(addr)
+                        if len(bases) == snap:
+                            out.peak = _Peak(allocator, ptr, purges)
+                    else:  # OP_REALLOC
+                        old = cur[a]
+                        new = al_realloc(old, b)
+                        realloc_addrs.append(new)
+                        if new != old:
+                            cur[a] = new
+                            moves.append((ptr, a, new))
+    finally:
+        if grouped:
+            allocator.matcher = selectors.matcher
+            del space.purge
+            machine.stack.clear()
     return out
 
 
@@ -429,13 +454,6 @@ def _address_column(cols, placement: _Placement) -> np.ndarray:
     return addr
 
 
-def _place(cols, machine: Machine) -> _Placement:
-    """The placement pass the machine's allocator needs."""
-    if isinstance(machine.allocator, GroupAllocator):
-        return _grouped_pass(cols, machine)
-    return _heap_pass(cols, machine)
-
-
 def place_trace(
     program: Program,
     make_allocator: Callable[[AddressSpace], Allocator],
@@ -453,9 +471,14 @@ def place_trace(
     every access.
     """
     cols = trace.columns()
-    machine = _build_machine(
-        program, make_allocator, seed, instrumentation, state_vector, attach
+    # run_measurement's construction order (factory, machine, attach), so
+    # holder-based runtime factories (halo, hds, calder) wire up alike.
+    machine = Machine(
+        program, make_allocator(AddressSpace(seed)),
+        instrumentation=instrumentation, state_vector=state_vector,
     )
+    if attach is not None:
+        attach(machine)
     placement = _place(cols, machine)
     return cols, machine, placement, _address_column(cols, placement)
 
@@ -487,10 +510,10 @@ def score_trace(
     """Cycles-only score of one allocator configuration over *trace*.
 
     The serving daemon's canary: identical placement and hierarchy
-    simulation to :func:`measure_columnar`, but a single lean pass (no
-    fragmentation snapshot, which needs the residency replay) and no
-    observability publication — scoring candidates must not perturb the
-    service's own metrics.  Scores are comparable across calls with the
+    simulation to :func:`measure_columnar`, but no page residency (the
+    fragmentation snapshot is not reported) and no ``measure.*``
+    publication — scoring candidates must not perturb the service's own
+    metrics.  Scores are comparable across calls with the
     same trace, seed, cost model, and hierarchy geometry.
     """
     cost_model = cost_model or CostModel()
@@ -498,7 +521,8 @@ def score_trace(
     cols, _, placement, addr = place_trace(
         workload.program, make_allocator, trace, seed, instrumentation, state_vector, attach
     )
-    cache, _, _ = simulate_hierarchy(addr, cols.acc_size, hconfig, residency=False)
+    with obs.span("columnar.hierarchy"):
+        cache, _, _ = simulate_hierarchy(addr, cols.acc_size, hconfig, residency=False)
     return cost_model.cycles(_metrics(cols, placement.toggles), cache)
 
 
@@ -530,28 +554,15 @@ def measure_columnar(
         workload.program, make_allocator, trace, seed, instrumentation, state_vector, attach
     )
     allocator = machine.allocator
-    grouped = isinstance(allocator, GroupAllocator)
-    cache, pages, page_starts = simulate_hierarchy(
-        addr, cols.acc_size, hconfig, residency=grouped
-    )
-
-    frag: Optional[FragmentationSnapshot] = None
-    if grouped:
-        # Second pass on a fresh, identically-seeded allocator: replay
-        # with page residency so the fragmentation snapshot at the peak
-        # allocation is exact (purges and header touches included).
-        machine = _build_machine(
-            workload.program, make_allocator, seed, instrumentation, state_vector, attach
+    peak = placement.peak
+    with obs.span("columnar.hierarchy"):
+        cache, pages, page_starts = simulate_hierarchy(
+            addr, cols.acc_size, hconfig, residency=peak is not None
         )
-        allocator = machine.allocator
-        frag = _grouped_pass(
-            cols,
-            machine,
-            pages=pages,
-            page_starts=page_starts,
-            bases_check=placement.bases,
-            peak_ordinal=placement.peak_at,
-        ).frag
+    frag: Optional[FragmentationSnapshot] = None
+    if peak is not None:
+        with obs.span("columnar.residency"):
+            frag = peak.fragmentation(pages, page_starts)
         del pages, page_starts
 
     metrics = _metrics(cols, placement.toggles)
@@ -560,6 +571,8 @@ def measure_columnar(
             workload.name, config, metrics, cache, allocator, placement.peak_live,
             sharing=_false_sharing(cols, placement, addr),
         )
+        if placement.keys:
+            obs.inc("columnar.selector.keys", placement.keys, workload=workload.name, config=config)
     return Measurement(
         workload=workload.name,
         config=config,

@@ -92,22 +92,3 @@ class NeverMatch:
     def match(self, state: int) -> Optional[int]:
         """Always None: every allocation goes to the fallback allocator."""
         return None
-
-
-class StaticChainMatcher:
-    """Matches on explicit chains rather than state bits.
-
-    Used by the hot-data-streams baseline, which identifies groups by the
-    immediate call site of the allocation procedure: the 'chain' consulted
-    is just that one site.  Also convenient in unit tests.
-    """
-
-    def __init__(self, group_of_site: dict[int, int]) -> None:
-        self._group_of_site = dict(group_of_site)
-        self.current_site: Optional[int] = None
-
-    def match(self, state: int) -> Optional[int]:
-        """Group for ``current_site`` (the state vector is ignored)."""
-        if self.current_site is None:
-            return None
-        return self._group_of_site.get(self.current_site)

@@ -11,6 +11,8 @@ documents the same set.  Names are dot-separated, grouped by family:
   executed; totals depend on cache warmth (a cache hit skips the work).
 * ``trace.*`` — event-trace record/decode/replay throughput.
 * ``kernel.calls`` — compiled-library entry points, by kernel and backend.
+* ``columnar.*`` — selector keys a grouped columnar cell resolved; its
+  spans ``columnar.selectors|place|hierarchy|residency`` are in the docs.
 * ``harness.*`` — resilient-runner operational counters; inherently
   nondeterministic (retries, latencies).
 * ``phase.seconds`` / spans — wall time; nondeterministic by nature.
@@ -58,6 +60,8 @@ CATALOGUE: dict[str, str] = {
     "engine.measure.runs": "Measurement runs per backend (labels: engine, workload, config).",
     "engine.measure.events": "Trace events (or direct accesses) measured per backend.",
     "engine.measure.seconds": "Wall seconds spent measuring, per backend.",
+    # columnar placement (labels: workload, config; deterministic)
+    "columnar.selector.keys": "Distinct (state, stack) selector keys a grouped cell resolved.",
     # profiling harvest (labels: program)
     "profile.runs": "Profiler executions (cache hits do not profile).",
     "profile.contexts": "Distinct allocation contexts discovered.",

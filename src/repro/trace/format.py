@@ -77,6 +77,8 @@ from pathlib import Path
 from itertools import chain
 from typing import BinaryIO, Iterable, Iterator, Optional, Sequence, Union
 
+import numpy as np
+
 from .. import obs
 from ..faults.plan import active_fault_plan
 
@@ -333,8 +335,6 @@ class TraceWriter:
         Each list is emptied once converted, so the lists and the arrays
         never both hold the whole recording.
         """
-        import numpy as np
-
         def take(column: list, dtype):
             if dtype is np.int8:
                 taken = np.frombuffer(bytes(column), dtype=dtype)
@@ -653,7 +653,7 @@ class TraceColumns:
     __slots__ = (
         "acc_oid", "acc_offset", "acc_size", "acc_store", "ctrl", "heap", "works",
         "call_addrs", "switches", "kinds", "loads", "stores", "allocs", "frees",
-        "reallocs", "calls",
+        "reallocs", "calls", "_trie",
     )
 
     def __init__(
@@ -661,8 +661,6 @@ class TraceColumns:
         kinds, op_a, resize, acc_oid, acc_offset, acc_size, works,
         switches: Sequence[tuple[int, int]] = (),
     ) -> None:
-        import numpy as np
-
         kinds = _column(kinds, np.int8)
         self.kinds = kinds.tobytes()
         is_acc = (kinds == OP_LOAD) | (kinds == OP_STORE)
@@ -697,6 +695,7 @@ class TraceColumns:
         self.frees = int(np.count_nonzero(ops == OP_FREE))
         self.reallocs = int(np.count_nonzero(ops == OP_REALLOC))
         self.calls = int(self.call_addrs.shape[0])
+        self._trie: Optional[CallTrie] = None
 
     @classmethod
     def from_events(
@@ -759,11 +758,114 @@ class TraceColumns:
         columns = (self.acc_oid, self.acc_offset, self.acc_size, self.acc_store)
         return _rows(columns, 0, self.accesses)
 
+    def call_trie(self) -> "CallTrie":
+        """The call-site trie of the control ops, built on first use."""
+        if self._trie is None:
+            self._trie = CallTrie(self)
+        return self._trie
+
+
+class CallTrie:
+    """The call-site trie of a trace's control ops, built without a per-op loop.
+
+    Two calls share a node when they are made from the same site under
+    the same stack; node 0 is the root (no call open).  A prefix sum
+    gives the stack depth after every op, and the innermost open call at
+    any point is the last call made at that depth, found by one
+    ``searchsorted``.  Nodes are numbered one stack depth at a time.
+
+    Attributes:
+        depth: Stack depth after each control op (int32).
+        calls: Control-op position of each call (int32).
+        call_site: Each call's index into ``sites``.
+        call_node: Each call's trie node (int32).
+        sites: The distinct call-site addresses, ascending.
+        count: Nodes in the trie, the root included.
+    """
+
+    __slots__ = (
+        "depth", "calls", "call_site", "call_node", "sites", "count",
+        "_ops", "_order", "_keys", "_span", "_parent", "_site", "_closing",
+    )
+
+    def __init__(self, cols: TraceColumns) -> None:
+        ops, args = cols.ctrl[0], cols.ctrl[1]
+        self._ops = ops
+        self._closing: Optional[tuple[np.ndarray, np.ndarray]] = None
+        step = (ops == OP_CALL).view(np.int8)
+        calls = np.flatnonzero(step).astype(np.int32)
+        step = step - (ops == OP_RETURN)
+        self.depth = depth = np.cumsum(step, dtype=np.int32)
+        del step
+        call_depth = depth[calls]
+        self.calls = calls
+        sites, code = np.unique(args[calls], return_inverse=True)
+        self.sites = sites.tolist()
+        self.call_site = code.astype(np.int32)
+        # Calls sorted by (depth, position): the innermost open call at
+        # position q and depth k is the last depth-k call before q.
+        self._order = order = np.argsort(call_depth, kind="stable").astype(np.int32)
+        self._span = span = ops.shape[0] + 1
+        self._keys = keys = call_depth[order].astype(np.int64) * span + calls[order]
+        top = int(call_depth.max(initial=0))
+        bounds = np.searchsorted(keys, np.arange(1, top + 2, dtype=np.int64) * span)
+        node = np.zeros(calls.shape[0], dtype=np.int32)
+        parents, codes = [np.array([-1])], [np.array([-1])]
+        count, sites_n = 1, max(len(self.sites), 1)
+        for level in range(1, top + 1):
+            members = order[bounds[level - 1]:bounds[level]]
+            up = (
+                node[self.innermost(calls[members], call_depth[members] - 1)]
+                if level > 1 else np.zeros(members.shape[0], dtype=np.int32)
+            )
+            distinct, inverse = np.unique(
+                up.astype(np.int64) * sites_n + code[members], return_inverse=True
+            )
+            node[members] = count + inverse
+            parents.append(distinct // sites_n)
+            codes.append(distinct % sites_n)
+            count += int(distinct.shape[0])
+        self.call_node = node
+        self.count = count
+        self._parent = np.concatenate(parents).tolist()
+        self._site = np.concatenate(codes).tolist()
+
+    def innermost(self, positions: np.ndarray, depths: np.ndarray) -> np.ndarray:
+        """Index into ``calls`` of the last call at depth *depths* (>= 1)
+        before each of *positions*: the innermost call open there."""
+        return self._order[
+            np.searchsorted(self._keys, depths.astype(np.int64) * self._span + positions) - 1
+        ]
+
+    def closing(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each return's control-op position and the index into ``calls``
+        of the call it closes (computed on first use)."""
+        if self._closing is None:
+            returns = np.flatnonzero(self._ops == OP_RETURN).astype(np.int32)
+            self._closing = returns, self.innermost(returns, self.depth[returns] + 1)
+        return self._closing
+
+    def nodes(self, positions: np.ndarray) -> np.ndarray:
+        """The trie node of the live stack at each of *positions* (heap ops)."""
+        depths = self.depth[positions]
+        node = np.zeros(positions.shape[0], dtype=np.int32)
+        deep = depths > 0
+        node[deep] = self.call_node[self.innermost(positions[deep], depths[deep])]
+        return node
+
+    def path(self, node: int) -> list[int]:
+        """The call-site addresses of *node*'s stack, outermost first."""
+        path = []
+        sites = self.sites
+        while node:
+            path.append(sites[self._site[node]])
+            node = self._parent[node]
+        path.reverse()
+        return path
+
 
 def _column(values, dtype):
     """*values* as a numpy array of *dtype*, viewing a typed buffer without a copy."""
-    import numpy as np
-
     if isinstance(values, np.ndarray):
         return values.astype(dtype, copy=False)
     return np.frombuffer(values, dtype=dtype)

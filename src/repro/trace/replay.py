@@ -214,15 +214,10 @@ class _ObjectColumns:
     """Per-object columns of a trace, from one pass over its control ops.
 
     An object's id is its allocation sequence number, so every column is
-    indexed by oid.  Each call is a node of a call-site trie: two calls
-    share a node when they are made from the same site under the same
-    stack.  The pass needs no per-op Python loop: a prefix sum gives the
-    stack depth after every op, and the innermost open call at any point
-    is the last call made at the current depth, found by one
-    ``searchsorted``.  Nodes are numbered one stack depth at a time.
-    Each distinct allocating node then resolves its reduced context once,
-    in first-allocation order, so context ids are interned exactly as
-    the listener interns them.
+    indexed by oid.  Each object's allocation is a node of the trace's
+    :class:`~repro.trace.format.CallTrie`; each distinct allocating node
+    resolves its reduced context once, in first-allocation order, so
+    context ids are interned exactly as the listener interns them.
 
     Attributes:
         contexts: The context table.
@@ -238,61 +233,15 @@ class _ObjectColumns:
 
     def __init__(self, cols: TraceColumns, program: "Program") -> None:
         ops, args = cols.ctrl[0], cols.ctrl[1]
-        step = (ops == OP_CALL).view(np.int8)
-        calls = np.flatnonzero(step)
-        step = step - (ops == OP_RETURN)
-        depth = np.cumsum(step, dtype=np.int32)  # stack depth after each op
-        del step
+        trie = cols.call_trie()
         allocs = np.flatnonzero(ops == OP_ALLOC)
-        call_depth, alloc_depth = depth[calls], depth[allocs]
-        del depth
-        addrs, code = np.unique(args[calls], return_inverse=True)
-        # Calls sorted by (depth, position): the innermost open call at
-        # position q and depth k is the last depth-k call before q.
-        order = np.argsort(call_depth, kind="stable")
-        span = ops.shape[0] + 1
-        keys = call_depth[order].astype(np.int64) * span + calls[order]
-
-        def frame(positions: np.ndarray, depths: np.ndarray) -> np.ndarray:
-            return order[np.searchsorted(keys, depths.astype(np.int64) * span + positions) - 1]
-
-        top = int(call_depth.max(initial=0))
-        bounds = np.searchsorted(keys, np.arange(1, top + 2, dtype=np.int64) * span)
-        node = np.zeros(calls.shape[0], dtype=np.int32)
-        parents, codes = [np.array([-1])], [np.array([-1])]
-        count, sites_n = 1, max(int(addrs.shape[0]), 1)
-        for level in range(1, top + 1):
-            members = order[bounds[level - 1]:bounds[level]]
-            up = (
-                node[frame(calls[members], call_depth[members] - 1)]
-                if level > 1 else np.zeros(members.shape[0], dtype=np.int32)
-            )
-            distinct, inverse = np.unique(
-                up.astype(np.int64) * sites_n + code[members], return_inverse=True
-            )
-            node[members] = count + inverse
-            parents.append(distinct // sites_n)
-            codes.append(distinct % sites_n)
-            count += int(distinct.shape[0])
-        alloc_node = np.zeros(allocs.shape[0], dtype=np.int32)
-        deep = alloc_depth > 0
-        alloc_node[deep] = node[frame(allocs[deep], alloc_depth[deep])]
-        del calls, call_depth, code, order, keys, node, allocs, deep
-
-        parent = np.concatenate(parents).tolist()
-        site = np.concatenate(codes).tolist()
-        address = addrs.tolist()
+        alloc_node = trie.nodes(allocs)
         contexts = ContextTable()
-        node_cid = np.zeros(count, dtype=np.int32)
+        node_cid = np.zeros(trie.count, dtype=np.int32)
         site_of: dict[int, Optional[int]] = {0: None}
         seen, first = np.unique(alloc_node, return_index=True)
         for at in seen[np.argsort(first)].tolist():
-            path = []
-            walk = at
-            while walk:
-                path.append(address[site[walk]])
-                walk = parent[walk]
-            path.reverse()
+            path = trie.path(at)
             stack = [program.sites[addr] for addr in path]
             node_cid[at] = contexts.intern(reduced_context(program, stack))
             site_of[at] = path[-1] if path else None
@@ -301,7 +250,7 @@ class _ObjectColumns:
         self.sizes = args[ops == OP_ALLOC]
         self.nodes = alloc_node
         self.site_of = site_of
-        self.depth_max = int(alloc_depth.max(initial=0))
+        self.depth_max = int(trie.depth[allocs].max(initial=0))
 
     def maps(self, oid_ints: list[int]) -> dict[str, dict]:
         """The profile's per-object maps, keyed by the ints of *oid_ints*.

@@ -50,3 +50,50 @@ def alloc_via(machine: Machine, sites, size: int = 32):
         for site in sites:
             stack.enter_context(machine.call(site))
         return machine.malloc(size)
+
+
+def run_ops(machine: Machine, ops) -> None:
+    """Drive *machine* through abstract ops, then leave open scopes open.
+
+    Ops: ``("call", site)``, ``("return",)``, ``("alloc", size)``,
+    ``("free", k)``, ``("realloc", k, size)``, ``("store", k)`` (the whole
+    object) and ``("thread", t)``; *k* picks a live object modulo the
+    live count, and ops that find no open scope or live object are
+    skipped.  Scopes still open at the end stay open, as in a truncated
+    trace.
+    """
+    live: list = []
+    scopes: list = []
+    for op in ops:
+        kind = op[0]
+        if kind == "call":
+            scope = machine.call(op[1])
+            scope.__enter__()
+            scopes.append(scope)
+        elif kind == "return":
+            if scopes:
+                scopes.pop().__exit__(None, None, None)
+        elif kind == "alloc":
+            live.append(machine.malloc(op[1]))
+        elif kind == "thread":
+            machine.set_thread(op[1])
+        elif live:
+            obj = live[op[1] % len(live)]
+            if kind == "free":
+                live.remove(obj)
+                machine.free(obj)
+            elif kind == "realloc":
+                machine.realloc(obj, op[2])
+            else:  # store
+                machine.store(obj, 0, obj.size)
+
+
+def record_ops(program, ops):
+    """The event trace of :func:`run_ops` on *program* (any allocator
+    records the same stream)."""
+    from repro.trace.record import TraceRecorder
+
+    recorder = TraceRecorder(workload="synthetic", program=program.name)
+    machine = Machine(program, SizeClassAllocator(AddressSpace(seed=0)), listeners=[recorder])
+    run_ops(machine, ops)
+    return recorder.close()

@@ -305,6 +305,35 @@ class TestColumnarDifferential:
         assert (event.grouped_allocs, event.forwarded_allocs) != (
             clean.grouped_allocs, clean.forwarded_allocs)
 
+    @pytest.fixture(scope="class")
+    def hds_inputs(self, tmp_path_factory):
+        cache = ArtifactCache(tmp_path_factory.mktemp("cache"))
+        trace = get_or_record_trace(self.DIFF_BENCH, cache=cache)
+        prepared = prepare_workload(self.DIFF_BENCH, cache=cache, trace=trace)
+        return get_workload(self.DIFF_BENCH), trace, prepared.hds
+
+    def test_state_flip_plan_on_a_stack_reading_matcher(self, hds_inputs):
+        """HDS's matcher reads the live stack, not the state vector: a
+        flipped state resolves its own key with the allocation's stack
+        materialised, so both engines still place, and count the faulted
+        matches, identically."""
+        from repro import obs
+        from repro.harness.runner import measure_hds
+
+        workload, trace, hds = hds_inputs
+        plan = FaultPlan(seed=77, state_flip_rate=0.5)
+        kwargs = dict(scale="test", seed=1, trace=trace)
+        runs = {}
+        with fault_plan_active(plan):
+            for engine in ("event", "columnar"):
+                with obs.collecting(obs.MetricsRegistry()) as registry:
+                    measurement = measure_hds(workload, hds, **kwargs, engine=engine)
+                faulted = registry.snapshot().sum_counter("measure.alloc.faulted_matches")
+                runs[engine] = measurement, faulted
+        assert runs["columnar"] == runs["event"]
+        measurement, faulted = runs["event"]
+        assert faulted > 0 and measurement.grouped_allocs > 0
+
     def test_sanitizer_degrades_columnar_to_event_with_same_numbers(self, halo_inputs):
         from repro import obs
         from repro.harness.runner import resolve_engine

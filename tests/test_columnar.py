@@ -368,3 +368,146 @@ class TestTraceColumns:
         assert cols.accesses == cols.loads + cols.stores
         assert cols.acc_oid.shape[0] == cols.accesses
         assert trace.columns() is cols  # cached
+
+
+def _churn_program():
+    from repro.machine import ProgramBuilder
+
+    builder = ProgramBuilder("churn")
+    sites = [builder.call_site("main", f"make{i}").addr for i in range(4)]
+    return builder.build(), sites
+
+
+class TestFragmentationAtPeak:
+    """The single placement pass's residency-from-columns snapshot equals
+    the per-event replay's ``frag_at_peak`` exactly, whatever the chunk
+    policy, and so does every other field."""
+
+    PROGRAM, SITES = _churn_program()
+    #: Three grouped sites; the fourth allocates ungrouped.
+    PLAN = {site: bit for bit, site in enumerate(SITES[:3])}
+
+    @classmethod
+    def _churn(cls, seed: int, realloc: bool = False, threads: bool = False) -> list:
+        """Rounds of grouped and ungrouped allocations, each touched, then
+        mostly freed right after a last touch, so that chunks drain and are
+        purged just after an access; later rounds are larger, so the
+        live-byte peak comes after the purges."""
+        import random
+
+        rng = random.Random(seed)
+        ops: list = []
+        live = 0
+        for round_ in range(5):
+            for _ in range(30 + 15 * round_):
+                if threads and rng.random() < 0.1:
+                    ops.append(("thread", rng.randrange(3)))
+                site = rng.choice(cls.SITES)
+                ops += [("call", site), ("alloc", rng.choice((24, 64, 200, 700, 2000))),
+                        ("return",), ("store", -1)]
+                live += 1
+                if realloc and rng.random() < 0.2:
+                    ops += [("call", site), ("realloc", rng.randrange(live), 3000), ("return",)]
+            if round_ < 4:
+                for _ in range(live * 4 // 5):
+                    k = rng.randrange(live)
+                    ops += [("store", k), ("free", k)]
+                    live -= 1
+        return ops
+
+    def _both(self, ops, cls=None, seed=2, **options):
+        """(event, columnar) measurements of *ops* under one grouped policy,
+        and the columnar placement's view of the peak."""
+        from types import SimpleNamespace
+
+        from repro.allocators import SizeClassAllocator
+        from repro.allocators.group import GroupAllocator
+        from repro.columnar.engine import place_trace
+        from repro.core.selectors import CompiledMatcher, GroupSelector
+        from repro.harness.runner import run_measurement
+        from repro.machine.machine import GroupStateVector
+
+        from conftest import record_ops
+
+        cls = cls or GroupAllocator
+        trace = record_ops(self.PROGRAM, ops)
+        workload = SimpleNamespace(name="churn", program=self.PROGRAM)
+
+        def grouped():
+            vector = GroupStateVector()
+            matcher = CompiledMatcher(
+                [GroupSelector(gid, (frozenset({site}),)) for site, gid in self.PLAN.items()],
+                self.PLAN,
+            )
+            return (lambda space: cls(space, SizeClassAllocator(space), matcher, vector, **options),
+                    vector)
+
+        runs = []
+        for engine in ("event", "columnar"):
+            factory, vector = grouped()
+            runs.append(run_measurement(
+                workload, factory, "grouped", scale="test", seed=seed,
+                instrumentation=self.PLAN, state_vector=vector, trace=trace, engine=engine,
+            ))
+        factory, vector = grouped()
+        _, _, placement, _ = place_trace(
+            self.PROGRAM, factory, trace, seed, self.PLAN, vector
+        )
+        return runs[0], runs[1], placement
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("chunk_size", [1 << 14, 1 << 12, 1 << 11])
+    def test_purges_before_the_peak(self, seed, chunk_size):
+        event, columnar, placement = self._both(
+            self._churn(seed), chunk_size=chunk_size, max_spare_chunks=0
+        )
+        assert columnar == event
+        assert placement.peak.purges  # the peak follows real purges
+        assert event.frag_at_peak.resident_bytes > 0
+
+    def test_always_reused_chunks(self):
+        event, columnar, placement = self._both(
+            self._churn(4), chunk_size=1 << 12, always_reuse_chunks=True
+        )
+        assert columnar == event
+        assert not placement.peak.purges
+
+    def test_sharded_allocator(self):
+        from repro.allocators.sharded import ShardedGroupAllocator
+
+        event, columnar, placement = self._both(
+            self._churn(5), cls=ShardedGroupAllocator, chunk_size=1 << 13, max_spare_chunks=0
+        )
+        assert columnar == event
+        assert placement.peak.purges
+
+    def test_growing_grouped_realloc(self):
+        event, columnar, placement = self._both(
+            self._churn(6, realloc=True), chunk_size=1 << 13, max_spare_chunks=0
+        )
+        assert columnar == event
+        assert placement.moves  # grouped reallocs grew and moved
+
+    def test_degraded_allocations(self):
+        event, columnar, _ = self._both(
+            self._churn(7), chunk_size=1 << 12, max_spare_chunks=0, max_total_chunks=3
+        )
+        assert columnar == event
+        assert event.degraded_allocs > 0
+
+    def test_threaded_mix(self):
+        ops = self._churn(8, threads=True)
+        assert any(op[0] == "thread" for op in ops)
+        event, columnar, _ = self._both(ops, chunk_size=1 << 12, max_spare_chunks=0)
+        assert columnar == event
+
+    def test_peak_at_the_first_allocation(self):
+        site = self.SITES[0]
+        ops = [("call", site), ("alloc", 3000), ("return",), ("store", 0)]
+        ops += [("free", 0)]
+        for _ in range(20):
+            ops += [("call", site), ("alloc", 64), ("return",), ("store", -1), ("free", -1)]
+        event, columnar, placement = self._both(ops, chunk_size=1 << 12, max_spare_chunks=0)
+        assert columnar == event
+        assert placement.peak.ptr == 0 and placement.peak.frag.live_bytes == 3000
+        assert event.frag_at_peak.live_bytes == 3000
