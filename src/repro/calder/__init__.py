@@ -4,7 +4,6 @@ from .naming import NAME_DEPTH, NameTable, name_of
 from .pipeline import (
     CalderArtifacts,
     CalderParams,
-    CalderProfiler,
     CalderRuntime,
     NameMatcher,
     make_runtime,
@@ -14,7 +13,6 @@ from .pipeline import (
 __all__ = [
     "CalderArtifacts",
     "CalderParams",
-    "CalderProfiler",
     "CalderRuntime",
     "NAME_DEPTH",
     "NameMatcher",

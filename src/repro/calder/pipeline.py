@@ -6,7 +6,7 @@ placement with a specialised allocator that re-derives the name on every
 allocation by walking the dynamic call stack.
 
 To keep the comparison apples-to-apples with HALO and the hot-data-streams
-replication, the temporal graph is built by the same affinity recorder
+replication, the temporal graph is built by the same affinity replay
 (same window, same four constraints) and the clusters are formed by the
 same Figure-6 grouping — only the *identification* differs: fixed-depth
 stack names instead of full reduced contexts and selectors.  That isolates
@@ -16,17 +16,23 @@ exactly the variable the HALO paper criticises.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import xor
 from typing import Optional
+
+import numpy as np
 
 from ..allocators.base import AddressSpace, PAGE_SIZE
 from ..allocators.group import GroupAllocator
 from ..allocators.size_class import SizeClassAllocator
 from ..core.grouping import Group, GroupingParams, assign_groups, group_contexts
-from ..machine.events import Listener
-from ..machine.heap import HeapObject
 from ..machine.machine import GroupStateVector, Machine
 from ..machine.program import Program
-from ..profiling.affinity import AffinityParams, AffinityRecorder
+from ..profiling.affinity import AffinityParams
+from ..profiling.graph import AffinityGraph
+from ..trace.format import OP_ALLOC
+from ..trace.record import record_workload
+from ..trace.replay import first_seen, replay_accesses
 from .naming import NAME_DEPTH, NameTable, name_of
 
 
@@ -43,33 +49,14 @@ class CalderParams:
     max_grouped_size: int = PAGE_SIZE
 
 
-class CalderProfiler(Listener):
-    """Profiling listener keyed on fixed-depth allocation names."""
-
-    def __init__(self, program: Program, params: CalderParams | None = None) -> None:
-        self.program = program
-        self.params = params or CalderParams()
-        self.names = NameTable()
-        self.recorder = AffinityRecorder(self.params.affinity)
-
-    def on_alloc(self, machine: Machine, obj: HeapObject) -> None:
-        """Attribute the allocation to its XOR name."""
-        nid = self.names.intern(name_of(machine.stack, self.params.name_depth))
-        self.recorder.on_alloc(obj.oid, nid, obj.size, obj.alloc_seq)
-
-    def on_access(
-        self, machine: Machine, obj: HeapObject, offset: int, size: int, is_store: bool
-    ) -> None:
-        """Feed the access through the temporal-relationship recorder."""
-        self.recorder.record_access(obj.oid, size)
-
-
 @dataclass
 class CalderArtifacts:
     """Offline results: the name graph, its groups, and the name mapping."""
 
     program: Program
     names: NameTable
+    #: The noise-filtered name graph the groups were formed from.
+    graph: AffinityGraph
     groups: list[Group]
     group_of_name: dict[int, int]
     params: CalderParams
@@ -121,23 +108,32 @@ class CalderRuntime:
 def profile_workload(
     workload, params: CalderParams | None = None, scale: str = "test", seed: int = 0
 ) -> CalderArtifacts:
-    """Profile *workload* under name-based attribution and cluster the graph."""
+    """Profile *workload* under name-based attribution and cluster the graph.
+
+    Replays one recording: each allocating call-site-trie node gets its
+    name once, in first-allocation order, and name ids stand in for
+    context ids in the affinity replay HALO's profile uses.
+    """
     params = params or CalderParams()
     program = workload.program
-    space = AddressSpace(seed)
-    profiler = CalderProfiler(program, params)
-    machine = Machine(program, SizeClassAllocator(space), listeners=[profiler])
-    workload.run(machine, scale)
-
-    graph = profiler.recorder.filtered_graph()
+    cols = record_workload(workload, scale=scale, seed=seed).columns()
+    allocs = cols.ctrl[0] == OP_ALLOC
+    trie = cols.call_trie()
+    alloc_node = trie.nodes(np.flatnonzero(allocs))
+    names = NameTable()
+    node_name = np.zeros(trie.count, dtype=np.int32)
+    for node in first_seen(alloc_node):
+        node_name[node] = names.intern(reduce(xor, trie.path(node)[-params.name_depth:], 0))
+    graph = replay_accesses(
+        cols, node_name[alloc_node], cols.ctrl[1][allocs], params.affinity
+    )[0].filtered_by_coverage(params.affinity.node_coverage)
     groups = group_contexts(graph, params.grouping)
     assignment = assign_groups(groups)
-    group_of_name = {
-        profiler.names.name(nid): gid for nid, gid in assignment.items()
-    }
+    group_of_name = {names.name(nid): gid for nid, gid in assignment.items()}
     return CalderArtifacts(
         program=program,
-        names=profiler.names,
+        names=names,
+        graph=graph,
         groups=groups,
         group_of_name=group_of_name,
         params=params,

@@ -20,7 +20,8 @@ from typing import Callable, Optional, Union
 from ..core.artifact_cache import ArtifactCache, artifact_key
 from ..obs.metrics import MetricsSnapshot
 from ..obs.spans import phase_span
-from ..core.pipeline import HaloArtifacts, HaloParams, optimise_profile, profile_workload
+from ..core.pipeline import HaloArtifacts, HaloParams, optimise_profile
+from ..core.pipeline import profile_workload  # noqa: F401  # rebound by perfbench/layers.py
 from ..hds.pipeline import HdsArtifacts, HdsParams, analyse_profile
 from ..profiling.profiler import ProfileResult
 from ..trace.format import FORMAT_VERSION, EventTrace, TraceFormatError
@@ -71,9 +72,9 @@ class PhaseTimes:
     #: Event-trace traffic: fresh recordings vs profile replays from trace.
     trace_records: int = 0
     trace_replays: int = 0
-    #: Degradations: corrupt traces replaced by direct execution, and
-    #: measurement cells that needed a retry before succeeding.
-    trace_fallbacks: int = 0
+    #: Degradations: unreadable traces replaced by a fresh recording,
+    #: and measurement cells that needed a retry before succeeding.
+    trace_rerecords: int = 0
     task_retries: int = 0
     #: Resilient-engine churn: healthy tasks requeued after a pool
     #: rebuild, and the rebuilds themselves.
@@ -94,7 +95,7 @@ class PhaseTimes:
         self.cache_misses += other.cache_misses
         self.trace_records += other.trace_records
         self.trace_replays += other.trace_replays
-        self.trace_fallbacks += other.trace_fallbacks
+        self.trace_rerecords += other.trace_rerecords
         self.task_retries += other.task_retries
         self.requeues += other.requeues
         self.pool_rebuilds += other.pool_rebuilds
@@ -118,8 +119,8 @@ class PhaseTimes:
             parts.append(
                 f"trace {self.trace_records} recorded / {self.trace_replays} replayed"
             )
-        if self.trace_fallbacks:
-            parts.append(f"degraded {self.trace_fallbacks} trace fallback(s)")
+        if self.trace_rerecords:
+            parts.append(f"re-recorded {self.trace_rerecords} unreadable trace(s)")
         if self.task_retries:
             parts.append(f"retried {self.task_retries} task(s)")
         if self.requeues:
@@ -225,8 +226,9 @@ def prepare_workload(
     it returns — it is only called on a cache miss), else the recording
     :func:`get_or_record_trace` finds or makes.  Replay is bit-identical
     to direct profiling, and the trace's cache key excludes all HALO/HDS
-    parameters, so sweeping parameters re-records nothing.  Direct
-    profiling remains only as the fallback for a corrupt trace.
+    parameters, so sweeping parameters re-records nothing.  A trace that
+    cannot be read is recorded again (and the recording cached), never
+    profiled some other way.
     """
     workload = workload if workload is not None else get_workload(name)
     halo_params = halo_params or halo_params_for(workload)
@@ -274,28 +276,22 @@ def prepare_workload(
         trace = trace()
     elif trace is None:
         trace = get_or_record_trace(name, cache=cache, workload=workload, times=times)
-    profile = None
     try:
         # Checked (and, for a trace built from bytes, decoded) outside the
         # profile phase: its own ``trace.decode`` span times the decode.
         trace.columns()
-        with phase_span(times, "profile", workload=name, source="trace"):
-            profile = replay_profile(trace, workload.program, halo_params, record_trace=True)
-        times.trace_replays += 1
     except TraceFormatError as exc:
-        # Graceful degradation: a corrupt or truncated trace falls back
-        # to direct workload execution, which produces the same profile
-        # the replay would have (replay is bit-identical).
-        logger.warning(
-            "trace replay for %s failed (%s); falling back to direct execution",
-            name, exc,
-        )
-        times.trace_fallbacks += 1
-    if profile is None:
-        with phase_span(times, "profile", workload=name, source="direct"):
-            profile = profile_workload(
-                workload, halo_params, scale=PROFILE_SCALE, record_trace=True
-            )
+        # Graceful degradation: a corrupt or truncated trace is replaced
+        # by a fresh recording, whose replay is the profile the damaged
+        # trace would have given.
+        logger.warning("trace for %s is unreadable (%s); re-recording", name, exc)
+        times.trace_rerecords += 1
+        trace = get_or_record_trace(name, workload=workload, times=times)
+        if cache is not None:
+            cache.put(trace_key_for(name), trace)
+    with phase_span(times, "profile", workload=name, source="trace"):
+        profile = replay_profile(trace, workload.program, halo_params, record_trace=True)
+    times.trace_replays += 1
 
     with phase_span(times, "analyse", workload=name):
         halo = optimise_profile(profile, halo_params)

@@ -63,8 +63,8 @@ CATALOGUE: dict[str, str] = {
     # columnar placement (labels: workload, config; deterministic)
     "columnar.selector.keys": "Distinct (state, stack) selector keys a grouped cell resolved.",
     # profiling harvest (labels: program)
-    "profile.runs": "Profiler executions (cache hits do not profile).",
-    "profile.contexts": "Distinct allocation contexts discovered.",
+    "profile.runs": "Profiles built, by trace replay or the listener (cache hits do not profile).",
+    "profile.contexts": "Allocation contexts in the profile's context table.",
     "profile.graph_nodes": "Nodes in the recorded affinity graph.",
     "profile.graph_edges": "Edges in the recorded affinity graph.",
     "profile.machine_accesses": "Machine accesses observed while profiling.",

@@ -5,7 +5,7 @@ One :class:`ServeService` owns a single live heap (one address space, one
 request stream over it.  Each request runs a workload kernel on a fresh
 simulated machine bound to the shared allocator; a slice of its surviving
 objects is retained on the service heap (the long-lived state hot-swaps
-must migrate), and a streaming profiler feeds the sliding window.
+must migrate), and the replay of its recording feeds the sliding window.
 
 At every epoch boundary the loop makes its decisions in a fixed order —
 expire, window-push, drift, re-group, canary, swap, sanitize, snapshot —
@@ -35,10 +35,10 @@ from ..core.pipeline import HaloParams
 from ..core.selectors import CompiledMatcher
 from ..faults.plan import FaultPlan
 from ..machine.machine import GroupStateVector, Machine
-from ..profiling.profiler import Profiler
 from ..profiling.shadow import ContextTable
 from ..sanitize.invariants import Finding, validate_allocator
 from ..trace.record import TraceRecorder
+from ..trace.replay import replay_profile
 from ..trace.window import TraceWindow
 from ..workloads import get_workload
 from ..workloads.base import Workload
@@ -255,28 +255,18 @@ class ServeService:
     ) -> None:
         name = self._pick_workload(index)
         workload = self._workload(name)
-        contexts = self.contexts.get(name)
-        if contexts is None:
-            contexts = self.contexts[name] = ContextTable()
-        profiler = Profiler(workload.program, self.params.affinity)
-        profiler.contexts = contexts  # shared interning: stable cids per workload
-        listeners: list = [profiler]
-        recorder = None
-        if name not in traces:
-            # One trace per workload per epoch feeds the canary window.
-            recorder = TraceRecorder(
-                workload=name, scale="test", seed=self.config.seed,
-                program=workload.program.name,
-            )
-            listeners.append(recorder)
-
+        contexts = self.contexts.setdefault(name, ContextTable())
+        recorder = TraceRecorder(
+            workload=name, scale="test", seed=self.config.seed,
+            program=workload.program.name,
+        )
         state_vector = GroupStateVector()
         self.allocator.state_vector = state_vector
         self.matcher.active = self.table.matcher_for(name)
         machine = Machine(
             workload.program,
             self.allocator,
-            listeners=listeners,
+            listeners=[recorder],
             instrumentation=self.table.instrumentation_for(name),
             state_vector=state_vector,
         )
@@ -287,11 +277,14 @@ class ServeService:
         finally:
             self.matcher.active = None
 
+        trace = recorder.close()
+        # Shared interning: stable cids per workload across requests.
+        profile = replay_profile(trace, workload.program, self.params, contexts=contexts)
         summary.mix[name] = summary.mix.get(name, 0) + 1
-        summary.fold_graph(name, profiler.recorder.graph)
-        summary.fold_sizes(profiler.object_sizes.values())
-        if recorder is not None:
-            traces[name] = recorder.close()
+        summary.fold_graph(name, profile.full_graph)
+        summary.fold_sizes(profile.object_sizes.values())
+        # One trace per workload per epoch feeds the canary window.
+        traces.setdefault(name, trace)
 
         # The request's own heap drains completely (workload kernels free
         # their objects; any stragglers go here) ...
@@ -304,13 +297,13 @@ class ServeService:
         # the long-lived state hot-swaps must migrate.
         seed = self.config.seed
         promoted = 0
-        for oid in sorted(profiler.object_sizes):
+        for oid in sorted(profile.object_sizes):
             if promoted >= self.config.retain_max:
                 break
             if draw(seed, "retain", index, oid) >= self.config.retain_rate:
                 continue
-            size = profiler.object_sizes[oid]
-            gid = self._gid_for_context(name, profiler.object_context.get(oid))
+            size = profile.object_sizes[oid]
+            gid = self._gid_for_context(name, profile.object_context.get(oid))
             addr = self.allocator.place_region(gid, size)
             self.space.touch_range(addr, size)
             ttl = 1 + int(

@@ -956,12 +956,7 @@ class EventTrace:
         return zlib.crc32(self.body, zlib.crc32(self.switch_table))
 
     def _check_body(self) -> None:
-        """Raise :class:`TraceFormatError` on checksum mismatch or injected faults."""
-        plan = active_fault_plan()
-        if plan is not None and plan.fail_trace_decode(self.header.workload):
-            raise TraceFormatError(
-                f"fault injection: forced decode failure for {self.header.workload!r}"
-            )
+        """Raise :class:`TraceFormatError` on checksum mismatch."""
         if not self.verify():
             raise TraceFormatError(
                 f"trace body checksum mismatch for {self.header.workload!r} "
@@ -991,6 +986,7 @@ class EventTrace:
         garbage events downstream.
         """
         self._check_body()
+        _inject_decode_fault(self.header.workload)
         return self._decode_events(self._raw_body(), chunk_size)
 
     def _decode_events(self, data: bytes, chunk_size: int = 1 << 16) -> Iterator[tuple]:
@@ -1025,15 +1021,14 @@ class EventTrace:
     def columns(self) -> TraceColumns:
         """The cached columnar struct-of-arrays view.
 
-        The first call checks the body (checksum and injected decode
-        faults, :class:`TraceFormatError` either way), then serves a fresh
-        recording's own columns or decodes the body once — in the compiled
-        codec when it is available — inside a ``trace.decode`` span that
-        publishes ``trace.decode.events`` and ``trace.decode.seconds``.
+        The first call checks the body's checksum, then serves a fresh
+        recording's own columns or decodes the body once (where an injected
+        decode fault can hit) in the compiled codec when it is available,
+        inside a ``trace.decode`` span that publishes
+        ``trace.decode.events`` and ``trace.decode.seconds``.
         """
         if self._columns is None:
             switches = self.switches()
-            self._check_body()
             columns = self._recorded
             if columns is None:
                 columns = self._decode_columns(switches)
@@ -1044,6 +1039,7 @@ class EventTrace:
         from ..columnar import kernel
 
         workload = self.header.workload
+        _inject_decode_fault(workload)
         with obs.span("trace.decode", workload=workload) as span:
             data = self._raw_body()
             try:
@@ -1071,6 +1067,7 @@ class EventTrace:
         tools that scan very large traces.
         """
         self._check_body()
+        _inject_decode_fault(self.header.workload)
         decompressor = zlib.decompressobj() if self.flags & FLAG_ZLIB else None
         pending = bytearray()
         state = [0, 0, 0]
@@ -1148,6 +1145,7 @@ class TraceReader:
         return trace.read_all()
 
     def __iter__(self) -> Iterator[tuple]:
+        _inject_decode_fault(self.header.workload)
         decompressor = zlib.decompressobj() if self.flags & FLAG_ZLIB else None
         pending = bytearray()
         state = [0, 0, 0]
@@ -1183,6 +1181,13 @@ class TraceReader:
         if consumed != len(pending):
             raise TraceFormatError(f"truncated trace body in {self.path}")
         yield from out
+
+
+def _inject_decode_fault(workload: str) -> None:
+    """Raise the decode failure an active fault plan injects, where bytes are decoded."""
+    plan = active_fault_plan()
+    if plan is not None and plan.fail_trace_decode(workload):
+        raise TraceFormatError(f"fault injection: forced decode failure for {workload!r}")
 
 
 def _read_container_head(handle: BinaryIO) -> tuple[TraceHeader, int, bytes, int]:

@@ -164,6 +164,7 @@ def replay_profile(
     program: "Program",
     params: Optional["HaloParams"] = None,
     record_trace: bool = False,
+    contexts: Optional[ContextTable] = None,
 ) -> ProfileResult:
     """Re-drive the affinity profiler from *trace* without a machine.
 
@@ -174,6 +175,8 @@ def replay_profile(
     bounds checks and metrics, which is what makes warm parameter sweeps
     cheap.  Runs as two spans: ``profiling.contexts`` (the control walk)
     and ``profiling.affinity`` (the access columns and the queue).
+    New contexts are interned into *contexts* (default: a fresh table), so
+    replays sharing one table keep their context ids stable.
     """
     from ..core.pipeline import HaloParams
 
@@ -182,12 +185,12 @@ def replay_profile(
     started = perf_counter()
     cols = trace.columns()
     with obs.span("profiling.contexts"):
-        objects = _ObjectColumns(cols, program)
+        objects = _ObjectColumns(cols, program, contexts)
     # One int object per oid, shared by the per-object maps and the HDS trace.
     oid_ints = list(range(objects.cid.shape[0]))
     with obs.span("profiling.affinity"):
-        full_graph, access_bytes, queue_length, hds_trace = _replay_accesses(
-            cols, objects, affinity, oid_ints if record_trace else None
+        full_graph, access_bytes, queue_length, hds_trace = replay_accesses(
+            cols, objects.cid, objects.sizes, affinity, oid_ints if record_trace else None
         )
         graph = full_graph.filtered_by_coverage(affinity.node_coverage)
     publish_profile_metrics(
@@ -231,16 +234,17 @@ class _ObjectColumns:
 
     __slots__ = ("contexts", "cid", "sizes", "nodes", "site_of", "depth_max")
 
-    def __init__(self, cols: TraceColumns, program: "Program") -> None:
+    def __init__(
+        self, cols: TraceColumns, program: "Program", contexts: Optional[ContextTable] = None
+    ) -> None:
         ops, args = cols.ctrl[0], cols.ctrl[1]
         trie = cols.call_trie()
         allocs = np.flatnonzero(ops == OP_ALLOC)
         alloc_node = trie.nodes(allocs)
-        contexts = ContextTable()
+        contexts = ContextTable() if contexts is None else contexts
         node_cid = np.zeros(trie.count, dtype=np.int32)
         site_of: dict[int, Optional[int]] = {0: None}
-        seen, first = np.unique(alloc_node, return_index=True)
-        for at in seen[np.argsort(first)].tolist():
+        for at in first_seen(alloc_node):
             path = trie.path(at)
             stack = [program.sites[addr] for addr in path]
             node_cid[at] = contexts.intern(reduced_context(program, stack))
@@ -272,7 +276,7 @@ class _ObjectColumns:
         }
 
     def context_stats(self, cols: TraceColumns) -> dict:
-        """Per-context allocation statistics, in context-id order."""
+        """Allocation statistics of each context allocated from, in id order."""
         count = len(self.contexts)
         cid, sizes = self.cid, self.sizes
         allocs = np.bincount(cid, minlength=count)
@@ -287,22 +291,31 @@ class _ObjectColumns:
             for context, row in enumerate(
                 zip(allocs.tolist(), allocated.tolist(), largest.tolist(), frees.tolist())
             )
+            if row[0]
         }
 
 
-def _replay_accesses(
+def first_seen(values: np.ndarray) -> list[int]:
+    """The distinct entries of *values*, in order of first occurrence."""
+    seen, first = np.unique(values, return_index=True)
+    return seen[np.argsort(first)].tolist()
+
+
+def replay_accesses(
     cols: TraceColumns,
-    objects: _ObjectColumns,
+    cid: np.ndarray,
+    sizes: np.ndarray,
     params: AffinityParams,
-    oid_ints: Optional[list[int]],
+    oid_ints: Optional[list[int]] = None,
 ) -> tuple[AffinityGraph, int, int, Optional[list[int]]]:
     """Feed the trace's macro accesses through the affinity queue.
 
-    Returns the full affinity graph, the macro accesses' byte total, the
-    window length at the end and, given the oids' int objects, the HDS
-    reference trace built from them.  The compiled ``halo_affinity`` walks the window when the
-    kernel library is available; otherwise the columns drive
-    :class:`~repro.profiling.affinity.AffinityRecorder` directly.
+    *cid* is each object's graph node and *sizes* its allocation size, by
+    oid.  Returns the full affinity graph, the macro accesses' byte total,
+    the window length at the end and, given the oids' int objects, the HDS
+    reference trace built from them.  The compiled ``halo_affinity`` walks
+    the window when the kernel library is available; otherwise the columns
+    drive :class:`~repro.profiling.affinity.AffinityRecorder` directly.
     """
     acc_oid = cols.acc_oid
     # Consecutive accesses to one object form one macro access; it
@@ -312,10 +325,9 @@ def _replay_accesses(
     oids = acc_oid[macro].astype(np.int32)
     nbytes = cols.acc_size[macro].astype(np.int32)
     hds_trace = None if oid_ints is None else _hds_trace(
-        cols, objects, oids, macro, params, oid_ints
+        cols, sizes, oids, macro, params, oid_ints
     )
     del macro
-    cid, sizes = objects.cid, objects.sizes
     groupable = sizes < params.max_object_size
     prev, next_ = _context_neighbours(cid)
     edges = kernel.affinity(
@@ -336,11 +348,10 @@ def _replay_accesses(
         )
     lo, hi, weight, queue_length = edges
     access_cid = cid[oids]
-    counts = np.bincount(access_cid, minlength=len(objects.contexts))
-    seen, first = np.unique(access_cid, return_index=True)
-    order = seen[np.argsort(first)]
+    counts = np.bincount(access_cid)
+    order = first_seen(access_cid)
     graph = AffinityGraph(
-        node_accesses=dict(zip(order.tolist(), counts[order].tolist())),
+        node_accesses=dict(zip(order, counts[order].tolist())),
         edges=dict(zip(zip(lo.tolist(), hi.tolist()), weight.astype(np.float64).tolist())),
         total_accesses=int(oids.shape[0]),
     )
@@ -366,7 +377,7 @@ def _context_neighbours(cid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _hds_trace(
     cols: TraceColumns,
-    objects: _ObjectColumns,
+    sizes: np.ndarray,
     oids: np.ndarray,
     macro: np.ndarray,
     params: AffinityParams,
@@ -379,7 +390,7 @@ def _hds_trace(
     becomes a unique descending sentinel (-1, -2, ...).  Object ids are
     taken from *oid_ints*, so the trace adds no int object per entry.
     """
-    large = objects.sizes[oids] >= params.max_object_size
+    large = sizes[oids] >= params.max_object_size
     ops_column, oid_column, size_column, ptr_column = cols.ctrl
     resized = np.flatnonzero(ops_column == OP_REALLOC)
     if resized.shape[0]:

@@ -133,26 +133,33 @@ def _directly_profiled(name: str) -> PreparedArtifacts:
 
 
 class TestCorruptTraceFallback:
-    def test_replay_falls_back_to_direct_execution(self, caplog):
+    def test_corrupt_trace_is_re_recorded_and_replayed(self, tmp_path, caplog):
+        from repro.harness.prepare import trace_key_for
+
         trace = get_or_record_trace(BENCH)
         tampered = bytearray(trace.body)
         tampered[len(tampered) // 2] ^= 0xFF
         corrupt = EventTrace(trace.header, bytes(tampered), flags=trace.flags)
         assert not corrupt.verify()
 
+        cache = ArtifactCache(tmp_path / "cache")
         with caplog.at_level(logging.WARNING, logger="repro.harness.prepare"):
-            degraded = prepare_workload(BENCH, trace=corrupt, include_hds=False)
-        assert any("falling back to direct execution" in r.message for r in caplog.records)
+            degraded = prepare_workload(BENCH, trace=corrupt, include_hds=False, cache=cache)
+        assert any("re-recording" in r.message for r in caplog.records)
+        assert degraded.times.trace_rerecords == 1
+        assert degraded.times.trace_records == degraded.times.trace_replays == 1
+        # The fresh recording went into the cache for the next run.
+        assert cache.get(trace_key_for(BENCH)).verify()
 
         direct = _directly_profiled(BENCH)
         assert [sorted(g.members) for g in degraded.halo.groups] == [
             sorted(g.members) for g in direct.halo.groups
         ]
         workload = get_workload(BENCH)
-        fallback_run = measure_halo(workload, degraded.halo, scale="test", seed=0)
+        rerecorded_run = measure_halo(workload, degraded.halo, scale="test", seed=0)
         direct_run = measure_halo(workload, direct.halo, scale="test", seed=0)
-        assert fallback_run.cycles == direct_run.cycles
-        assert fallback_run.cache.l1_misses == direct_run.cache.l1_misses
+        assert rerecorded_run.cycles == direct_run.cycles
+        assert rerecorded_run.cache.l1_misses == direct_run.cache.l1_misses
 
     def test_cached_tampered_trace_is_re_recorded(self, tmp_path, caplog):
         from repro.harness.prepare import trace_key_for

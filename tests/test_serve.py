@@ -289,3 +289,59 @@ class TestServeDrill:
         )
         assert resumed.completed
         assert stats_dict(resumed) == stats_dict(clean)
+
+
+class TestReplayedProfile:
+    """Each request's profile is the replay of its own recording.
+
+    The oracle is a :class:`~repro.profiling.profiler.Profiler` listener
+    attached to the very same request machine, interning into a copy of
+    the workload's shared context table taken before the request ran.
+    """
+
+    def test_every_request_matches_the_listener(self, monkeypatch):
+        from repro.profiling.profiler import Profiler
+        from repro.profiling.shadow import ContextTable
+        from repro.serve import service as service_module
+
+        service = ServeService(small_config(requests=24, epoch_requests=6))
+        pending: list[Profiler] = []
+        checked: dict[str, int] = {}
+
+        def chains(table: ContextTable) -> list:
+            return [table.chain(cid) for cid in table]
+
+        real_machine = service_module.Machine
+        real_replay = service_module.replay_profile
+
+        def machine_with_oracle(program, allocator, listeners, **kwargs):
+            name = next(n for n, w in service._workloads.items() if w.program is program)
+            profiler = Profiler(program, service.params.affinity)
+            profiler.contexts = ContextTable()
+            for chain in chains(service.contexts[name]):
+                profiler.contexts.intern(chain)
+            pending.append(profiler)
+            return real_machine(program, allocator, listeners=[*listeners, profiler], **kwargs)
+
+        def checked_replay(trace, program, params, contexts=None):
+            profile = real_replay(trace, program, params, contexts=contexts)
+            oracle = pending.pop()
+            graph, expected = profile.full_graph, oracle.recorder.graph
+            assert list(graph.node_accesses.items()) == list(expected.node_accesses.items())
+            assert list(graph.edges.items()) == list(expected.edges.items())
+            assert graph.total_accesses == expected.total_accesses
+            assert list(profile.object_sizes.items()) == list(oracle.object_sizes.items())
+            assert profile.object_context == oracle.object_context
+            assert chains(contexts) == chains(oracle.contexts)
+            checked[trace.header.workload] = checked.get(trace.header.workload, 0) + 1
+            return profile
+
+        monkeypatch.setattr(service_module, "Machine", machine_with_oracle)
+        monkeypatch.setattr(service_module, "replay_profile", checked_replay)
+        report = service.run()
+        assert report.completed and not pending
+        # Both workloads were served, each more than once, so later
+        # requests interned into a table earlier requests had filled.
+        assert set(checked) == {"health", "ft"}
+        assert min(checked.values()) >= 2
+        assert sum(checked.values()) == 24

@@ -241,16 +241,32 @@ def test_python_backend_records_the_same_bytes(monkeypatch):
     assert_columns_equal(EventTrace.from_bytes(compiled.to_bytes()).columns(), compiled.columns())
 
 
-def test_decode_fault_forces_direct_profiling_on_a_fresh_recording():
-    clean = prepare_workload("deepsjeng")
-    assert clean.times.trace_fallbacks == 0
+def test_decode_fault_re_records_a_from_bytes_trace():
+    """A decode fault hits only decoded bytes; the damaged trace is re-recorded.
+
+    A fresh recording serves its own columns, so the fault cannot fire on
+    it; a trace built from bytes is decoded, fails, and is replaced by a
+    recording whose replay gives the listener's profile and groups.
+    """
+    from repro.core.pipeline import optimise_profile, profile_workload
+    from repro.harness.prepare import halo_params_for
+    from repro.workloads import get_workload
+
+    from_bytes = EventTrace.from_bytes(record_workload("deepsjeng", scale="test").to_bytes())
     with fault_plan_active(FaultPlan(trace_decode_error_rate=1.0)):
-        degraded = prepare_workload("deepsjeng")
-    assert degraded.times.trace_fallbacks == 1
-    assert degraded.times.trace_replays == 0
-    assert degraded.profile.graph == clean.profile.graph
+        fresh = prepare_workload("deepsjeng")
+        degraded = prepare_workload("deepsjeng", trace=from_bytes)
+    assert fresh.times.trace_rerecords == 0
+    assert (fresh.times.trace_records, fresh.times.trace_replays) == (1, 1)
+    assert degraded.times.trace_rerecords == 1
+    assert (degraded.times.trace_records, degraded.times.trace_replays) == (1, 1)
+
+    workload = get_workload("deepsjeng")
+    params = halo_params_for(workload)
+    direct = profile_workload(workload, params, scale="test", record_trace=True)
+    assert degraded.profile.graph == direct.graph
     assert [sorted(g.members) for g in degraded.halo.groups] == [
-        sorted(g.members) for g in clean.halo.groups
+        sorted(g.members) for g in optimise_profile(direct, params).groups
     ]
 
 
