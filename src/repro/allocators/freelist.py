@@ -16,7 +16,9 @@ matrix:
   that can serve the request — the policy dlmalloc calls "address-ordered
   best bet", favouring low addresses and long-lived range reuse;
 * **best-fit** picks the fitting range with the least leftover slack
-  (ties to the lowest address), trading scan cost for tighter packing;
+  (ties to the lowest address), for tighter packing; a length-ordered
+  index of the free ranges finds it by bisection, walking up past ranges
+  that an alignment gap makes too short;
 * carving is alignment-aware: the returned address is aligned up inside
   the chosen range and any leading gap stays on the free list;
 * ``realloc`` is real: shrinks release the tail in place, grows extend
@@ -31,8 +33,8 @@ sized to fit.  The allocator records *requested* sizes for ``size_of`` /
 
 from __future__ import annotations
 
-from bisect import bisect_right
-from typing import Iterator
+from bisect import bisect_left, bisect_right, insort
+from typing import Iterator, Optional
 
 from .base import (
     AllocationError,
@@ -77,6 +79,10 @@ class FreeListAllocator(Allocator):
         # Parallel lists keep bisect simple and the common paths allocation-free.
         self._starts: list[int] = []
         self._ends: list[int] = []
+        # Best fit's index: every free range as (length, start), ascending.
+        self._by_length: Optional[list[tuple[int, int]]] = (
+            [] if policy == "best-fit" else None
+        )
         # Live bookkeeping: requested size (what size_of/free report) and
         # carved extent (what actually returns to the free list).
         self._sizes: dict[int, int] = {}
@@ -92,6 +98,17 @@ class FreeListAllocator(Allocator):
 
     # -- free-range bookkeeping -----------------------------------------
 
+    def _index(self, start: int, end: int) -> None:
+        """Add the free range [start, end) to the best-fit index."""
+        if self._by_length is not None:
+            insort(self._by_length, (end - start, start))
+
+    def _unindex(self, start: int, end: int) -> None:
+        """Drop the free range [start, end) from the best-fit index."""
+        by_length = self._by_length
+        if by_length is not None:
+            del by_length[bisect_left(by_length, (end - start, start))]
+
     def _insert_range(self, start: int, end: int) -> None:
         """Insert [start, end) into the free list, coalescing neighbours."""
         index = bisect_right(self._starts, start)
@@ -99,6 +116,7 @@ class FreeListAllocator(Allocator):
         # Merge with the preceding range when it ends exactly at `start`.
         if index > 0 and self._ends[index - 1] == start:
             index -= 1
+            self._unindex(self._starts[index], start)
             self._ends[index] = end
             merged = True
         else:
@@ -106,10 +124,12 @@ class FreeListAllocator(Allocator):
             self._ends.insert(index, end)
         # Merge with the following range when it starts exactly at `end`.
         if index + 1 < len(self._starts) and self._starts[index + 1] == end:
+            self._unindex(end, self._ends[index + 1])
             self._ends[index] = self._ends[index + 1]
             del self._starts[index + 1]
             del self._ends[index + 1]
             merged = True
+        self._index(self._starts[index], self._ends[index])
         if merged:
             self.coalesced_frees += 1
 
@@ -118,6 +138,11 @@ class FreeListAllocator(Allocator):
         start, end = self._starts[index], self._ends[index]
         lead = addr - start
         tail = end - (addr + extent)
+        self._unindex(start, end)
+        if lead:
+            self._index(start, addr)
+        if tail:
+            self._index(addr + extent, end)
         if lead and tail:
             # Split: keep the lead in place, insert the tail after it.
             self._ends[index] = start + lead
@@ -144,21 +169,23 @@ class FreeListAllocator(Allocator):
     def _find_fit(self, extent: int, alignment: int) -> tuple[int, int]:
         """Locate ``(index, aligned addr)`` of the range to carve, or (-1, 0)."""
         starts, ends = self._starts, self._ends
-        if self.policy == "first-fit":
-            for index in range(len(starts)):
-                addr = align_up(starts[index], alignment)
-                if addr + extent <= ends[index]:
-                    return index, addr
+        if self._by_length is not None:
+            # Best fit: the least slack is the shortest range that fits once
+            # aligned, and the lowest start breaks ties.  The index is
+            # ordered by exactly that, so the first fitting entry from the
+            # shortest long-enough range is the answer.
+            by_length = self._by_length
+            for at in range(bisect_left(by_length, (extent, -1)), len(by_length)):
+                length, start = by_length[at]
+                addr = align_up(start, alignment)
+                if addr + extent <= start + length:
+                    return bisect_left(starts, start), addr
             return -1, 0
-        best_index, best_addr, best_slack = -1, 0, 0
         for index in range(len(starts)):
             addr = align_up(starts[index], alignment)
-            if addr + extent > ends[index]:
-                continue
-            slack = (ends[index] - starts[index]) - extent
-            if best_index < 0 or slack < best_slack:
-                best_index, best_addr, best_slack = index, addr, slack
-        return best_index, best_addr
+            if addr + extent <= ends[index]:
+                return index, addr
+        return -1, 0
 
     # -- the allocator interface ----------------------------------------
 

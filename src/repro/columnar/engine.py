@@ -3,8 +3,8 @@
 ``measure_columnar`` produces the same :class:`Measurement` a per-event
 :class:`~repro.trace.replay.TraceReplayer` run would — bit-identical
 cycles, per-level cache/TLB miss counts, allocator statistics, peak
-live bytes and fragmentation-at-peak — in one Python loop over the heap
-operations alone.  The decomposition exploits four structural facts of
+live bytes and fragmentation-at-peak — in one pass over the heap
+operations alone.  The decomposition exploits five structural facts of
 the simulator:
 
 * **Selectors are a function of the call/return stream.**  A grouped
@@ -24,6 +24,15 @@ the simulator:
   stream through L2, and so on — which is what the chunked
   :func:`~repro.columnar.kernel.lru_filter` kernel does over
   precomputed set/tag columns (``columnar.hierarchy``).
+* **Placement is a policy, not a program.**  The size-class allocator
+  and the group allocator over it decide every address from the heap
+  ops and each allocation's group alone, so the pass runs on their
+  exact C replicas in the kernel library
+  (:func:`~repro.columnar.kernel.place`, span ``columnar.place``):
+  HALO's post-link rewrite, simulated without executing the calls.
+  Every other allocator, a subclass, and a run under a fault plan that
+  flips the state vector or caps the chunks take the Python loop over
+  the allocator's own methods, which stays the oracle.
 * **Fragmentation is only read at one instant.**  Placement never reads
   page residency, so the loop touches no page for an access.  At the
   peak allocation it snapshots the allocator's live and high-water
@@ -40,12 +49,14 @@ The per-event Machine path remains the differential oracle — see
 
 from __future__ import annotations
 
+import random
 from typing import Callable, Optional
 
 import numpy as np
 
-from ..allocators.base import PAGE_SHIFT, PAGE_SIZE, AddressSpace, Allocator
+from ..allocators.base import PAGE_SHIFT, PAGE_SIZE, AddressSpace, Allocator, AllocatorStats
 from ..allocators.group import FragmentationSnapshot, GroupAllocator
+from ..allocators.size_class import SizeClassAllocator
 from ..cache.hierarchy import HierarchyConfig, HierarchyStats
 from ..cache.sharing import FalseSharingTracker
 from ..cache.timing import CostModel
@@ -55,6 +66,8 @@ from ..trace.format import (
     OP_ALLOC, OP_CALL, OP_FREE, OP_REALLOC, CallTrie, EventTrace, TraceColumns,
 )
 from ..workloads.base import Workload
+from ..faults.plan import active_fault_plan
+from . import kernel
 from .kernel import expand_ranges, lru_filter, validate_geometry
 from .. import obs
 
@@ -230,7 +243,7 @@ class _Selectors:
     op's own (a fault-flipped vector) resolves its own key.
     """
 
-    __slots__ = ("key", "keys", "states", "nodes", "gids", "matcher", "_machine", "_trie")
+    __slots__ = ("key", "keys", "column", "states", "nodes", "gids", "matcher", "_machine", "_trie")
 
     def __init__(self, cols, machine: Machine) -> None:
         self.matcher = matcher = machine.allocator.matcher
@@ -247,6 +260,7 @@ class _Selectors:
             _, key = np.unique(key * (int(code.max(initial=0)) + 1) + code, return_inverse=True)
         first = np.unique(key, return_index=True)[1].tolist()
         self.key = 0
+        self.column = key
         self.keys = key.tolist()
         self.states = [sum(int(word[i]) << (64 * w) for w, word in enumerate(words)) for i in first]
         self.nodes = node[first].tolist()
@@ -278,15 +292,20 @@ class _Peak:
 
     __slots__ = ("frag", "ptr", "spans", "held", "purges")
 
-    def __init__(self, allocator: GroupAllocator, ptr: int, purges: list) -> None:
-        self.frag = allocator.fragmentation()
-        self.ptr = ptr
-        self.spans = sorted(  # each chunk's first and last page
+    def __init__(
+        self, frag: FragmentationSnapshot, ptr: int, spans: list, held: np.ndarray, purges: list
+    ) -> None:
+        self.frag, self.ptr, self.spans, self.held, self.purges = frag, ptr, spans, held, purges
+
+    @classmethod
+    def of(cls, allocator: GroupAllocator, ptr: int, purges: list) -> "_Peak":
+        """The snapshot of a live Python allocator."""
+        spans = sorted(  # each chunk's first and last page
             (chunk.base >> PAGE_SHIFT, (chunk.base + chunk.size - 1) >> PAGE_SHIFT)
             for chunk in allocator._chunks.values()
         )
-        self.held = np.array(sorted(allocator.space._touched_pages), dtype=np.int64)
-        self.purges = list(purges)
+        held = np.array(sorted(allocator.space._touched_pages), dtype=np.int64)
+        return cls(allocator.fragmentation(), ptr, spans, held, list(purges))
 
     def fragmentation(self, pages: np.ndarray, page_starts: np.ndarray) -> FragmentationSnapshot:
         """The snapshot with page residency from the hierarchy's page stream.
@@ -324,10 +343,12 @@ def _place(cols, machine: Machine) -> _Placement:
     """The one placement pass: every heap op, in stream order, on the
     machine's allocator; calls and returns are never walked.
 
-    A grouped allocator consults the selector keys (``columnar.selectors``)
-    through a matcher stand-in, logs its chunk purges, and is
-    snapshotted at the peak allocation.  Thread switches reach a
-    thread-aware allocator between runs of ops.
+    A grouped allocator consults the selector keys (``columnar.selectors``),
+    logs its chunk purges, and is snapshotted at the peak allocation.  A
+    size-class allocator, or a group allocator over one, is placed by the
+    compiled replica (:func:`_place_compiled`); any other allocator, or
+    any run without the compiled library, takes the Python loop
+    (:func:`_place_python`), which stays the oracle.
     """
     allocator = machine.allocator
     out = _Placement()
@@ -340,12 +361,152 @@ def _place(cols, machine: Machine) -> _Placement:
         out.toggles = 2 * int(np.isin(cols.call_addrs, list(instrumentation)).sum())
     grouped = isinstance(allocator, GroupAllocator)
     snap = peak_at + 1 if grouped else 0
-    purges: list[tuple[int, int, int]] = []
-    ptr = 0
+    selectors = None
     if grouped:
         with obs.span("columnar.selectors"):
             selectors = _Selectors(cols, machine)
         out.keys = len(selectors.gids)
+    sized = _compiled(allocator)
+    try:
+        with obs.span("columnar.place"):
+            if sized is None or not _place_compiled(cols, allocator, sized, selectors, snap, out):
+                _place_python(cols, machine, selectors, snap, out)
+    finally:
+        if grouped:
+            machine.stack.clear()
+    return out
+
+
+def _compiled(allocator: Allocator) -> Optional[SizeClassAllocator]:
+    """The size-class allocator under *allocator* when the placement
+    kernel replicates *allocator* exactly, else None.
+
+    That is a fresh ``SizeClassAllocator``, or a fresh ``GroupAllocator``
+    (no subclass) over one on the same plain address space, while no
+    fault plan flips the state vector or caps the chunks.
+    """
+    sized = allocator
+    if type(allocator) is GroupAllocator:
+        sized = allocator.fallback
+        plan = active_fault_plan()
+        if (
+            sized.space is not allocator.space
+            or allocator._chunks
+            or allocator.forwarded_allocs
+            or plan is not None and (plan.state_flip_rate or plan.group_max_chunks is not None)
+        ):
+            return None
+    if type(sized) is not SizeClassAllocator or sized.stats.total_allocs:
+        return None
+    space = sized.space
+    if type(space) is not AddressSpace or type(space._rng) is not random.Random:
+        return None
+    return sized
+
+
+def _class_tables(sized: SizeClassAllocator) -> tuple[np.ndarray, ...]:
+    """The kernel's size-class table: class per ``(size + 7) >> 3``, and
+    each class's region size, run capacity and run bytes."""
+    index = {size: i for i, size in enumerate(sized._classes)}
+    bins = [sized._bins[size] for size in sized._classes]
+    return (
+        np.array([index[size] for size in sized._class_table], dtype=np.int32),
+        np.array([b.region_size for b in bins], dtype=np.int64),
+        np.array([b.run_capacity for b in bins], dtype=np.int64),
+        np.array([b.run_bytes for b in bins], dtype=np.int64),
+    )
+
+
+def _place_compiled(
+    cols, allocator: Allocator, sized: SizeClassAllocator, selectors: Optional[_Selectors],
+    snap: int, out: _Placement,
+) -> bool:
+    """Place on the compiled replica (:func:`~repro.columnar.kernel.place`);
+    False when it did not run.
+
+    The allocators keep their counters and the address space its cursor,
+    reservations, chunk-header residency and RNG state, as the Python
+    loop leaves them; their block maps stay empty, so neither allocator
+    can be walked or freed into afterwards.
+    """
+    space = sized.space
+    params = dict.fromkeys(kernel.PLACE_PARAMS, 0)
+    params.update(
+        snap=snap, objects=cols.allocs, max_small=sized._max_small, cursor=space._cursor,
+        reserved_bytes=space.reserved_bytes, peak_reserved_bytes=space.peak_reserved_bytes,
+    )
+    gid, colours = None, np.zeros(0, dtype=np.int64)
+    if selectors is not None:
+        groups = list(dict.fromkeys(g for g in selectors.gids if g is not None))
+        dense = {g: i for i, g in enumerate(groups)}
+        gid = np.array([dense.get(g, -1) for g in selectors.gids], dtype=np.int32)[selectors.column]
+        colours = np.array([allocator._colour_of(g) for g in groups], dtype=np.int64)
+        limit = allocator.max_total_chunks
+        params.update(
+            grouped=1, chunk_size=allocator.chunk_size, slab_size=allocator.slab_size,
+            max_spare_chunks=allocator.max_spare_chunks,
+            max_grouped_size=allocator.max_grouped_size,
+            always_reuse_chunks=int(allocator.always_reuse_chunks),
+            max_total_chunks=-1 if limit is None else limit,
+        )
+    version, mt, gauss = space._rng.getstate()
+    placed = kernel.place(cols.heap, gid, colours, params, _class_tables(sized), list(mt))
+    if placed is None:
+        return False
+    counters = placed.counters
+    touched = np.array(sorted(space._touched_pages), dtype=np.int64)
+    sized.stats = AllocatorStats(*placed.fallback_stats)
+    if selectors is not None:
+        allocator.stats = AllocatorStats(*placed.stats)
+        for name in (
+            "grouped_live_bytes", "grouped_allocs", "forwarded_allocs", "degraded_allocs",
+            "chunks_created", "chunks_reused", "chunks_purged",
+        ):
+            setattr(allocator, name, counters[name])
+    space._cursor = counters["cursor"]
+    space.reserved_bytes = counters["reserved_bytes"]
+    space.peak_reserved_bytes = counters["peak_reserved_bytes"]
+    space._rng.setstate((version, tuple(placed.mt), gauss))
+    for base, size, live in placed.reservations.tolist():
+        if live:
+            space._reservations[base] = size
+    space._touched_pages.update((placed.chunk_bases[placed.held_end] >> PAGE_SHIFT).tolist())
+    out.bases = placed.bases.tolist()
+    out.realloc_addrs = placed.realloc_addrs.tolist()
+    out.moves = [tuple(move) for move in placed.moves.tolist()]
+    if snap:
+        chunk = allocator.chunk_size
+        bases = placed.chunk_bases[:counters["peak_chunks"]]
+        first, last = bases >> PAGE_SHIFT, (bases + chunk - 1) >> PAGE_SHIFT
+        held = np.union1d(touched, first[placed.held_peak])
+        resident = np.searchsorted(held, last, side="right") - np.searchsorted(held, first)
+        frag = FragmentationSnapshot(
+            live_bytes=counters["peak_live_bytes"],
+            resident_bytes=int(resident.sum()) * PAGE_SIZE,
+            high_water_bytes=counters["peak_high_water_bytes"],
+        )
+        purges = placed.purges[:counters["peak_purges"]].tolist()
+        out.peak = _Peak(
+            frag, counters["peak_ptr"], sorted(zip(first.tolist(), last.tolist())), held,
+            [(ptr, base, chunk) for ptr, base in purges],
+        )
+    return True
+
+
+def _place_python(
+    cols, machine: Machine, selectors: Optional[_Selectors], snap: int, out: _Placement
+) -> None:
+    """Place every heap op through the allocator's own Python methods.
+
+    A grouped allocator's matcher is the selector stand-in and its
+    space's purges are logged for the peak snapshot while the loop runs.
+    Thread switches reach a thread-aware allocator between runs of ops.
+    """
+    allocator = machine.allocator
+    grouped = selectors is not None
+    purges: list[tuple[int, int, int]] = []
+    ptr = 0
+    if grouped:
         next_key = iter(selectors.keys).__next__
         states = selectors.states
         vector = machine.state_vector
@@ -363,36 +524,33 @@ def _place(cols, machine: Machine) -> _Placement:
     bases, moves, realloc_addrs = out.bases, out.moves, out.realloc_addrs
     cur: list[int] = []
     try:
-        with obs.span("columnar.place"):
-            for thread, ops in cols.segments(threaded=set_thread is not None):
-                if thread is not None:
-                    set_thread(thread)
-                for op, a, b, ptr in ops:
-                    if op == OP_FREE:
-                        al_free(cur[a])
-                        continue
-                    if grouped:
-                        selectors.key = key = next_key()
-                        vector.value = states[key]
-                    if op == OP_ALLOC:
-                        addr = al_malloc(a)
-                        cur.append(addr)
-                        bases.append(addr)
-                        if len(bases) == snap:
-                            out.peak = _Peak(allocator, ptr, purges)
-                    else:  # OP_REALLOC
-                        old = cur[a]
-                        new = al_realloc(old, b)
-                        realloc_addrs.append(new)
-                        if new != old:
-                            cur[a] = new
-                            moves.append((ptr, a, new))
+        for thread, ops in cols.segments(threaded=set_thread is not None):
+            if thread is not None:
+                set_thread(thread)
+            for op, a, b, ptr in ops:
+                if op == OP_FREE:
+                    al_free(cur[a])
+                    continue
+                if grouped:
+                    selectors.key = key = next_key()
+                    vector.value = states[key]
+                if op == OP_ALLOC:
+                    addr = al_malloc(a)
+                    cur.append(addr)
+                    bases.append(addr)
+                    if len(bases) == snap:
+                        out.peak = _Peak.of(allocator, ptr, purges)
+                else:  # OP_REALLOC
+                    old = cur[a]
+                    new = al_realloc(old, b)
+                    realloc_addrs.append(new)
+                    if new != old:
+                        cur[a] = new
+                        moves.append((ptr, a, new))
     finally:
         if grouped:
             allocator.matcher = selectors.matcher
             del space.purge
-            machine.stack.clear()
-    return out
 
 
 def _false_sharing(cols, placement: _Placement, addr: np.ndarray) -> FalseSharingTracker:
@@ -466,9 +624,12 @@ def place_trace(
     """Place *trace*'s heap ops on a fresh allocator, then gather addresses.
 
     The place-then-gather step every columnar consumer shares: returns
-    the trace's columns, the machine (its allocator left in the
-    placement's end state), the placement, and the absolute address of
-    every access.
+    the trace's columns, the machine, the placement (with the peak
+    snapshot of a grouped allocator), and the absolute address of every
+    access.  The machine's allocator reports the placement's end-state
+    counters (``stats``, ``observable_stats()``) and its address space
+    the end-state cursor and reservations; it is not a walkable heap, so
+    nothing may free into it or walk its blocks afterwards.
     """
     cols = trace.columns()
     # run_measurement's construction order (factory, machine, attach), so

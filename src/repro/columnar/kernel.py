@@ -1,5 +1,5 @@
 """The compiled kernel library: chunked LRU filtering, SEQUITUR, the
-affinity queue and the trace codec.
+affinity queue, the trace codec and heap placement.
 
 One primitive covers every structure in the simulated hierarchy: an LRU
 set-associative array driven by a flat stream of keys (line addresses
@@ -17,7 +17,11 @@ hot-data-stream analysis: a C replica of
 deduplicated access stream; and :func:`trace_encode` / :func:`trace_decode`,
 the v3 event-body codec between raw trace columns and varint bytes: C
 replicas of :class:`repro.trace.format.TraceWriter`'s encoder and of
-``_decode_into``.
+``_decode_into``; and :func:`place`, the columnar engine's placement pass:
+C replicas of :class:`repro.allocators.size_class.SizeClassAllocator` and of
+:class:`repro.allocators.group.GroupAllocator` over one, driven by a
+trace's heap columns and per-op selector groups, with the address space's
+MT19937 reservation jitter replayed bit for bit.
 
 Two interchangeable backends for each:
 
@@ -26,9 +30,9 @@ Two interchangeable backends for each:
   and loaded through ``ctypes``;
 * pure Python: a replica of :meth:`SetAssociativeCache.access_line`'s
   dict-LRU loop, the object-based ``Sequitur`` and ``AffinityRecorder``,
-  the trace module's own codec.  They run when no compiler is available
-  or ``REPRO_COLUMNAR_DISABLE_CC`` is set, which switches off the whole
-  library.  Every entry-point call counts as
+  the trace module's own codec, the allocators' own ``malloc``/``free``.
+  They run when no compiler is available or ``REPRO_COLUMNAR_DISABLE_CC``
+  is set, which switches off the whole library.  Every entry-point call counts as
   ``kernel.calls{kernel, backend}`` when observability is on.
 
 Both are exact: victim selection mirrors the insertion-ordered dict
@@ -36,8 +40,10 @@ Both are exact: victim selection mirrors the insertion-ordered dict
 miss counts and downstream miss streams are bit-identical to the
 per-event simulation regardless of backend; the C SEQUITUR gives the
 same rule ids, bodies and rule order as the Python one; the C queue
-gives the same edges, in the same order, as the recorder; and the C codec
-writes and reads the same bytes as the Python one.
+gives the same edges, in the same order, as the recorder; the C codec
+writes and reads the same bytes as the Python one; and the C placement
+hands out the same addresses, purges the same chunks and leaves the same
+counters and RNG state as the Python allocators.
 """
 
 from __future__ import annotations
@@ -737,12 +743,600 @@ int64_t halo_trace_decode(const uint8_t *data, int64_t n, int64_t *counts,
 }
 """
 
-_SOURCE = _LRU_SOURCE + _SEQUITUR_SOURCE + _AFFINITY_SOURCE + _TRACE_SOURCE
+_PLACE_SOURCE = r"""
+#include <stdlib.h>
+
+/* Heap placement: exact replicas of repro.allocators.size_class.
+ * SizeClassAllocator and of repro.allocators.group.GroupAllocator over a
+ * SizeClassAllocator fallback, driven by a trace's heap columns.  Every
+ * decision mirrors the Python method of the same name, in the same
+ * order, including the address space's reservation jitter: CPython's
+ * MT19937 and randrange(0, 8) (getrandbits(4), rejecting values >= 8).
+ *
+ * A block is tracked by object id, not by address: live blocks never
+ * share an address, so this is the allocators' own address-keyed map.
+ * Size-class runs keep a free-slot bitmap (the lowest set bit is the
+ * heap minimum the Python run pops), and each class a min-heap of its
+ * non-full runs by base.  A chunk's `resident` flag says its header page
+ * was touched since the last purge of that page.
+ */
+
+enum { P_GROUPED, P_SNAP, P_OBJECTS, P_MAX_SMALL, P_CHUNK, P_SLAB, P_MAX_SPARE,
+       P_MAX_GROUPED, P_ALWAYS_REUSE, P_MAX_CHUNKS, P_CURSOR, P_RESERVED,
+       P_PEAK_RESERVED };
+
+enum { O_TOP = 0, O_FALLBACK = 5, O_GROUPED_LIVE = 10, O_GROUPED, O_FORWARDED,
+       O_DEGRADED, O_CREATED, O_REUSED, O_PURGED, O_CURSOR, O_RESERVED,
+       O_PEAK_RESERVED, O_MOVES, O_PURGES, O_CHUNKS, O_RESERVATIONS, O_PEAK_PTR,
+       O_PEAK_LIVE, O_PEAK_HIGH, O_PEAK_PURGES, O_PEAK_CHUNKS };
+
+enum { PL_FULL = 1, PL_INVALID = 2, PL_NOMEM = 3 };
+enum { PL_DEAD, PL_SMALL, PL_LARGE, PL_GROUPED };
+
+#define PL_PAGE 4096
+#define PL_HEADER 64
+
+typedef struct { int64_t live_bytes, live_blocks, peak, allocs, frees; } PlStats;
+
+typedef struct {
+    int64_t base;
+    int32_t cls, live, nfree, queued;  /* queued: in its class's heap */
+    uint64_t slots[8];                 /* free-slot bitmap, capacity <= 512 */
+} PlRun;
+
+typedef struct {
+    int64_t base, cursor, high;
+    int32_t group, live;
+    int32_t resident;
+} PlChunk;
+
+typedef struct { int64_t addr, size; int32_t where, kind; } PlBlock;
+
+typedef struct { int32_t *v; int64_t n, cap; } PlVec;
+
+typedef struct {
+    const int64_t *p, *class_size, *class_cap, *class_bytes, *colour;
+    const int32_t *class_of;
+    uint32_t mt[625];
+    int64_t cursor, reserved, peak_reserved;
+    int64_t *resv, nresv, cap_resv;
+    PlRun *runs;
+    int64_t nruns, cap_runs;
+    PlVec *nonfull;
+    int64_t nclasses;
+    PlStats top, fb;
+    PlChunk *chunks;
+    int64_t nchunks, cap_chunk;
+    int64_t *chunk_base;
+    int32_t *current;
+    PlVec spares;
+    int64_t slab_cursor, slab_end;
+    int64_t grouped_live, grouped, forwarded, degraded, created, reused, purged;
+    int64_t *purge_log, npurge, cap_purge, ptr;
+    PlBlock *obj;
+    jmp_buf fail;
+} Pl;
+
+static inline int64_t pl_align(int64_t v, int64_t a) { return (v + a - 1) & ~(a - 1); }
+
+static uint32_t pl_genrand(uint32_t *mt)
+{
+    uint32_t y;
+    if (mt[624] >= 624) {
+        int kk;
+        for (kk = 0; kk < 624 - 397; kk++) {
+            y = (mt[kk] & 0x80000000U) | (mt[kk + 1] & 0x7fffffffU);
+            mt[kk] = mt[kk + 397] ^ (y >> 1) ^ ((y & 1U) ? 0x9908b0dfU : 0U);
+        }
+        for (; kk < 623; kk++) {
+            y = (mt[kk] & 0x80000000U) | (mt[kk + 1] & 0x7fffffffU);
+            mt[kk] = mt[kk - 227] ^ (y >> 1) ^ ((y & 1U) ? 0x9908b0dfU : 0U);
+        }
+        y = (mt[623] & 0x80000000U) | (mt[0] & 0x7fffffffU);
+        mt[623] = mt[396] ^ (y >> 1) ^ ((y & 1U) ? 0x9908b0dfU : 0U);
+        mt[624] = 0;
+    }
+    y = mt[mt[624]++];
+    y ^= y >> 11;
+    y ^= (y << 7) & 0x9d2c5680U;
+    y ^= (y << 15) & 0xefc60000U;
+    y ^= y >> 18;
+    return y;
+}
+
+static void pl_stats_alloc(PlStats *s, int64_t size)
+{
+    s->live_bytes += size;
+    s->live_blocks++;
+    s->allocs++;
+    if (s->live_bytes > s->peak) s->peak = s->live_bytes;
+}
+
+static void pl_stats_free(PlStats *s, int64_t size)
+{
+    s->live_bytes -= size;
+    s->live_blocks--;
+    s->frees++;
+}
+
+static void pl_stats_resize(PlStats *s, int64_t old_size, int64_t new_size)
+{
+    s->live_bytes += new_size - old_size;
+    if (s->live_bytes > s->peak) s->peak = s->live_bytes;
+}
+
+static void pl_push(Pl *q, PlVec *v, int32_t x)
+{
+    if (v->n == v->cap) {
+        int64_t cap = v->cap ? 2 * v->cap : 16;
+        int32_t *grown = realloc(v->v, (size_t)cap * sizeof(int32_t));
+        if (!grown) longjmp(q->fail, PL_NOMEM);
+        v->v = grown;
+        v->cap = cap;
+    }
+    v->v[v->n++] = x;
+}
+
+/* AddressSpace.reserve. */
+static int64_t pl_reserve(Pl *q, int64_t size, int64_t alignment)
+{
+    uint32_t r;
+    if (alignment < PL_PAGE) alignment = PL_PAGE;
+    size = pl_align(size, PL_PAGE);
+    do r = pl_genrand(q->mt) >> 28; while (r >= 8);
+    int64_t base = pl_align(q->cursor + (int64_t)r * PL_PAGE, alignment);
+    q->cursor = base + size;
+    q->reserved += size;
+    if (q->reserved > q->peak_reserved) q->peak_reserved = q->reserved;
+    if (q->nresv == q->cap_resv) longjmp(q->fail, PL_FULL);
+    int64_t *row = q->resv + 3 * q->nresv++;
+    row[0] = base;
+    row[1] = size;
+    row[2] = 1;
+    return base;
+}
+
+/* A class's non-full runs: a binary min-heap of run ids by base. */
+static void pl_heap_push(Pl *q, PlVec *h, int32_t id)
+{
+    pl_push(q, h, id);
+    int64_t i = h->n - 1;
+    while (i > 0) {
+        int64_t up = (i - 1) / 2;
+        if (q->runs[h->v[up]].base <= q->runs[id].base) break;
+        h->v[i] = h->v[up];
+        i = up;
+    }
+    h->v[i] = id;
+}
+
+static void pl_heap_pop(Pl *q, PlVec *h)
+{
+    int32_t last = h->v[--h->n];
+    int64_t i = 0, n = h->n;
+    for (;;) {
+        int64_t c = 2 * i + 1;
+        if (c >= n) break;
+        if (c + 1 < n && q->runs[h->v[c + 1]].base < q->runs[h->v[c]].base) c++;
+        if (q->runs[last].base <= q->runs[h->v[c]].base) break;
+        h->v[i] = h->v[c];
+        i = c;
+    }
+    if (n) h->v[i] = last;
+}
+
+/* SizeClassAllocator._nonfull_run: the lowest-addressed non-full run. */
+static int32_t pl_nonfull_run(Pl *q, int32_t cls)
+{
+    PlVec *h = &q->nonfull[cls];
+    while (h->n && q->runs[h->v[0]].nfree == 0) {
+        q->runs[h->v[0]].queued = 0;
+        pl_heap_pop(q, h);
+    }
+    if (h->n) return h->v[0];
+    int64_t base = pl_reserve(q, q->class_bytes[cls], PL_PAGE);
+    if (q->nruns == q->cap_runs) {
+        int64_t cap = q->cap_runs ? 2 * q->cap_runs : 64;
+        PlRun *grown = realloc(q->runs, (size_t)cap * sizeof(PlRun));
+        if (!grown) longjmp(q->fail, PL_NOMEM);
+        q->runs = grown;
+        q->cap_runs = cap;
+    }
+    int32_t id = (int32_t)q->nruns++;
+    PlRun *r = &q->runs[id];
+    int64_t cap = q->class_cap[cls];
+    r->base = base;
+    r->cls = cls;
+    r->live = 0;
+    r->nfree = (int32_t)cap;
+    r->queued = 1;
+    for (int w = 0; w < 8; w++) {
+        int64_t bits = cap - 64 * w;
+        r->slots[w] = bits >= 64 ? ~0ULL : bits > 0 ? (1ULL << bits) - 1 : 0;
+    }
+    pl_heap_push(q, h, id);
+    return id;
+}
+
+/* _Run.take: the lowest free slot. */
+static int64_t pl_run_take(PlRun *r)
+{
+    for (int w = 0;; w++) {
+        if (r->slots[w]) {
+            int64_t slot = 64 * w + __builtin_ctzll(r->slots[w]);
+            r->slots[w] &= r->slots[w] - 1;
+            return slot;
+        }
+    }
+}
+
+static void pl_sc_malloc(Pl *q, int64_t size, PlBlock *b)
+{
+    if (size <= 0) longjmp(q->fail, PL_INVALID);
+    int64_t want = size >= 8 ? size : 8;
+    if (want > q->p[P_MAX_SMALL]) {
+        b->addr = pl_reserve(q, pl_align(size, PL_PAGE), PL_PAGE);
+        b->kind = PL_LARGE;
+        b->where = (int32_t)(q->nresv - 1);
+    } else {
+        int32_t cls = q->class_of[(want + 7) >> 3];
+        int32_t id = pl_nonfull_run(q, cls);
+        PlRun *r = &q->runs[id];
+        b->addr = r->base + pl_run_take(r) * q->class_size[cls];
+        r->live++;
+        r->nfree--;
+        b->kind = PL_SMALL;
+        b->where = id;
+    }
+    b->size = size;
+    pl_stats_alloc(&q->fb, size);
+}
+
+static void pl_sc_free(Pl *q, const PlBlock *b)
+{
+    if (b->kind == PL_LARGE) {
+        int64_t *row = q->resv + 3 * b->where;
+        q->reserved -= row[1];
+        row[2] = 0;
+    } else {
+        PlRun *r = &q->runs[b->where];
+        int64_t slot = (b->addr - r->base) / q->class_size[r->cls];
+        r->slots[slot >> 6] |= 1ULL << (slot & 63);
+        r->live--;
+        if (r->nfree++ == 0 && !r->queued) {
+            r->queued = 1;
+            pl_heap_push(q, &q->nonfull[r->cls], b->where);
+        }
+    }
+    pl_stats_free(&q->fb, b->size);
+}
+
+/* SizeClassAllocator.realloc: in place on a shrink or within the class. */
+static void pl_sc_realloc(Pl *q, PlBlock *b, int64_t new_size)
+{
+    if (new_size <= b->size
+        || (b->kind == PL_SMALL && new_size <= q->p[P_MAX_SMALL]
+            && q->class_of[(new_size + 7) >> 3] == q->runs[b->where].cls)) {
+        pl_stats_resize(&q->fb, b->size, new_size);
+        b->size = new_size;
+        return;
+    }
+    PlBlock moved;
+    pl_sc_malloc(q, new_size, &moved);
+    pl_sc_free(q, b);
+    *b = moved;
+}
+
+/* AddressSpace.purge of a chunk: every header on its pages goes. */
+static void pl_purge(Pl *q, int32_t id)
+{
+    int64_t first = q->chunks[id].base >> 12;
+    int64_t last = (q->chunks[id].base + q->p[P_CHUNK] - 1) >> 12;
+    for (int64_t j = id; j >= 0 && (q->chunks[j].base >> 12) >= first; j--)
+        q->chunks[j].resident = 0;
+    for (int64_t j = id + 1; j < q->nchunks && (q->chunks[j].base >> 12) <= last; j++)
+        q->chunks[j].resident = 0;
+}
+
+/* GroupAllocator._retire: keep as a spare, purging past the spare limit. */
+static void pl_retire(Pl *q, int32_t id)
+{
+    if (!(q->p[P_ALWAYS_REUSE] || q->spares.n < q->p[P_MAX_SPARE])) {
+        if (q->npurge == q->cap_purge) longjmp(q->fail, PL_FULL);
+        q->purge_log[2 * q->npurge] = q->ptr;
+        q->purge_log[2 * q->npurge + 1] = q->chunks[id].base;
+        q->npurge++;
+        pl_purge(q, id);
+        q->purged++;
+    }
+    pl_push(q, &q->spares, id);
+}
+
+/* The newest spare (the Python list's pop()). */
+static int32_t pl_pop_spare(Pl *q)
+{
+    return q->spares.v[--q->spares.n];
+}
+
+/* GroupAllocator._fresh_chunk: a spare, else a new chunk; -1 when capped. */
+static int32_t pl_fresh_chunk(Pl *q, int32_t g)
+{
+    int64_t size = q->p[P_CHUNK];
+    PlChunk *c;
+    if (q->spares.n) {
+        int32_t id = pl_pop_spare(q);
+        c = &q->chunks[id];
+        c->group = g;
+        c->cursor = c->high = c->base + PL_HEADER + q->colour[g];
+        c->live = 0;
+        c->resident = 1;
+        q->reused++;
+        return id;
+    }
+    if (q->p[P_MAX_CHUNKS] >= 0 && q->created >= q->p[P_MAX_CHUNKS]) return -1;
+    if (q->slab_cursor + size > q->slab_end) {
+        int64_t base = pl_reserve(q, q->p[P_SLAB], size);
+        q->slab_cursor = base;
+        q->slab_end = base + q->p[P_SLAB];
+    }
+    if (q->nchunks == q->cap_chunk) longjmp(q->fail, PL_FULL);
+    int32_t id = (int32_t)q->nchunks++;
+    c = &q->chunks[id];
+    c->base = q->chunk_base[id] = q->slab_cursor;
+    q->slab_cursor += size;
+    c->group = g;
+    c->cursor = c->high = c->base + PL_HEADER + q->colour[g];
+    c->live = 0;
+    c->resident = 1;
+    q->created++;
+    return id;
+}
+
+/* _Chunk.try_reserve at 8-byte alignment; -1 when it does not fit. */
+static int64_t pl_try_reserve(Pl *q, PlChunk *c, int64_t size)
+{
+    int64_t addr = pl_align(c->cursor, 8);
+    if (addr + size > c->base + q->p[P_CHUNK]) return -1;
+    c->cursor = addr + size;
+    if (c->cursor > c->high) c->high = c->cursor;
+    c->live++;
+    return addr;
+}
+
+/* GroupAllocator._group_malloc; 0 when the request degrades. */
+static int pl_group_malloc(Pl *q, int32_t g, int64_t size, PlBlock *b)
+{
+    int32_t id = q->current[g];
+    int64_t addr = id >= 0 ? pl_try_reserve(q, &q->chunks[id], size) : -1;
+    if (addr < 0) {
+        if (id >= 0 && q->chunks[id].live == 0) {
+            q->current[g] = -1;
+            pl_retire(q, id);
+        }
+        id = pl_fresh_chunk(q, g);
+        if (id < 0) return 0;
+        q->current[g] = id;
+        addr = pl_try_reserve(q, &q->chunks[id], size);
+        if (addr < 0) return 0;
+    }
+    b->addr = addr;
+    b->size = size;
+    b->kind = PL_GROUPED;
+    b->where = id;
+    q->grouped_live += size;
+    q->grouped++;
+    pl_stats_alloc(&q->top, size);
+    return 1;
+}
+
+static void pl_malloc(Pl *q, int64_t size, int32_t g, PlBlock *b)
+{
+    if (!q->p[P_GROUPED]) {
+        pl_sc_malloc(q, size, b);
+        return;
+    }
+    if (size <= 0) longjmp(q->fail, PL_INVALID);
+    if (size < q->p[P_MAX_GROUPED] && g >= 0) {
+        if (pl_group_malloc(q, g, size, b)) return;
+        q->degraded++;
+    }
+    q->forwarded++;
+    pl_sc_malloc(q, size, b);
+}
+
+static void pl_free(Pl *q, PlBlock *b)
+{
+    if (b->kind != PL_GROUPED) {
+        pl_sc_free(q, b);
+        return;
+    }
+    PlChunk *c = &q->chunks[b->where];
+    c->live--;
+    q->grouped_live -= b->size;
+    pl_stats_free(&q->top, b->size);
+    if (c->live == 0 && q->current[c->group] != b->where) pl_retire(q, b->where);
+}
+
+/* GroupAllocator.realloc: grouped blocks shrink in place, else move. */
+static void pl_realloc(Pl *q, PlBlock *b, int64_t new_size, int32_t g)
+{
+    if (b->kind != PL_GROUPED) {
+        pl_sc_realloc(q, b, new_size);
+        return;
+    }
+    if (new_size <= b->size) {
+        q->grouped_live -= b->size - new_size;
+        pl_stats_resize(&q->top, b->size, new_size);
+        b->size = new_size;
+        return;
+    }
+    PlBlock moved;
+    pl_malloc(q, new_size, g, &moved);
+    pl_free(q, b);
+    *b = moved;
+}
+
+static PlBlock *pl_object(Pl *q, int64_t oid, int64_t objects)
+{
+    if (oid < 0 || oid >= objects || q->obj[oid].kind == PL_DEAD)
+        longjmp(q->fail, PL_INVALID);
+    return &q->obj[oid];
+}
+
+static void pl_release(Pl *q)
+{
+    if (q->nonfull)
+        for (int64_t c = 0; c < q->nclasses; c++) free(q->nonfull[c].v);
+    free(q->nonfull);
+    free(q->runs);
+    free(q->chunks);
+    free(q->current);
+    free(q->spares.v);
+    free(q->obj);
+    free(q);
+}
+
+/* Place n heap ops (ops/ca/cb/cptr: the heap columns).
+ *
+ * gid      per ALLOC/REALLOC op: the selector's dense group, -1 = forward
+ * colour   per dense group: its chunks' bump-start offset
+ * params   P_* above; P_SNAP is the allocation ordinal (1-based) of the
+ *          live peak, 0 for none; P_MAX_CHUNKS < 0 means no cap
+ * class_*  the size-class table ((size + 7) >> 3 -> class) and each
+ *          class's region size, run capacity and run bytes
+ * mt       the MT19937 state and index (625 words), advanced in place
+ * bases, realloc_addrs, moves (ptr, oid, addr): one per alloc, realloc,
+ *          moving realloc
+ * purges   (ptr, base) per chunk purge; resv (base, size, live) per
+ *          reservation; chunk_base per chunk carved; held[c] the header
+ *          flag of chunk c at the peak, held[cap_chunk + c] at the end
+ * out      O_* above
+ *
+ * Returns 0; -1 when purges, resv or the chunk arrays were too small
+ * (nothing is written back: retry larger); -2 for an op the Python
+ * allocators reject (a bad size or object id); -3 out of memory.
+ */
+int64_t halo_place(const int64_t *ops, const int64_t *ca, const int64_t *cb,
+                   const int64_t *cptr, int64_t n, const int32_t *gid,
+                   const int64_t *colour, int64_t ngroups, const int64_t *params,
+                   const int32_t *class_of, const int64_t *class_size,
+                   const int64_t *class_cap, const int64_t *class_bytes,
+                   int64_t nclasses, uint32_t *mt,
+                   int64_t *bases, int64_t *realloc_addrs, int64_t *moves,
+                   int64_t *purges, int64_t cap_purge, int64_t *resv, int64_t cap_resv,
+                   int64_t *chunk_base, int8_t *held, int64_t cap_chunk, int64_t *out)
+{
+    Pl *q = calloc(1, sizeof(Pl));
+    if (!q) return -3;
+    int code = setjmp(q->fail);
+    if (code) {
+        pl_release(q);
+        return -code;
+    }
+    int64_t objects = params[P_OBJECTS];
+    q->p = params;
+    q->class_of = class_of;
+    q->class_size = class_size;
+    q->class_cap = class_cap;
+    q->class_bytes = class_bytes;
+    q->nclasses = nclasses;
+    q->colour = colour;
+    memcpy(q->mt, mt, sizeof q->mt);
+    q->cursor = params[P_CURSOR];
+    q->reserved = params[P_RESERVED];
+    q->peak_reserved = params[P_PEAK_RESERVED];
+    q->resv = resv;
+    q->cap_resv = cap_resv;
+    q->purge_log = purges;
+    q->cap_purge = cap_purge;
+    q->chunk_base = chunk_base;
+    q->cap_chunk = cap_chunk;
+    q->nonfull = calloc((size_t)nclasses + 1, sizeof(PlVec));
+    q->chunks = malloc(((size_t)cap_chunk + 1) * sizeof(PlChunk));
+    q->current = malloc(((size_t)ngroups + 1) * sizeof(int32_t));
+    q->obj = calloc((size_t)objects + 1, sizeof(PlBlock));
+    if (!q->nonfull || !q->chunks || !q->current || !q->obj) longjmp(q->fail, PL_NOMEM);
+    for (int64_t g = 0; g < ngroups; g++) q->current[g] = -1;
+    out[O_PEAK_PTR] = -1;
+
+    int64_t nobj = 0, nreal = 0, nmove = 0, k = 0;
+    for (int64_t i = 0; i < n; i++) {
+        int64_t a = ca[i];
+        q->ptr = cptr[i];
+        if (ops[i] == T_FREE) {
+            PlBlock *b = pl_object(q, a, nobj);
+            pl_free(q, b);
+            b->kind = PL_DEAD;
+            continue;
+        }
+        int32_t g = params[P_GROUPED] ? gid[k++] : -1;
+        if (ops[i] == T_ALLOC) {
+            if (nobj == objects) longjmp(q->fail, PL_INVALID);
+            pl_malloc(q, a, g, &q->obj[nobj]);
+            bases[nobj] = q->obj[nobj].addr;
+            if (++nobj == params[P_SNAP]) {
+                int64_t high = 0;
+                for (int64_t c = 0; c < q->nchunks; c++) {
+                    high += q->chunks[c].high - (q->chunks[c].base + PL_HEADER);
+                    held[c] = (int8_t)q->chunks[c].resident;
+                }
+                out[O_PEAK_PTR] = q->ptr;
+                out[O_PEAK_LIVE] = q->grouped_live;
+                out[O_PEAK_HIGH] = high;
+                out[O_PEAK_PURGES] = q->npurge;
+                out[O_PEAK_CHUNKS] = q->nchunks;
+            }
+        } else {
+            PlBlock *b = pl_object(q, a, nobj);
+            int64_t old = b->addr;
+            pl_realloc(q, b, cb[i], g);
+            realloc_addrs[nreal++] = b->addr;
+            if (b->addr != old) {
+                moves[3 * nmove] = q->ptr;
+                moves[3 * nmove + 1] = a;
+                moves[3 * nmove + 2] = b->addr;
+                nmove++;
+            }
+        }
+    }
+
+    const PlStats *stats[2] = { &q->top, &q->fb };
+    for (int s = 0; s < 2; s++) {
+        int64_t *o = out + (s ? O_FALLBACK : O_TOP);
+        o[0] = stats[s]->live_bytes;
+        o[1] = stats[s]->live_blocks;
+        o[2] = stats[s]->peak;
+        o[3] = stats[s]->allocs;
+        o[4] = stats[s]->frees;
+    }
+    out[O_GROUPED_LIVE] = q->grouped_live;
+    out[O_GROUPED] = q->grouped;
+    out[O_FORWARDED] = q->forwarded;
+    out[O_DEGRADED] = q->degraded;
+    out[O_CREATED] = q->created;
+    out[O_REUSED] = q->reused;
+    out[O_PURGED] = q->purged;
+    out[O_CURSOR] = q->cursor;
+    out[O_RESERVED] = q->reserved;
+    out[O_PEAK_RESERVED] = q->peak_reserved;
+    out[O_MOVES] = nmove;
+    out[O_PURGES] = q->npurge;
+    out[O_CHUNKS] = q->nchunks;
+    out[O_RESERVATIONS] = q->nresv;
+    for (int64_t c = 0; c < q->nchunks; c++) held[cap_chunk + c] = (int8_t)q->chunks[c].resident;
+    memcpy(mt, q->mt, sizeof q->mt);
+    pl_release(q);
+    return 0;
+}
+"""
+
+_SOURCE = _LRU_SOURCE + _SEQUITUR_SOURCE + _AFFINITY_SOURCE + _TRACE_SOURCE + _PLACE_SOURCE
 
 _I8P = ctypes.POINTER(ctypes.c_int8)
 _U8P = ctypes.POINTER(ctypes.c_uint8)
 _F64P = ctypes.POINTER(ctypes.c_double)
 _I32P = ctypes.POINTER(ctypes.c_int32)
+_U32P = ctypes.POINTER(ctypes.c_uint32)
 _I64P = ctypes.POINTER(ctypes.c_int64)
 
 
@@ -755,6 +1349,7 @@ class _Library(NamedTuple):
     affinity: Callable[..., int]
     trace_encode: Callable[..., int]
     trace_decode: Callable[..., int]
+    place: Callable[..., int]
 
 
 #: Memoised compiled library; False means "tried and failed".
@@ -823,6 +1418,12 @@ def _load() -> Optional[_Library]:
                     ]),
                     trace_decode=_bind(lib, "halo_trace_decode", [
                         _U8P, i64, _I64P, _I8P, _I64P, _I64P, _I64P, _I64P, _I64P, _F64P,
+                    ]),
+                    place=_bind(lib, "halo_place", [
+                        _I64P, _I64P, _I64P, _I64P, i64, _I32P, _I64P, i64, _I64P,
+                        _I32P, _I64P, _I64P, _I64P, i64, _U32P,
+                        _I64P, _I64P, _I64P, _I64P, i64, _I64P, i64,
+                        _I64P, _I8P, i64, _I64P,
                     ]),
                 )
             except Exception as exc:  # pragma: no cover - environment-dependent
@@ -1081,6 +1682,154 @@ def trace_decode(raw: bytes) -> Optional[tuple[np.ndarray, ...]]:
         works.ctypes.data_as(_F64P),
     )
     return kinds, op_a, resize, acc_oid, acc_offset, acc_size, works
+
+
+#: ``halo_place``'s parameter slots, in the C ``P_*`` order.
+PLACE_PARAMS = (
+    "grouped", "snap", "objects", "max_small", "chunk_size", "slab_size",
+    "max_spare_chunks", "max_grouped_size", "always_reuse_chunks", "max_total_chunks",
+    "cursor", "reserved_bytes", "peak_reserved_bytes",
+)
+#: ``halo_place``'s scalar outputs after the two stats blocks, in the C
+#: ``O_*`` order.
+PLACE_COUNTERS = (
+    "grouped_live_bytes", "grouped_allocs", "forwarded_allocs", "degraded_allocs",
+    "chunks_created", "chunks_reused", "chunks_purged", "cursor", "reserved_bytes",
+    "peak_reserved_bytes", "moves", "purges", "chunks", "reservations", "peak_ptr",
+    "peak_live_bytes", "peak_high_water_bytes", "peak_purges", "peak_chunks",
+)
+
+
+class Placed(NamedTuple):
+    """What :func:`place` put out.
+
+    ``stats``/``fallback_stats`` are the top and fallback allocators'
+    ``AllocatorStats`` fields in declaration order; ``moves`` holds
+    ``(acc_ptr, oid, addr)`` rows, ``purges`` ``(acc_ptr, base)`` rows and
+    ``reservations`` ``(base, size, live)`` rows in reservation order;
+    ``held_peak``/``held_end`` flag the chunks (by carve order) whose
+    header page is resident at the peak and at the end.
+    """
+
+    bases: np.ndarray
+    realloc_addrs: np.ndarray
+    moves: np.ndarray
+    purges: np.ndarray
+    reservations: np.ndarray
+    chunk_bases: np.ndarray
+    held_peak: np.ndarray
+    held_end: np.ndarray
+    stats: tuple[int, ...]
+    fallback_stats: tuple[int, ...]
+    counters: dict[str, int]
+    mt: list[int]
+
+
+def place(
+    heap: tuple[np.ndarray, ...],
+    gid: Optional[np.ndarray],
+    colours: np.ndarray,
+    params: dict[str, int],
+    classes: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
+    mt: list[int],
+) -> Optional[Placed]:
+    """Place a trace's heap ops on the compiled size-class (and group)
+    allocator, or None.
+
+    *heap* is :attr:`~repro.trace.format.TraceColumns.heap`; *gid* holds
+    one dense group index per allocation and realloc (-1: forward; None
+    for a plain size-class allocator), *colours* each dense group's
+    bump-start offset, *params* every :data:`PLACE_PARAMS` slot,
+    *classes* the size-class table ``(class_of, region_size, run_capacity,
+    run_bytes)`` and *mt* the 625 words of the address space's
+    ``random.Random`` state.  Returns None when the compiled library is
+    unavailable or an op is one the Python allocators reject (the caller
+    then runs them, which raises the same error).  Output arrays the
+    trace does not size (purges, reservations, chunks) start small and
+    double until the pass fits.
+    """
+    lib = _entry("place")
+    if lib is None:
+        return None
+    ops, a, b, ptr = (np.ascontiguousarray(column, dtype=np.int64) for column in heap)
+    n = int(ops.shape[0])
+    allocs = params["objects"]
+    reallocs = int(np.count_nonzero(ops == 4))  # OP_REALLOC
+    class_of = np.ascontiguousarray(classes[0], dtype=np.int32)
+    class_size, class_cap, class_bytes = (
+        np.ascontiguousarray(column, dtype=np.int64) for column in classes[1:]
+    )
+    gid = None if gid is None else np.ascontiguousarray(gid, dtype=np.int32)
+    colours = np.ascontiguousarray(colours, dtype=np.int64)
+    param = np.array([params[name] for name in PLACE_PARAMS], dtype=np.int64)
+    if not a.shape[0] == b.shape[0] == ptr.shape[0] == n:
+        raise ValueError("heap columns differ in length")
+    if n and (int(ops.min()) < 2 or int(ops.max()) > 4):  # OP_ALLOC .. OP_REALLOC
+        raise ValueError("heap columns hold an op that is not alloc, free or realloc")
+    if (
+        class_of.shape[0] <= params["max_small"] >> 3
+        or not class_size.shape[0] == class_cap.shape[0] == class_bytes.shape[0]
+        or int(class_of.min()) < 0
+        or int(class_of.max()) >= class_size.shape[0]
+        or not 1 <= int(class_cap.min()) <= int(class_cap.max()) <= 512
+    ):
+        raise ValueError("size-class tables must map every small size to a run of 1-512 regions")
+    if len(mt) != 625:
+        raise ValueError("MT19937 state must be 624 words and an index")
+    if params["grouped"]:
+        chunk = params["chunk_size"]
+        if chunk <= 0 or chunk & (chunk - 1):
+            raise ValueError(f"chunk size must be a power of two, got {chunk}")
+        if gid is None or gid.shape[0] != allocs + reallocs or (
+            gid.shape[0] and not -1 <= int(gid.min()) <= int(gid.max()) < colours.shape[0]
+        ):
+            raise ValueError("group column does not hold one known group per malloc")
+    bases = np.empty(allocs, dtype=np.int64)
+    realloc_addrs = np.empty(reallocs, dtype=np.int64)
+    moves = np.empty(3 * reallocs, dtype=np.int64)
+    out = np.zeros(10 + len(PLACE_COUNTERS), dtype=np.int64)
+    cap = 64 + (allocs + reallocs) // 16
+    while True:
+        state = np.array(mt, dtype=np.uint32)
+        purges = np.empty(2 * cap, dtype=np.int64)
+        resv = np.empty(3 * cap, dtype=np.int64)
+        chunk_bases = np.empty(cap, dtype=np.int64)
+        held = np.zeros(2 * cap, dtype=np.int8)
+        code = lib.place(
+            ops.ctypes.data_as(_I64P), a.ctypes.data_as(_I64P), b.ctypes.data_as(_I64P),
+            ptr.ctypes.data_as(_I64P), n, None if gid is None else gid.ctypes.data_as(_I32P),
+            colours.ctypes.data_as(_I64P), int(colours.shape[0]), param.ctypes.data_as(_I64P),
+            class_of.ctypes.data_as(_I32P), class_size.ctypes.data_as(_I64P),
+            class_cap.ctypes.data_as(_I64P), class_bytes.ctypes.data_as(_I64P),
+            int(class_size.shape[0]), state.ctypes.data_as(_U32P),
+            bases.ctypes.data_as(_I64P), realloc_addrs.ctypes.data_as(_I64P),
+            moves.ctypes.data_as(_I64P), purges.ctypes.data_as(_I64P), cap,
+            resv.ctypes.data_as(_I64P), cap, chunk_bases.ctypes.data_as(_I64P),
+            held.ctypes.data_as(_I8P), cap, out.ctypes.data_as(_I64P),
+        )
+        if code == 0:
+            break
+        if code == -2:
+            return None
+        if code == -3:
+            raise MemoryError("placement kernel ran out of memory")
+        cap *= 2
+    counters = dict(zip(PLACE_COUNTERS, out[10:].tolist()))
+    chunks = counters["chunks"]
+    return Placed(
+        bases=bases,
+        realloc_addrs=realloc_addrs,
+        moves=moves[:3 * counters["moves"]].reshape(-1, 3),
+        purges=purges[:2 * counters["purges"]].reshape(-1, 2),
+        reservations=resv[:3 * counters["reservations"]].reshape(-1, 3),
+        chunk_bases=chunk_bases[:chunks],
+        held_peak=held[:counters["peak_chunks"]].astype(bool),
+        held_end=held[cap:cap + chunks].astype(bool),
+        stats=tuple(out[:5].tolist()),
+        fallback_stats=tuple(out[5:10].tolist()),
+        counters=counters,
+        mt=state.tolist(),
+    )
 
 
 def _lru_filter_py(keys: np.ndarray, num_sets: int, assoc: int) -> tuple[int, np.ndarray]:

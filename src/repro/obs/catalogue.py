@@ -89,7 +89,10 @@ CATALOGUE: dict[str, str] = {
     "trace.decode.events": "Events decoded from trace bodies (fresh recordings keep their columns).",
     "trace.decode.seconds": "Wall seconds spent decoding trace bodies into columns.",
     # compiled kernel library (labels: kernel, backend)
-    "kernel.calls": "Kernel entry-point calls by backend (c, or the python fallback).",
+    "kernel.calls": (
+        "Kernel entry-point calls by backend (c, or the python fallback); "
+        "kernel=place counts only allocators the placement kernel replicates."
+    ),
     # heap sanitizer (deterministic: op counts fix the check schedule)
     "sanitize.checks": "Full heap-invariant walks executed by the sanitizer.",
     "sanitize.findings": "Invariant/oracle violations the sanitizer reported.",

@@ -51,9 +51,11 @@ Codec
 -----
 
 Recording is column-native: :class:`TraceWriter` appends each event's raw
-fields to columns, and :meth:`TraceWriter.close` encodes the body from
-them in one pass and compresses it in one zlib pass.  The closed trace
-keeps those columns as its :meth:`EventTrace.columns` view — about 33
+fields to columns, and the closed trace encodes the body from them in
+one pass, compresses it in one zlib pass and stamps the header's CRC32
+the first time its bytes are read (a cache store, a pickle, a saved
+file), so a recording that is only measured in process is never
+compressed.  The closed trace keeps those columns as its :meth:`EventTrace.columns` view — about 33
 bytes per event, the view every consumer used to decode — so a recording
 is never decoded in the process that made it.  Traces built from bytes
 (cache hits, pool workers, trace files) decode into the same columns.
@@ -143,7 +145,8 @@ class TraceHeader:
     switches: int = 0
     switch_bytes: int = 0
     #: CRC32 of the stored switch table and (compressed) body; None on v1
-    #: traces and on hand-built headers, which skips verification.
+    #: traces and on hand-built headers, which skips verification, and on
+    #: a fresh recording until its body is first read.
     crc32: Optional[int] = None
     extra: dict = field(default_factory=dict)
 
@@ -423,25 +426,22 @@ class TraceWriter:
     def close(self) -> "EventTrace":
         """Finalise the stream and return the completed trace (idempotent).
 
-        Stamps the header with the counts and byte sums of the columns and
-        with the CRC32 of the switch table and the compressed body, so
-        every write path downstream of the writer can detect truncation
-        and bit-flips.  Events appended after this are not recorded.
+        Stamps the header with the counts and byte sums of the columns.
+        The body is encoded and compressed, and the header's CRC32 of the
+        switch table and compressed body set, only when the trace's
+        :attr:`~EventTrace.body` is first read: a recording that is never
+        cached, pickled or saved is never compressed.  Every write path
+        reads the body before the header, so downstream readers can still
+        detect truncation and bit-flips.  Events appended after this are
+        not recorded.
         """
         if not self._closed:
-            from ..columnar import kernel
-
             self._closed = True
             raw = self._take_columns()
             works = raw[-1]
             # -0.0 cycles encode as the varint 0 and decode as 0.0; hold
             # the value a decode gives (adding 0.0 changes nothing else).
             works += 0.0
-            body = kernel.trace_encode(*raw)
-            if body is None:
-                body = self._encode_py(*raw)
-            compressor = zlib.compressobj(6)
-            body = compressor.compress(body) + compressor.flush()
             table = encode_switches(self._switches)
             columns = TraceColumns(*raw, switches=self._switches)
             header = self.header
@@ -457,10 +457,36 @@ class TraceWriter:
             header.access_bytes = int(columns.acc_size.sum())
             header.switches = len(self._switches)
             header.switch_bytes = len(table)
-            header.crc32 = zlib.crc32(body, zlib.crc32(table))
-            self._trace = EventTrace(header, body, switch_table=table, columns=columns)
+            # The body is encoded from the columns' own arrays; kinds as a
+            # view of their bytes, so no second copy of it is held.
+            kinds = np.frombuffer(columns.kinds, dtype=np.int8)
+            header.crc32 = None
+            self._trace = EventTrace(
+                header, _DeferredBody((kinds, *raw[1:])), switch_table=table, columns=columns
+            )
         assert self._trace is not None
         return self._trace
+
+
+class _DeferredBody:
+    """A fresh recording's raw columns (as :meth:`TraceWriter._take_columns`
+    gives them), held until :attr:`EventTrace.body` is first read."""
+
+    __slots__ = ("raw",)
+
+    def __init__(self, raw: tuple) -> None:
+        self.raw = raw
+
+    def compress(self) -> bytes:
+        """Encode the body in one pass (the compiled codec, else the Python
+        encoder) and compress it in one zlib pass."""
+        from ..columnar import kernel
+
+        body = kernel.trace_encode(*self.raw)
+        if body is None:
+            body = TraceWriter()._encode_py(*self.raw)
+        compressor = zlib.compressobj(6)
+        return compressor.compress(body) + compressor.flush()
 
 
 def _decode_into(
@@ -903,13 +929,13 @@ class EventTrace:
     def __init__(
         self,
         header: TraceHeader,
-        body: bytes,
+        body: Union[bytes, _DeferredBody],
         flags: int = FLAG_ZLIB,
         switch_table: bytes = b"",
         columns: Optional["TraceColumns"] = None,
     ) -> None:
         self.header = header
-        self.body = body
+        self._body = body
         self.flags = flags
         self.switch_table = switch_table
         self._switches: Optional[tuple[tuple[int, int], ...]] = None
@@ -922,13 +948,21 @@ class EventTrace:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         h = self.header
-        return (
-            f"EventTrace({h.workload!r}, scale={h.scale!r}, "
-            f"{h.events} events, {len(self.body)} bytes)"
-        )
+        return f"EventTrace({h.workload!r}, scale={h.scale!r}, {h.events} events)"
+
+    @property
+    def body(self) -> bytes:
+        """The compressed body.  A fresh recording makes it on first read and
+        stamps its header's CRC32 then."""
+        body = self._body
+        if isinstance(body, _DeferredBody):
+            self._body = body = body.compress()
+            self.header.crc32 = self._crc()
+        return body
 
     def __getstate__(self) -> dict:
         """Pickle the container only; decoded views are rebuilt on demand."""
+        self.body  # made first: it stamps the header's CRC32
         state = dict(self.__dict__)
         state["_switches"] = state["_columns"] = state["_recorded"] = None
         return state
@@ -947,7 +981,8 @@ class EventTrace:
         """Whether the stored switch table and body match the header checksum.
 
         True for v1 traces and hand-built headers (no checksum recorded):
-        absence of evidence is not treated as corruption.
+        absence of evidence is not treated as corruption; nor is a fresh
+        recording whose body is not made yet.
         """
         expected = self.header.crc32
         return expected is None or self._crc() == expected
@@ -1090,10 +1125,11 @@ class EventTrace:
 
     def to_bytes(self) -> bytes:
         """Serialise the full container (header, switch table, body)."""
+        body = self.body  # made first: it stamps the header's CRC32
         header_json = self.header.to_json().encode()
         return b"".join((
             MAGIC, _U32.pack(len(header_json)), header_json, bytes([self.flags]),
-            self.switch_table, self.body,
+            self.switch_table, body,
         ))
 
     def save(self, path: Union[str, Path]) -> Path:

@@ -10,7 +10,9 @@ depend on ``jobs``.
 """
 
 import json
+import pickle
 import tempfile
+import zlib
 
 import pytest
 
@@ -83,6 +85,25 @@ class TestInlinePath:
             assert times.profile > 0  # profiled afresh: no memo outlived the last call
         assert writes == []
         assert list(tmp_path.iterdir()) == []
+
+    def test_cache_less_run_compresses_nothing(self, monkeypatch):
+        from repro.trace import record_workload
+
+        compressions = []
+        real = zlib.compressobj
+
+        def counting(*args, **kwargs):
+            compressions.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(zlib, "compressobj", counting)
+        evaluate_all([BENCH], trials=1, scale="test", jobs=1, cache=None)
+        assert compressions == []
+        # The counter sees a compression: a pickled recording makes its body once.
+        trace = record_workload(BENCH, scale="test")
+        pickle.dumps(trace)
+        trace.to_bytes()
+        assert len(compressions) == 1
 
     def test_every_cell_measured_once_through_the_seam(self, monkeypatch):
         calls = []

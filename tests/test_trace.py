@@ -10,6 +10,7 @@ available.
 from __future__ import annotations
 
 import dataclasses
+import zlib
 
 import pytest
 
@@ -500,7 +501,10 @@ class TestChecksum:
     def test_writer_stamps_crc(self):
         trace = self._trace()
         assert trace.header.format == 3
-        assert trace.header.crc32 is not None
+        # A fresh recording is stamped when its body is first made.
+        assert trace.header.crc32 is None
+        body = trace.body
+        assert trace.header.crc32 == zlib.crc32(body, zlib.crc32(trace.switch_table))
         assert trace.verify()
 
     def test_crc_survives_container_round_trip(self):
