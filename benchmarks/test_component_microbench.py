@@ -3,7 +3,9 @@
 These time the pieces whose cost the paper discusses: the profiler's
 affinity queue (the dominant Pin-tool cost), SEQUITUR compression (the HDS
 analysis cost), the cache simulator, both allocators' fast paths, the
-grouping algorithm and the compiled selector matcher.
+grouping algorithm and the compiled selector matcher — and the recorded
+events that make up a recording or a serve request (a load, and a call
+chain around a malloc and a free, under a ``TraceRecorder``).
 """
 
 import random
@@ -12,8 +14,9 @@ from repro.allocators import AddressSpace, GroupAllocator, SizeClassAllocator
 from repro.cache import CacheHierarchy
 from repro.core import CompiledMatcher, GroupSelector, GroupingParams, group_contexts
 from repro.hds import Sequitur, extract_hot_streams
-from repro.machine import GroupStateVector
+from repro.machine import GroupStateVector, Machine, ProgramBuilder
 from repro.profiling import AffinityParams, AffinityRecorder
+from repro.trace import TraceRecorder
 
 
 def _access_stream(n, objects, seed=0):
@@ -166,3 +169,46 @@ def test_selector_matcher(benchmark):
         return hits
 
     assert benchmark(run) >= 0
+
+
+def _recorded_machine():
+    """A machine under a ``TraceRecorder`` and a 3-site chain into malloc."""
+    builder = ProgramBuilder("microbench")
+    builder.function("malloc", in_main_binary=False)
+    chain = (
+        builder.call_site("main", "make"),
+        builder.call_site("make", "wrap"),
+        builder.call_site("wrap", "malloc"),
+    )
+    machine = Machine(
+        builder.build(), SizeClassAllocator(AddressSpace(0)), listeners=[TraceRecorder()]
+    )
+    return machine, chain
+
+
+def test_recorded_load(benchmark):
+    """100k recorded loads of one object (the per-access event cost)."""
+    machine, _ = _recorded_machine()
+    obj = machine.malloc(64)
+    load = machine.load
+
+    def run():
+        for i in range(100_000):
+            load(obj, (i & 7) * 8, 8)
+        return machine.metrics.loads
+
+    assert benchmark(run) >= 100_000
+
+
+def test_recorded_chain_malloc_free(benchmark):
+    """20k recorded 3-site call chains around a malloc, then a free."""
+    machine, chain = _recorded_machine()
+
+    def run():
+        for _ in range(20_000):
+            with machine.call(*chain):
+                obj = machine.malloc(48)
+            machine.free(obj)
+        return machine.metrics.calls
+
+    assert benchmark(run) >= 60_000

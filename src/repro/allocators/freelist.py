@@ -12,9 +12,12 @@ matrix:
   ranges; a free that touches a neighbouring range merges with it
   immediately (boundary coalescing), so fragmentation here is *external*
   (scattered ranges) rather than the group allocator's internal kind;
-* **first-fit** scans ranges in address order and carves the first one
-  that can serve the request — the policy dlmalloc calls "address-ordered
-  best bet", favouring low addresses and long-lived range reuse;
+* **first-fit** carves the lowest-addressed range that can serve the
+  request — the policy dlmalloc calls "address-ordered best bet",
+  favouring low addresses and long-lived range reuse; a max-length tree
+  over the address-ordered ranges (:class:`_FirstFitIndex`) descends to
+  the leftmost range long enough, and on to the next one when an
+  alignment gap makes it too short;
 * **best-fit** picks the fitting range with the least leftover slack
   (ties to the lowest address), for tighter packing; a length-ordered
   index of the free ranges finds it by bisection, walking up past ranges
@@ -49,6 +52,118 @@ from .base import (
 POLICIES = ("first-fit", "best-fit")
 
 
+class _FirstFitIndex:
+    """The free ranges in address order, with a max-length tree on top.
+
+    Ranges live in blocks of at most ``2 * BLOCK`` entries (parallel
+    ``starts``/``lengths`` lists, ascending by start); a segment tree over
+    the blocks holds each block's longest range, so "the lowest start of
+    a range at least *n* long" is one descent plus a scan of one block.
+    Adding or removing a range touches one block and one tree path; only
+    a block split or an emptied block rebuilds the tree.
+    """
+
+    BLOCK = 32
+
+    def __init__(self) -> None:
+        self._starts: list[list[int]] = []
+        self._lengths: list[list[int]] = []
+        #: First start of each block, for bisecting to a block.
+        self._heads: list[int] = []
+        self._tree: list[int] = [0, 0]
+        self._leaves = 1
+
+    def _rebuild(self) -> None:
+        leaves = 1
+        while leaves < len(self._lengths):
+            leaves *= 2
+        tree = [0] * leaves + [max(block) for block in self._lengths]
+        tree += [0] * (2 * leaves - len(tree))
+        for node in range(leaves - 1, 0, -1):
+            tree[node] = max(tree[2 * node], tree[2 * node + 1])
+        self._tree, self._leaves = tree, leaves
+
+    def _set_max(self, block: int, longest: int) -> None:
+        tree = self._tree
+        node = block + self._leaves
+        tree[node] = longest
+        node >>= 1
+        while node:
+            longest = max(tree[2 * node], tree[2 * node + 1])
+            if tree[node] == longest:
+                return
+            tree[node] = longest
+            node >>= 1
+
+    def add(self, start: int, length: int) -> None:
+        """Index the free range ``[start, start + length)``."""
+        if not self._heads:
+            self._starts.append([start])
+            self._lengths.append([length])
+            self._heads.append(start)
+            self._rebuild()
+            return
+        block = max(bisect_right(self._heads, start) - 1, 0)
+        starts, lengths = self._starts[block], self._lengths[block]
+        at = bisect_left(starts, start)
+        starts.insert(at, start)
+        lengths.insert(at, length)
+        if at == 0:
+            self._heads[block] = start
+        if len(starts) > 2 * self.BLOCK:
+            half = self.BLOCK
+            self._starts[block + 1:block + 1] = [starts[half:]]
+            self._lengths[block + 1:block + 1] = [lengths[half:]]
+            self._heads.insert(block + 1, starts[half])
+            del starts[half:], lengths[half:]
+            self._rebuild()
+        elif length > self._tree[block + self._leaves]:
+            self._set_max(block, length)
+
+    def remove(self, start: int, length: int) -> None:
+        """Drop the free range ``[start, start + length)``."""
+        block = bisect_right(self._heads, start) - 1
+        starts, lengths = self._starts[block], self._lengths[block]
+        at = bisect_left(starts, start)
+        del starts[at], lengths[at]
+        if not starts:
+            del self._starts[block], self._lengths[block], self._heads[block]
+            self._rebuild()
+            return
+        if at == 0:
+            self._heads[block] = starts[0]
+        if length == self._tree[block + self._leaves]:
+            self._set_max(block, max(lengths))
+
+    def first_fit(self, extent: int, alignment: int) -> tuple[int, int]:
+        """``(start, aligned addr)`` of the lowest range that fits, or (-1, 0)."""
+        tree, leaves = self._tree, self._leaves
+        node = leaves  # the leftmost block
+        while True:
+            # Climb to the next subtree holding a range at least `extent`
+            # long, then descend to its leftmost such block.
+            while tree[node] < extent:
+                while node & 1:
+                    node >>= 1
+                if not node:
+                    return -1, 0
+                node += 1
+            while node < leaves:
+                node = 2 * node if tree[2 * node] >= extent else 2 * node + 1
+            block = node - leaves
+            for start, length in zip(self._starts[block], self._lengths[block]):
+                if length >= extent:
+                    addr = align_up(start, alignment)
+                    if addr + extent <= start + length:
+                        return start, addr
+            # An alignment gap failed every long-enough range here.
+            while node & 1:
+                node >>= 1
+            if not node:
+                return -1, 0
+            node += 1
+
+
 class FreeListAllocator(Allocator):
     """Address-ordered coalescing free-list allocator.
 
@@ -79,10 +194,14 @@ class FreeListAllocator(Allocator):
         # Parallel lists keep bisect simple and the common paths allocation-free.
         self._starts: list[int] = []
         self._ends: list[int] = []
-        # Best fit's index: every free range as (length, start), ascending.
-        self._by_length: Optional[list[tuple[int, int]]] = (
-            [] if policy == "best-fit" else None
-        )
+        # Best fit's index: every free range as (length, start), ascending;
+        # first fit's: the ranges by start under a max-length tree.
+        self._by_length: Optional[list[tuple[int, int]]] = None
+        self._fit_index: Optional[_FirstFitIndex] = None
+        if policy == "best-fit":
+            self._by_length = []
+        else:
+            self._fit_index = _FirstFitIndex()
         # Live bookkeeping: requested size (what size_of/free report) and
         # carved extent (what actually returns to the free list).
         self._sizes: dict[int, int] = {}
@@ -99,15 +218,19 @@ class FreeListAllocator(Allocator):
     # -- free-range bookkeeping -----------------------------------------
 
     def _index(self, start: int, end: int) -> None:
-        """Add the free range [start, end) to the best-fit index."""
+        """Add the free range [start, end) to the policy's index."""
         if self._by_length is not None:
             insort(self._by_length, (end - start, start))
+        else:
+            self._fit_index.add(start, end - start)
 
     def _unindex(self, start: int, end: int) -> None:
-        """Drop the free range [start, end) from the best-fit index."""
+        """Drop the free range [start, end) from the policy's index."""
         by_length = self._by_length
         if by_length is not None:
             del by_length[bisect_left(by_length, (end - start, start))]
+        else:
+            self._fit_index.remove(start, end - start)
 
     def _insert_range(self, start: int, end: int) -> None:
         """Insert [start, end) into the free list, coalescing neighbours."""
@@ -168,7 +291,7 @@ class FreeListAllocator(Allocator):
 
     def _find_fit(self, extent: int, alignment: int) -> tuple[int, int]:
         """Locate ``(index, aligned addr)`` of the range to carve, or (-1, 0)."""
-        starts, ends = self._starts, self._ends
+        starts = self._starts
         if self._by_length is not None:
             # Best fit: the least slack is the shortest range that fits once
             # aligned, and the lowest start breaks ties.  The index is
@@ -181,11 +304,10 @@ class FreeListAllocator(Allocator):
                 if addr + extent <= start + length:
                     return bisect_left(starts, start), addr
             return -1, 0
-        for index in range(len(starts)):
-            addr = align_up(starts[index], alignment)
-            if addr + extent <= ends[index]:
-                return index, addr
-        return -1, 0
+        start, addr = self._fit_index.first_fit(extent, alignment)
+        if start < 0:
+            return -1, 0
+        return bisect_left(starts, start), addr
 
     # -- the allocator interface ----------------------------------------
 

@@ -75,18 +75,23 @@ class ObjectTable:
         return obj
 
     def destroy(self, obj: HeapObject) -> None:
-        """Mark *obj* freed and release its address slot."""
-        obj.check_alive()
-        stored = self._by_addr.get(obj.addr)
-        if stored is not obj:
+        """Mark *obj* freed and release its address slot.
+
+        A freed object is never registered, so the registration check also
+        rejects a double free; liveness is only examined to name the error.
+        """
+        if self._by_addr.get(obj.addr) is not obj:
+            obj.check_alive()
             raise HeapError(f"object #{obj.oid} is not registered at {obj.addr:#x}")
         del self._by_addr[obj.addr]
         obj.alive = False
         self.live_count -= 1
 
     def move(self, obj: HeapObject, new_addr: int, new_size: int) -> None:
-        """Relocate *obj* (realloc support)."""
-        obj.check_alive()
+        """Relocate *obj* (realloc support); rejects a freed or foreign object."""
+        if self._by_addr.get(obj.addr) is not obj:
+            obj.check_alive()
+            raise HeapError(f"object #{obj.oid} is not registered at {obj.addr:#x}")
         if new_addr != obj.addr and new_addr in self._by_addr:
             raise HeapError(f"realloc target {new_addr:#x} is in use")
         del self._by_addr[obj.addr]

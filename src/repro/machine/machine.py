@@ -11,9 +11,17 @@ Workloads drive the machine through a small explicit API::
 
     with machine.call(site):          # control transfer through `site`
         obj = machine.malloc(64)      # heap allocation
+    with machine.call(a, b, c):       # the nested chain a → b → c, one scope
+        ...
     machine.load(obj, 0, 8)           # heap access
     machine.work(25)                  # `25` cycles of non-memory compute
     machine.free(obj)
+
+Per-event cost is the simulator's budget: a recording or a serve request
+is nothing but these calls.  So one slotted scope serves a call through
+one site or a whole chain, and :meth:`Machine.load`/:meth:`Machine.store`
+each do their checks, page touch, cache access and listener dispatch in
+one call.
 
 Determinism: given the same workload code, RNG seed and allocator placement,
 two runs produce identical event streams and identical cache behaviour.
@@ -25,6 +33,7 @@ import weakref
 from dataclasses import dataclass
 from typing import Iterable, Optional, Union
 
+from ..allocators.base import PAGE_SHIFT
 from .events import Listener
 from .heap import HeapError, HeapObject, ObjectTable
 from .program import CallSite, Program, ProgramError
@@ -169,54 +178,82 @@ class _ListenerList(list):
         return result
 
 
-class _CallScope:
-    """Context manager for one simulated call through a site.
+#: :meth:`Machine.call` fills a scope's slots itself: a Python ``__init__``
+#: frame per call was a measurable share of a replayed call event.
+_new_scope = object.__new__
 
-    All entry work happens in ``__enter__`` (matching the previous
-    ``@contextmanager`` semantics: constructing the scope does nothing),
-    with hot attributes bound to locals and listener dispatch skipped when
-    no listeners are registered.
+
+class _CallScope:
+    """Context manager for one simulated call through one or more sites.
+
+    ``machine.call(a, b, c)`` enters the nested chain ``a → b → c``
+    (outermost first) and unwinds it innermost first: the same events,
+    stack, bits and counters as three nested ``with`` blocks.  All entry
+    work happens in ``__enter__`` (constructing the scope does nothing).
+    The scope keeps only its sites and the innermost resolved site (for
+    the nesting check on exit): no ``@contextmanager``/``ExitStack`` and
+    no per-site record, because calls are among the simulator's hottest
+    events and generator machinery and per-call allocations dominated
+    their cost.  Exit clears each site's bit from the machine's
+    instrumentation map, which is installed before a run, never during
+    a call.
     """
 
-    __slots__ = ("_machine", "_site", "_resolved", "_bit")
-
-    def __init__(self, machine: "Machine", site: Union[CallSite, int]) -> None:
-        self._machine = machine
-        self._site = site
-        self._resolved: Optional[CallSite] = None
-        self._bit: Optional[int] = None
+    __slots__ = ("_machine", "_sites", "_innermost")
 
     def __enter__(self) -> None:
         machine = self._machine
-        resolved = self._resolved = machine._resolve_site(self._site)
-        machine.stack.append(resolved)
-        metrics = machine.metrics
-        metrics.calls += 1
         instrumentation = machine.instrumentation
-        bit = self._bit = (
-            instrumentation.get(resolved.addr) if instrumentation else None
-        )
-        if bit is not None:
-            machine.state_vector.set(bit)
-            metrics.instrumentation_toggles += 1
         listeners = machine._dispatch
-        if listeners:
-            for listener in listeners:
-                listener.on_call(machine, resolved)
+        entered = 0
+        try:
+            for site in self._sites:
+                if type(site) is int:
+                    # A known address resolves with one probe.
+                    try:
+                        resolved = machine.program.sites[site]
+                    except KeyError:
+                        resolved = machine._resolve_site(site)  # raises
+                else:
+                    resolved = machine._resolve_site(site)
+                machine.stack.append(resolved)
+                entered += 1
+                self._innermost = resolved
+                machine.metrics.calls += 1
+                if instrumentation:
+                    bit = instrumentation.get(resolved.addr)
+                    if bit is not None:
+                        machine.state_vector.set(bit)
+                        machine.metrics.instrumentation_toggles += 1
+                if listeners:
+                    for listener in listeners:
+                        listener.on_call(machine, resolved)
+        except BaseException:
+            # A site that fails to enter (a foreign site, say) unwinds the
+            # ones already on the stack before the error propagates.
+            self._sites = self._sites[:entered]
+            self.__exit__(None, None, None)
+            raise
 
     def __exit__(self, exc_type, exc, tb) -> bool:
         machine = self._machine
-        resolved = self._resolved
+        stack = machine.stack
+        sites = self._sites
+        # Scopes close innermost first: this one's sites are on top.
+        assert not sites or stack[-1] is self._innermost
         listeners = machine._dispatch
-        if listeners:
-            for listener in listeners:
-                listener.on_return(machine, resolved)
-        bit = self._bit
-        if bit is not None:
-            machine.state_vector.clear(bit)
-            machine.metrics.instrumentation_toggles += 1
-        popped = machine.stack.pop()
-        assert popped is resolved
+        instrumentation = machine.instrumentation
+        for _ in sites:
+            if listeners:
+                resolved = stack[-1]
+                for listener in listeners:
+                    listener.on_return(machine, resolved)
+            resolved = stack.pop()
+            if instrumentation:
+                bit = instrumentation.get(resolved.addr)
+                if bit is not None:
+                    machine.state_vector.clear(bit)
+                    machine.metrics.instrumentation_toggles += 1
         return False
 
 
@@ -294,21 +331,30 @@ class Machine:
 
     def _resolve_site(self, site: Union[CallSite, int]) -> CallSite:
         if isinstance(site, CallSite):
-            if self.program.sites.get(site.addr) != site:
+            known = self.program.sites.get(site.addr)
+            # Workloads pass the program's own site objects: the identity
+            # test settles them without the frozen dataclass's field-wise
+            # ``__eq__``, which only an equal copy still pays.
+            if known is not site and known != site:
                 raise ProgramError(f"site {site.describe()} is not part of {self.program.name}")
             return site
         return self.program.site(site)
 
-    def call(self, site: Union[CallSite, int]) -> "_CallScope":
-        """Execute a call through *site*; the body runs inside the callee.
+    def call(self, *sites: Union[CallSite, int]) -> "_CallScope":
+        """Execute a call through *sites*; the body runs inside the callee.
 
-        Returns a context manager: entry pushes the site on the call stack
-        (toggling its instrumented bit and notifying listeners), exit pops
-        it.  A dedicated slotted object rather than ``@contextmanager`` —
-        calls are one of the simulator's hottest events and the generator
-        machinery dominated their cost.
+        Returns a context manager.  Entry pushes each site on the call
+        stack, outermost first (toggling its instrumented bit and notifying
+        listeners); exit pops them innermost first.  ``call(a, b, c)`` is
+        the chain ``a → b → c`` in one scope, the same events as three
+        nested ``with`` blocks; ``call()`` enters nothing.  If a site fails
+        to enter (a :class:`ProgramError` for a foreign site), the sites
+        already entered are unwound before the error propagates.
         """
-        return _CallScope(self, site)
+        scope = _new_scope(_CallScope)
+        scope._machine = self
+        scope._sites = sites
+        return scope
 
     # ------------------------------------------------------------------
     # Threads
@@ -355,7 +401,7 @@ class Machine:
         return obj
 
     def free(self, obj: HeapObject) -> None:
-        """Free *obj*."""
+        """Free *obj* (its liveness is checked once, before any listener)."""
         obj.check_alive()
         for listener in self._dispatch:
             listener.on_free(self, obj)
@@ -381,19 +427,13 @@ class Machine:
     # ------------------------------------------------------------------
 
     def load(self, obj: HeapObject, offset: int = 0, size: int = 8) -> None:
-        """Simulate a load of *size* bytes at *offset* within *obj*."""
-        self._access(obj, offset, size, is_store=False)
-        self.metrics.loads += 1
+        """Simulate a load of *size* bytes at *offset* within *obj*.
 
-    def store(self, obj: HeapObject, offset: int = 0, size: int = 8) -> None:
-        """Simulate a store of *size* bytes at *offset* within *obj*."""
-        self._access(obj, offset, size, is_store=True)
-        self.metrics.stores += 1
-
-    def _access(self, obj: HeapObject, offset: int, size: int, is_store: bool) -> None:
-        # The hottest function in the simulator: every workload load/store
-        # lands here.  Inline the liveness check and bind attributes to
-        # locals; skip listener dispatch entirely when none are registered.
+        The hottest call in the simulator: every workload load lands here.
+        The liveness and bounds checks, the page touch, the cache access
+        and the listener dispatch all run inline, with dispatch skipped
+        when no listeners are registered.  :meth:`store` is its twin.
+        """
         if not obj.alive:
             raise HeapError(f"use of freed object #{obj.oid}")
         if offset < 0 or size <= 0 or offset + size > obj.size:
@@ -402,14 +442,45 @@ class Machine:
                 f"[{offset}, {offset + size}) of {obj.size} bytes"
             )
         addr = obj.addr + offset
-        self.allocator.space.touch_range(addr, size)
+        first = addr >> PAGE_SHIFT
+        last = (addr + size - 1) >> PAGE_SHIFT
+        if first == last:  # nearly every access stays within one page
+            self.allocator.space._touched_pages.add(first)
+        else:
+            self.allocator.space.touch_range(addr, size)
         memory = self.memory
         if memory is not None:
-            memory.access(addr, size, is_store)
+            memory.access(addr, size, False)
         listeners = self._dispatch
         if listeners:
             for listener in listeners:
-                listener.on_access(self, obj, offset, size, is_store)
+                listener.on_access(self, obj, offset, size, False)
+        self.metrics.loads += 1
+
+    def store(self, obj: HeapObject, offset: int = 0, size: int = 8) -> None:
+        """Simulate a store of *size* bytes at *offset* within *obj*."""
+        if not obj.alive:
+            raise HeapError(f"use of freed object #{obj.oid}")
+        if offset < 0 or size <= 0 or offset + size > obj.size:
+            raise HeapError(
+                f"out-of-bounds access to object #{obj.oid}: "
+                f"[{offset}, {offset + size}) of {obj.size} bytes"
+            )
+        addr = obj.addr + offset
+        first = addr >> PAGE_SHIFT
+        last = (addr + size - 1) >> PAGE_SHIFT
+        if first == last:
+            self.allocator.space._touched_pages.add(first)
+        else:
+            self.allocator.space.touch_range(addr, size)
+        memory = self.memory
+        if memory is not None:
+            memory.access(addr, size, True)
+        listeners = self._dispatch
+        if listeners:
+            for listener in listeners:
+                listener.on_access(self, obj, offset, size, True)
+        self.metrics.stores += 1
 
     def work(self, cycles: float) -> None:
         """Account *cycles* of non-memory compute (models instruction work)."""

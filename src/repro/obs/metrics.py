@@ -11,7 +11,7 @@ observability is off.
 
 Two disciplines keep multi-process accounting honest:
 
-* **Harvest, not per-event hooks.**  Hot paths (``Machine._access``,
+* **Harvest, not per-event hooks.**  Hot paths (``Machine.load``/``store``,
   ``AffinityRecorder.record_access``) are never instrumented directly;
   already-collected stats objects are folded into the registry once at
   phase boundaries.

@@ -32,7 +32,7 @@ from typing import Optional, Sequence
 from ..machine.heap import HeapObject
 from ..machine.machine import Machine
 from ..machine.program import CallSite
-from .patterns import burst_plan, call_chain, free_all, partial_shuffle
+from .patterns import burst_plan, free_all, partial_shuffle
 
 
 @dataclass
@@ -72,12 +72,12 @@ def allocate_structures(
     out: dict[str, list[Item]] = {s.label: [] for s in specs}
     for label in plan:
         spec = by_label[label]
-        with call_chain(machine, spec.node_chain):
+        with machine.call(*spec.node_chain):
             node = machine.malloc(spec.node_size)
         machine.store(node, 0, 8)
         cells: list[HeapObject] = []
         for _ in range(spec.cells):
-            with call_chain(machine, spec.cell_chain):
+            with machine.call(*spec.cell_chain):
                 cell = machine.malloc(spec.cell_size)
             machine.store(cell, 0, 8)
             cells.append(cell)

@@ -22,7 +22,7 @@ import random
 from ..machine.machine import Machine
 from ..machine.program import Program, ProgramBuilder
 from .base import Workload, register
-from .patterns import call_chain, free_all, partial_shuffle
+from .patterns import free_all, partial_shuffle
 
 UCT_NODE_SIZE = 48
 BOARD_SIZE = 64
@@ -67,7 +67,7 @@ class LeelaWorkload(Workload):
         return b.build()
 
     def _new(self, machine: Machine, path_sites, size: int):
-        with call_chain(machine, list(path_sites) + [self.s_new_malloc]):
+        with machine.call(*path_sites, self.s_new_malloc):
             obj = machine.malloc(size)
         machine.store(obj, 0, 8)
         return obj

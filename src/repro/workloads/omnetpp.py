@@ -31,7 +31,7 @@ import random
 from ..machine.machine import Machine
 from ..machine.program import Program, ProgramBuilder
 from .base import Workload, register
-from .patterns import call_chain, free_all
+from .patterns import free_all
 
 EVENT_SIZE = 32
 MESSAGE_SIZE = 64
@@ -89,7 +89,7 @@ class OmnetppWorkload(Workload):
 
     def _new(self, machine: Machine, path_sites, size: int):
         """Allocate through ``operator new`` (single internal malloc site)."""
-        with call_chain(machine, list(path_sites) + [self.s_new_malloc]):
+        with machine.call(*path_sites, self.s_new_malloc):
             obj = machine.malloc(size)
         machine.store(obj, 0, 8)
         return obj

@@ -4,31 +4,25 @@ Every pattern here corresponds to a heap-behaviour idiom the paper calls
 out: interleaved allocation of hot and cold objects that a size-segregated
 allocator co-locates by accident (Figure 1), linked traversals whose
 locality depends on placement (Figure 2), and paired-structure sweeps.
+
+A nested chain of call sites (outermost first) is one scope,
+``with machine.call(*sites):``, which enters every site and unwinds them
+innermost first; :func:`alloc_through` allocates inside one.
 """
 
 from __future__ import annotations
 
 import random
-from contextlib import ExitStack, contextmanager
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from ..machine.heap import HeapObject
 from ..machine.machine import Machine
 from ..machine.program import CallSite
 
 
-@contextmanager
-def call_chain(machine: Machine, sites: Sequence[CallSite]) -> Iterator[None]:
-    """Enter a nested chain of call sites (outermost first)."""
-    with ExitStack() as stack:
-        for site in sites:
-            stack.enter_context(machine.call(site))
-        yield
-
-
 def alloc_through(machine: Machine, sites: Sequence[CallSite], size: int) -> HeapObject:
     """Allocate *size* bytes with the call stack threaded through *sites*."""
-    with call_chain(machine, sites):
+    with machine.call(*sites):
         return machine.malloc(size)
 
 

@@ -28,7 +28,7 @@ import random
 from ..machine.machine import Machine
 from ..machine.program import Program, ProgramBuilder
 from .base import Workload, register
-from .patterns import burst_plan, call_chain, free_all, partial_shuffle
+from .patterns import burst_plan, free_all, partial_shuffle
 
 PLANE_SIZE = 64  # exactly its baseline size class
 CSG_SIZE = 48  # exactly its baseline size class
@@ -81,7 +81,7 @@ class PovrayWorkload(Workload):
             self.s_parse_token.addr: self.s_token_pov,
             self.s_parse_media.addr: self.s_media_pov,
         }[create_site.addr]
-        with call_chain(machine, [create_site, pov_site, self.s_pov_malloc]):
+        with machine.call(create_site, pov_site, self.s_pov_malloc):
             obj = machine.malloc(size)
         machine.store(obj, 0, 8)
         return obj

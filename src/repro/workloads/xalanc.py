@@ -24,7 +24,7 @@ import random
 from ..machine.machine import Machine
 from ..machine.program import Program, ProgramBuilder
 from .base import Workload, register
-from .patterns import call_chain, free_all, partial_shuffle
+from .patterns import free_all, partial_shuffle
 
 NODE_SIZE = 48  # exactly its baseline size class
 ATTR_SIZE = 16  # exactly its baseline size class
@@ -82,13 +82,13 @@ class XalancWorkload(Workload):
 
     def _alloc(self, machine: Machine, path_sites, size: int):
         """Allocate through the deep vector_push → ... → malloc funnel."""
-        chain = list(path_sites) + [
+        with machine.call(
+            *path_sites,
             self.s_vec_ensure,
             self.s_ensure_grow,
             self.s_grow_xmem,
             self.s_xmem_malloc,
-        ]
-        with call_chain(machine, chain):
+        ):
             obj = machine.malloc(size)
         machine.store(obj, 0, 8)
         return obj

@@ -1,11 +1,21 @@
 """Unit tests for the Machine, heap discipline, and the state vector."""
 
+from contextlib import ExitStack, contextmanager
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.allocators import AddressSpace, SizeClassAllocator
-from repro.machine import GroupStateVector, HeapError, Listener, Machine, ProgramError
+from repro.machine import (
+    GroupStateVector,
+    HeapError,
+    Listener,
+    Machine,
+    ProgramBuilder,
+    ProgramError,
+)
 
-from conftest import alloc_via
+from conftest import DemoProgram, alloc_via
 
 
 class RecordingListener(Listener):
@@ -63,6 +73,123 @@ class TestCallStack:
         with machine.call(demo.main_a):
             pass
         assert machine.metrics.calls == 1
+
+
+@contextmanager
+def exitstack_chain(machine, sites):
+    """The reference chain: one single-site scope per site on an ExitStack."""
+    with ExitStack() as stack:
+        for site in sites:
+            stack.enter_context(machine.call(site))
+        yield
+
+
+class _BodyError(Exception):
+    pass
+
+
+def _run_chain(demo, sites, instrumentation, enter, raise_in_body):
+    """Run one chain under *enter*; return everything observable about it."""
+    sv = GroupStateVector()
+    machine = Machine(
+        demo.program,
+        SizeClassAllocator(AddressSpace(0)),
+        listeners=[RecordingListener()],
+        instrumentation=instrumentation,
+        state_vector=sv,
+    )
+    inside = None
+    error = None
+    try:
+        with enter(machine, sites):
+            inside = ([s.addr for s in machine.stack], sv.value)
+            machine.malloc(16)
+            if raise_in_body:
+                raise _BodyError
+    except (ProgramError, _BodyError) as exc:
+        error = type(exc)
+    return {
+        "events": machine.listeners[0].events,
+        "inside": inside,
+        "stack": list(machine.stack),
+        "state_vector": sv.value,
+        "calls": machine.metrics.calls,
+        "toggles": machine.metrics.instrumentation_toggles,
+        "error": error,
+    }
+
+
+def _assert_chain_matches_reference(demo, sites, instrumentation=None, raise_in_body=False):
+    got = _run_chain(
+        demo, sites, instrumentation, lambda m, chain: m.call(*chain), raise_in_body
+    )
+    want = _run_chain(demo, sites, instrumentation, exitstack_chain, raise_in_body)
+    assert got == want
+    return got
+
+
+def _foreign_site():
+    return ProgramBuilder("other").call_site("main", "f")
+
+
+class TestCallChainScope:
+    """``machine.call(*sites)`` against the ExitStack chain it replaced."""
+
+    def test_normal_exit(self, demo):
+        sites = [demo.main_helper, demo.helper_wrap, demo.wrap_malloc]
+        got = _assert_chain_matches_reference(
+            demo, sites, {demo.main_helper.addr: 0, demo.wrap_malloc.addr: 2}
+        )
+        assert got["inside"] == ([s.addr for s in sites], 0b101)
+        assert got["stack"] == [] and got["state_vector"] == 0
+        assert [e[0] for e in got["events"]] == ["call"] * 3 + ["alloc"] + ["return"] * 3
+
+    def test_exception_in_body(self, demo):
+        got = _assert_chain_matches_reference(
+            demo, [demo.main_a, demo.a_malloc], {demo.a_malloc.addr: 1}, raise_in_body=True
+        )
+        assert got["error"] is _BodyError
+        assert got["stack"] == [] and got["state_vector"] == 0
+
+    def test_foreign_site_mid_chain(self, demo):
+        sites = [demo.main_helper, _foreign_site(), demo.wrap_malloc]
+        got = _assert_chain_matches_reference(demo, sites, {demo.main_helper.addr: 0})
+        assert got["error"] is ProgramError
+        assert got["inside"] is None
+        assert got["events"] == [("call", demo.main_helper.addr), ("return", demo.main_helper.addr)]
+        assert got["stack"] == [] and got["state_vector"] == 0
+        assert got["calls"] == 1 and got["toggles"] == 2
+
+    def test_same_instrumented_site_twice(self, demo):
+        # The inner return clears the bit although the outer activation is
+        # still live (the paper's set/unset scheme, no reference count).
+        got = _assert_chain_matches_reference(
+            demo, [demo.main_a, demo.main_a], {demo.main_a.addr: 0}
+        )
+        assert got["inside"][1] == 1
+        assert got["toggles"] == 4 and got["state_vector"] == 0
+
+    def test_empty_chain(self, demo):
+        got = _assert_chain_matches_reference(demo, [], {demo.main_a.addr: 0})
+        assert got["inside"] == ([], 0)
+        assert got["calls"] == 0 and got["toggles"] == 0
+        assert [e[0] for e in got["events"]] == ["alloc"]
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_random_chains(self, data):
+        demo = DemoProgram()
+        pool = [
+            demo.main_a, demo.main_b, demo.a_malloc, demo.main_helper,
+            demo.helper_wrap, demo.wrap_malloc, demo.main_c.addr, _foreign_site(),
+        ]
+        sites = data.draw(st.lists(st.sampled_from(pool), max_size=6))
+        instrumented = data.draw(st.lists(st.sampled_from(pool[:6]), unique=True))
+        instrumentation = {
+            site.addr: data.draw(st.integers(0, 3)) for site in instrumented
+        }
+        raise_in_body = data.draw(st.booleans())
+        _assert_chain_matches_reference(demo, sites, instrumentation, raise_in_body)
 
 
 class TestHeapOperations:

@@ -16,7 +16,6 @@ from repro.workloads._kernel import (
 from repro.workloads.patterns import (
     alloc_through,
     burst_plan,
-    call_chain,
     chase_list,
     chase_pairs,
     free_all,
@@ -40,7 +39,7 @@ def simple():
 class TestCallHelpers:
     def test_call_chain_enters_all_sites(self, simple):
         machine, sites = simple
-        with call_chain(machine, sites):
+        with machine.call(*sites):
             assert [s.addr for s in machine.stack] == [s.addr for s in sites]
         assert machine.stack == []
 
