@@ -3,20 +3,33 @@
 These time the pieces whose cost the paper discusses: the profiler's
 affinity queue (the dominant Pin-tool cost), SEQUITUR compression (the HDS
 analysis cost), the cache simulator, both allocators' fast paths, the
-grouping algorithm and the compiled selector matcher — and the recorded
+grouping algorithm and the compiled selector matcher — the recorded
 events that make up a recording or a serve request (a load, and a call
-chain around a malloc and a free, under a ``TraceRecorder``).
+chain around a malloc and a free, under a ``TraceRecorder``) — and the
+columnar placement pass (``place_trace``) of each standalone allocator
+family over a recorded multi-threaded mix.
 """
 
 import random
 
-from repro.allocators import AddressSpace, GroupAllocator, SizeClassAllocator
+import pytest
+
+from repro.allocators import (
+    ALLOCATOR_FAMILIES,
+    AddressSpace,
+    GroupAllocator,
+    RandomPoolAllocator,
+    SizeClassAllocator,
+)
 from repro.cache import CacheHierarchy
 from repro.core import CompiledMatcher, GroupSelector, GroupingParams, group_contexts
 from repro.hds import Sequitur, extract_hot_streams
 from repro.machine import GroupStateVector, Machine, ProgramBuilder
 from repro.profiling import AffinityParams, AffinityRecorder
+from repro.columnar.engine import place_trace
 from repro.trace import TraceRecorder
+from repro.trace.record import record_workload
+from repro.workloads import get_workload
 
 
 def _access_stream(n, objects, seed=0):
@@ -212,3 +225,28 @@ def test_recorded_chain_malloc_free(benchmark):
         return machine.metrics.calls
 
     assert benchmark(run) >= 60_000
+
+
+@pytest.fixture(scope="module")
+def recorded_mix():
+    """A five-tenant, three-thread mix, recorded once (ref scale, seed 1)."""
+    workload = get_workload("mix-5x3-rr")
+    return workload, record_workload(workload, scale="ref", seed=1)
+
+
+@pytest.mark.parametrize("family", ["random-pools", "freelist-ff", "freelist-bf", "arena"])
+def test_place_trace(benchmark, recorded_mix, family):
+    """The placement pass over a recorded mix's heap ops (about 20k
+    mallocs and frees, 1.6k thread switches) on a fresh allocator."""
+    workload, trace = recorded_mix
+    if family == "random-pools":
+        def factory(space):
+            return RandomPoolAllocator(space, SizeClassAllocator(space), pools=4, seed=1)
+    else:
+        factory = ALLOCATOR_FAMILIES[family]
+
+    def run():
+        _, machine, placement, _ = place_trace(workload.program, factory, trace, seed=1)
+        return machine.allocator.stats.total_allocs + len(placement.bases)
+
+    assert benchmark(run) > 0

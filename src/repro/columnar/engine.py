@@ -24,15 +24,16 @@ the simulator:
   stream through L2, and so on — which is what the chunked
   :func:`~repro.columnar.kernel.lru_filter` kernel does over
   precomputed set/tag columns (``columnar.hierarchy``).
-* **Placement is a policy, not a program.**  The size-class allocator
-  and the group allocator over it decide every address from the heap
-  ops and each allocation's group alone, so the pass runs on their
-  exact C replicas in the kernel library
-  (:func:`~repro.columnar.kernel.place`, span ``columnar.place``):
-  HALO's post-link rewrite, simulated without executing the calls.
-  Every other allocator, a subclass, and a run under a fault plan that
-  flips the state vector or caps the chunks take the Python loop over
-  the allocator's own methods, which stays the oracle.
+* **Placement is a policy, not a program.**  The size-class, group,
+  random-pool, free-list and arena allocators decide every address
+  from the heap ops, each allocation's group and each op's thread
+  alone, so the pass runs on their exact C replicas in the kernel
+  library (:func:`~repro.columnar.kernel.place`, span
+  ``columnar.place``): HALO's post-link rewrite, simulated without
+  executing the calls.  The sharded group allocator, a subclass, a
+  used allocator and a run under a fault plan that flips the state
+  vector or caps the chunks take the Python loop over the allocator's
+  own methods, which stays the oracle.
 * **Fragmentation is only read at one instant.**  Placement never reads
   page residency, so the loop touches no page for an access.  At the
   peak allocation it snapshots the allocator's live and high-water
@@ -54,8 +55,12 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from ..allocators.arena import ArenaAllocator
 from ..allocators.base import PAGE_SHIFT, PAGE_SIZE, AddressSpace, Allocator, AllocatorStats
+from ..allocators.bump import BumpAllocator
+from ..allocators.freelist import FreeListAllocator
 from ..allocators.group import FragmentationSnapshot, GroupAllocator
+from ..allocators.random_group import RandomPoolAllocator
 from ..allocators.size_class import SizeClassAllocator
 from ..cache.hierarchy import HierarchyConfig, HierarchyStats
 from ..cache.sharing import FalseSharingTracker
@@ -344,11 +349,12 @@ def _place(cols, machine: Machine) -> _Placement:
     machine's allocator; calls and returns are never walked.
 
     A grouped allocator consults the selector keys (``columnar.selectors``),
-    logs its chunk purges, and is snapshotted at the peak allocation.  A
-    size-class allocator, or a group allocator over one, is placed by the
-    compiled replica (:func:`_place_compiled`); any other allocator, or
-    any run without the compiled library, takes the Python loop
-    (:func:`_place_python`), which stays the oracle.
+    logs its chunk purges, and is snapshotted at the peak allocation.  An
+    allocator the kernel replicates (:func:`_compiled`) is placed by its
+    compiled replica (:func:`_place_compiled`); any other allocator, a
+    run under a fault plan that applies, or any run without the compiled
+    library takes the Python loop (:func:`_place_python`), which stays
+    the oracle.
     """
     allocator = machine.allocator
     out = _Placement()
@@ -366,10 +372,11 @@ def _place(cols, machine: Machine) -> _Placement:
         with obs.span("columnar.selectors"):
             selectors = _Selectors(cols, machine)
         out.keys = len(selectors.gids)
-    sized = _compiled(allocator)
     try:
         with obs.span("columnar.place"):
-            if sized is None or not _place_compiled(cols, allocator, sized, selectors, snap, out):
+            if not (
+                _compiled(allocator) and _place_compiled(cols, allocator, selectors, snap, out)
+            ):
                 _place_python(cols, machine, selectors, snap, out)
     finally:
         if grouped:
@@ -377,31 +384,77 @@ def _place(cols, machine: Machine) -> _Placement:
     return out
 
 
-def _compiled(allocator: Allocator) -> Optional[SizeClassAllocator]:
-    """The size-class allocator under *allocator* when the placement
-    kernel replicates *allocator* exactly, else None.
+def _fresh_size_class(sized: Allocator, space: AddressSpace) -> bool:
+    """Whether *sized* is an unused ``SizeClassAllocator`` (no subclass) on *space*."""
+    return type(sized) is SizeClassAllocator and sized.space is space and not sized.stats.total_allocs
 
-    That is a fresh ``SizeClassAllocator``, or a fresh ``GroupAllocator``
-    (no subclass) over one on the same plain address space, while no
-    fault plan flips the state vector or caps the chunks.
+
+def _fresh_free_list(free_list: Allocator, space: AddressSpace) -> bool:
+    """Whether *free_list* is an unused ``FreeListAllocator`` (no subclass) on *space*."""
+    return (
+        type(free_list) is FreeListAllocator and free_list.space is space
+        and not free_list._pools and not free_list.stats.total_allocs
+    )
+
+
+def _compiled(allocator: Allocator) -> bool:
+    """Whether the placement kernel replicates *allocator* exactly.
+
+    That is a fresh instance (no subclass) of ``SizeClassAllocator``,
+    ``FreeListAllocator`` or ``ArenaAllocator`` over fresh free lists of
+    one policy and pool size, or a fresh ``GroupAllocator`` or
+    ``RandomPoolAllocator`` (over fresh bump pools of one size) over a
+    fresh ``SizeClassAllocator``; every part on one plain address space,
+    and for a group allocator no fault plan that flips the state vector
+    or caps the chunks.  ``ShardedGroupAllocator``, subclasses and used
+    allocators take the Python loop.
     """
-    sized = allocator
-    if type(allocator) is GroupAllocator:
-        sized = allocator.fallback
-        plan = active_fault_plan()
-        if (
-            sized.space is not allocator.space
-            or allocator._chunks
-            or allocator.forwarded_allocs
-            or plan is not None and (plan.state_flip_rate or plan.group_max_chunks is not None)
-        ):
-            return None
-    if type(sized) is not SizeClassAllocator or sized.stats.total_allocs:
-        return None
-    space = sized.space
+    space = allocator.space
     if type(space) is not AddressSpace or type(space._rng) is not random.Random:
-        return None
-    return sized
+        return False
+    family = type(allocator)
+    if family is GroupAllocator:
+        plan = active_fault_plan()
+        return (
+            not allocator._chunks and not allocator.forwarded_allocs
+            and not (plan is not None and (plan.state_flip_rate or plan.group_max_chunks is not None))
+            and _fresh_size_class(allocator.fallback, space)
+        )
+    if family is RandomPoolAllocator:
+        pools = allocator._pools
+        return (
+            bool(pools) and not allocator.stats.total_allocs
+            and type(allocator._rng) is random.Random
+            and all(
+                type(pool) is BumpAllocator and pool.space is space and not pool.pools
+                and pool.pool_size == pools[0].pool_size
+                for pool in pools
+            )
+            and _fresh_size_class(allocator.fallback, space)
+        )
+    if family is ArenaAllocator:
+        arenas = allocator._arenas
+        return (
+            not allocator.stats.total_allocs and not any(allocator._mailboxes)
+            and len(arenas) == allocator.arena_count
+            and all(
+                _fresh_free_list(arena, space)
+                and (arena.policy, arena.pool_size) == (arenas[0].policy, arenas[0].pool_size)
+                for arena in arenas
+            )
+        )
+    return _fresh_free_list(allocator, space) or _fresh_size_class(allocator, space)
+
+
+#: The kernel's name (:data:`~repro.columnar.kernel.PLACE_FAMILIES`) for
+#: each allocator class it replicates.
+_FAMILIES = {
+    SizeClassAllocator: "size-class",
+    GroupAllocator: "group",
+    RandomPoolAllocator: "random-pools",
+    FreeListAllocator: "free-list",
+    ArenaAllocator: "arena",
+}
 
 
 def _class_tables(sized: SizeClassAllocator) -> tuple[np.ndarray, ...]:
@@ -417,60 +470,112 @@ def _class_tables(sized: SizeClassAllocator) -> tuple[np.ndarray, ...]:
     )
 
 
+def _arena_column(cols, allocator: ArenaAllocator) -> tuple[np.ndarray, int]:
+    """Each heap op's arena as ``set_thread`` routes it while the Python
+    loop runs ``cols.segments(threaded=True)``, and the arena it ends on."""
+    count = allocator.arena_count
+    arenas = [allocator._thread] + [thread % count for *_, thread in cols.switches]
+    starts = [0] + [mark[0] for mark in cols.switches] + [int(cols.heap[0].shape[0])]
+    column = np.repeat(np.array(arenas, dtype=np.int32), np.diff(starts))
+    return column, arenas[-1]
+
+
 def _place_compiled(
-    cols, allocator: Allocator, sized: SizeClassAllocator, selectors: Optional[_Selectors],
-    snap: int, out: _Placement,
+    cols, allocator: Allocator, selectors: Optional[_Selectors], snap: int, out: _Placement,
 ) -> bool:
     """Place on the compiled replica (:func:`~repro.columnar.kernel.place`);
     False when it did not run.
 
-    The allocators keep their counters and the address space its cursor,
-    reservations, chunk-header residency and RNG state, as the Python
-    loop leaves them; their block maps stay empty, so neither allocator
-    can be walked or freed into afterwards.
+    The allocators keep their counters (their parts' too) and the address
+    space its cursor, reservations, chunk-header residency and RNG state,
+    as the Python loop leaves them; free lists keep their free ranges and
+    pools, arenas their mailboxes, bump pools their current region and
+    random pools their generator.  Their block maps stay empty, so no
+    allocator can be walked or freed into afterwards.
     """
-    space = sized.space
+    space = allocator.space
+    name = _FAMILIES[type(allocator)]
     params = dict.fromkeys(kernel.PLACE_PARAMS, 0)
     params.update(
-        snap=snap, objects=cols.allocs, max_small=sized._max_small, cursor=space._cursor,
-        reserved_bytes=space.reserved_bytes, peak_reserved_bytes=space.peak_reserved_bytes,
+        family=kernel.PLACE_FAMILIES.index(name), snap=snap, objects=cols.allocs,
+        cursor=space._cursor, reserved_bytes=space.reserved_bytes,
+        peak_reserved_bytes=space.peak_reserved_bytes,
     )
-    gid, colours = None, np.zeros(0, dtype=np.int64)
-    if selectors is not None:
+    inputs: dict = {}
+    # The family's size-class allocator, and its free lists.
+    sized = lists = None
+    if name in ("group", "random-pools"):
+        sized = allocator.fallback
+    elif name == "size-class":
+        sized = allocator
+    else:
+        lists = allocator._arenas if name == "arena" else [allocator]
+    if sized is not None:
+        params.update(max_small=sized._max_small)
+        inputs["classes"] = _class_tables(sized)
+    if lists:
+        params.update(
+            subs=len(lists), pool_size=lists[0].pool_size,
+            best_fit=int(lists[0].policy == "best-fit"),
+        )
+    if name == "arena":
+        inputs["threads"], last_arena = _arena_column(cols, allocator)
+    elif name == "random-pools":
+        pools = allocator._pools
+        params.update(
+            subs=len(pools), pool_size=pools[0].pool_size,
+            max_pooled_size=allocator.max_pooled_size,
+        )
+        inputs["choice_mt"] = list(allocator._rng.getstate()[1])
+    elif name == "group":
         groups = list(dict.fromkeys(g for g in selectors.gids if g is not None))
         dense = {g: i for i, g in enumerate(groups)}
-        gid = np.array([dense.get(g, -1) for g in selectors.gids], dtype=np.int32)[selectors.column]
-        colours = np.array([allocator._colour_of(g) for g in groups], dtype=np.int64)
+        gid = np.array([dense.get(g, -1) for g in selectors.gids], dtype=np.int32)
+        inputs["gid"] = gid[selectors.column]
+        inputs["colours"] = np.array([allocator._colour_of(g) for g in groups], dtype=np.int64)
         limit = allocator.max_total_chunks
         params.update(
-            grouped=1, chunk_size=allocator.chunk_size, slab_size=allocator.slab_size,
+            chunk_size=allocator.chunk_size, slab_size=allocator.slab_size,
             max_spare_chunks=allocator.max_spare_chunks,
             max_grouped_size=allocator.max_grouped_size,
             always_reuse_chunks=int(allocator.always_reuse_chunks),
             max_total_chunks=-1 if limit is None else limit,
         )
     version, mt, gauss = space._rng.getstate()
-    placed = kernel.place(cols.heap, gid, colours, params, _class_tables(sized), list(mt))
+    placed = kernel.place(cols.heap, params, list(mt), **inputs)
     if placed is None:
         return False
     counters = placed.counters
     touched = np.array(sorted(space._touched_pages), dtype=np.int64)
-    sized.stats = AllocatorStats(*placed.fallback_stats)
-    if selectors is not None:
-        allocator.stats = AllocatorStats(*placed.stats)
-        for name in (
-            "grouped_live_bytes", "grouped_allocs", "forwarded_allocs", "degraded_allocs",
-            "chunks_created", "chunks_reused", "chunks_purged",
-        ):
-            setattr(allocator, name, counters[name])
     space._cursor = counters["cursor"]
     space.reserved_bytes = counters["reserved_bytes"]
     space.peak_reserved_bytes = counters["peak_reserved_bytes"]
     space._rng.setstate((version, tuple(placed.mt), gauss))
-    for base, size, live in placed.reservations.tolist():
+    reservations = placed.reservations.tolist()
+    for base, size, live, _, _ in reservations:
         if live:
             space._reservations[base] = size
     space._touched_pages.update((placed.chunk_bases[placed.held_end] >> PAGE_SHIFT).tolist())
+    if sized is not None:
+        sized.stats = AllocatorStats(*placed.fallback_stats)
+    if name in ("group", "random-pools", "arena"):
+        allocator.stats = AllocatorStats(*placed.stats)
+    if name == "group":
+        for field in (
+            "grouped_live_bytes", "grouped_allocs", "forwarded_allocs", "degraded_allocs",
+            "chunks_created", "chunks_reused", "chunks_purged",
+        ):
+            setattr(allocator, field, counters[field])
+    elif name == "random-pools":
+        _write_back_pools(allocator, placed, reservations)
+    elif lists:
+        _write_back_lists(lists, placed, reservations)
+        if name == "arena":
+            allocator._thread = last_arena
+            allocator.cross_thread_frees = counters["cross_thread_frees"]
+            allocator.mailbox_flushes = counters["mailbox_flushes"]
+            for sub, addr in placed.parked.tolist():
+                allocator._mailboxes[sub].append(addr)
     out.bases = placed.bases.tolist()
     out.realloc_addrs = placed.realloc_addrs.tolist()
     out.moves = [tuple(move) for move in placed.moves.tolist()]
@@ -493,13 +598,46 @@ def _place_compiled(
     return True
 
 
+def _write_back_pools(allocator: RandomPoolAllocator, placed, reservations: list) -> None:
+    """The random pools' generator, and each bump pool's stats, regions
+    and current region, as the Python loop leaves them."""
+    version, _, gauss = allocator._rng.getstate()
+    allocator._rng.setstate((version, tuple(placed.choice_mt), gauss))
+    for pool, row in zip(allocator._pools, placed.subs.tolist()):
+        pool.stats = AllocatorStats(*row[:5])
+        for field, value in zip(kernel.PLACE_BUMP_FIELDS, row[5:]):
+            setattr(pool, field, value)
+    for base, _, _, owner, _ in reservations:
+        if owner >= 0:
+            allocator._pools[owner].pools.append(base)
+
+
+def _write_back_lists(lists: list, placed, reservations: list) -> None:
+    """Each free list's stats, counters, pools and free ranges (indexed
+    for its fit policy), as the Python loop leaves them."""
+    for free_list, row in zip(lists, placed.subs.tolist()):
+        free_list.stats = AllocatorStats(*row[:5])
+        for field, value in zip(kernel.PLACE_LIST_FIELDS, row[5:]):
+            setattr(free_list, field, value)
+    for base, _, _, owner, request in reservations:
+        lists[owner]._pools.append((base, request))
+    for sub, start, end in placed.ranges.tolist():
+        free_list = lists[sub]
+        free_list._starts.append(start)
+        free_list._ends.append(end)
+        free_list._index(start, end)
+
+
 def _place_python(
     cols, machine: Machine, selectors: Optional[_Selectors], snap: int, out: _Placement
 ) -> None:
     """Place every heap op through the allocator's own Python methods.
 
-    A grouped allocator's matcher is the selector stand-in and its
-    space's purges are logged for the peak snapshot while the loop runs.
+    The path of allocators the kernel does not replicate (:func:`_compiled`),
+    of fault-plan runs and of runs without the compiled library; the
+    oracle the replicas are held to.  A grouped allocator's matcher is
+    the selector stand-in and its space's purges are logged for the peak
+    snapshot while the loop runs.
     Thread switches reach a thread-aware allocator between runs of ops.
     """
     allocator = machine.allocator

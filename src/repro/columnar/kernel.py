@@ -746,32 +746,49 @@ int64_t halo_trace_decode(const uint8_t *data, int64_t n, int64_t *counts,
 _PLACE_SOURCE = r"""
 #include <stdlib.h>
 
-/* Heap placement: exact replicas of repro.allocators.size_class.
- * SizeClassAllocator and of repro.allocators.group.GroupAllocator over a
- * SizeClassAllocator fallback, driven by a trace's heap columns.  Every
- * decision mirrors the Python method of the same name, in the same
- * order, including the address space's reservation jitter: CPython's
- * MT19937 and randrange(0, 8) (getrandbits(4), rejecting values >= 8).
+/* Heap placement: exact replicas of five repro.allocators policies,
+ * driven by a trace's heap columns: SizeClassAllocator; GroupAllocator
+ * over a SizeClassAllocator fallback; RandomPoolAllocator (one
+ * BumpAllocator per pool) over one; FreeListAllocator, first or best
+ * fit; and ArenaAllocator over free lists.  Every decision mirrors the
+ * Python method of the same name, in the same order, including the
+ * address space's reservation jitter and the random pools' choice:
+ * CPython's MT19937, randrange(0, 8) (getrandbits(4), rejecting values
+ * >= 8) and choice over n pools (getrandbits(n.bit_length()), rejecting
+ * values >= n), each on its own generator's state.
  *
  * A block is tracked by object id, not by address: live blocks never
  * share an address, so this is the allocators' own address-keyed map.
  * Size-class runs keep a free-slot bitmap (the lowest set bit is the
  * heap minimum the Python run pops), and each class a min-heap of its
  * non-full runs by base.  A chunk's `resident` flag says its header page
- * was touched since the last purge of that page.
+ * was touched since the last purge of that page.  A free list keeps its
+ * ranges in a treap by start whose nodes carry their subtree's longest
+ * range, so first fit descends to the leftmost range long enough; best
+ * fit keeps a second treap by (length, start).  Placement mallocs at
+ * 8-byte alignment, pools are page-aligned and every extent is a
+ * multiple of 8, so every range starts 8-aligned and a fit never leaves
+ * an alignment gap.
  */
 
-enum { P_GROUPED, P_SNAP, P_OBJECTS, P_MAX_SMALL, P_CHUNK, P_SLAB, P_MAX_SPARE,
+enum { F_SIZE_CLASS, F_GROUP, F_RANDOM_POOLS, F_FREE_LIST, F_ARENA };
+
+enum { P_FAMILY, P_SNAP, P_OBJECTS, P_MAX_SMALL, P_CHUNK, P_SLAB, P_MAX_SPARE,
        P_MAX_GROUPED, P_ALWAYS_REUSE, P_MAX_CHUNKS, P_CURSOR, P_RESERVED,
-       P_PEAK_RESERVED };
+       P_PEAK_RESERVED, P_SUBS, P_POOL_SIZE, P_MAX_POOLED, P_BEST_FIT };
 
 enum { O_TOP = 0, O_FALLBACK = 5, O_GROUPED_LIVE = 10, O_GROUPED, O_FORWARDED,
        O_DEGRADED, O_CREATED, O_REUSED, O_PURGED, O_CURSOR, O_RESERVED,
        O_PEAK_RESERVED, O_MOVES, O_PURGES, O_CHUNKS, O_RESERVATIONS, O_PEAK_PTR,
-       O_PEAK_LIVE, O_PEAK_HIGH, O_PEAK_PURGES, O_PEAK_CHUNKS };
+       O_PEAK_LIVE, O_PEAK_HIGH, O_PEAK_PURGES, O_PEAK_CHUNKS, O_CROSS_FREES,
+       O_FLUSHES, O_RANGES, O_PARKED };
+
+/* Per pool or free list: its stats, then a bump pool's (base, end,
+ * cursor) or a free list's (coalesced, in-place, moved) counters. */
+enum { S_FIELDS = 8 };
 
 enum { PL_FULL = 1, PL_INVALID = 2, PL_NOMEM = 3 };
-enum { PL_DEAD, PL_SMALL, PL_LARGE, PL_GROUPED };
+enum { PL_DEAD, PL_SMALL, PL_LARGE, PL_GROUPED, PL_POOLED, PL_LISTED };
 
 #define PL_PAGE 4096
 #define PL_HEADER 64
@@ -790,14 +807,29 @@ typedef struct {
     int32_t resident;
 } PlChunk;
 
-typedef struct { int64_t addr, size; int32_t where, kind; } PlBlock;
+/* where: run, reservation row, chunk, pool or free list. */
+typedef struct { int64_t addr, size, extent; int32_t where, kind; } PlBlock;
 
 typedef struct { int32_t *v; int64_t n, cap; } PlVec;
+
+/* BumpAllocator: the current region and the bump cursor. */
+typedef struct { PlStats st; int64_t base, end, cursor; } PlBump;
+
+/* A free range, as a treap node. */
+typedef struct { int64_t start, len, longest; int32_t l, r; uint32_t pri; } PlNode;
+
+/* FreeListAllocator, and as an arena its mailbox of parked blocks. */
+typedef struct {
+    PlStats st;
+    int32_t by_start, by_len;  /* treap roots, -1 when empty */
+    int64_t coalesced, inplace, moved;
+    int64_t *mail, nmail, cap_mail;  /* (addr, size, extent) per parked block */
+} PlList;
 
 typedef struct {
     const int64_t *p, *class_size, *class_cap, *class_bytes, *colour;
     const int32_t *class_of;
-    uint32_t mt[625];
+    uint32_t mt[625], choice_mt[625];
     int64_t cursor, reserved, peak_reserved;
     int64_t *resv, nresv, cap_resv;
     PlRun *runs;
@@ -813,6 +845,13 @@ typedef struct {
     int64_t slab_cursor, slab_end;
     int64_t grouped_live, grouped, forwarded, degraded, created, reused, purged;
     int64_t *purge_log, npurge, cap_purge, ptr;
+    PlBump *bumps;
+    PlList *lists;
+    PlNode *nodes;
+    int64_t nnodes, cap_nodes;
+    int32_t node_free;
+    uint32_t pri_state;
+    int64_t cross_frees, flushes;
     PlBlock *obj;
     jmp_buf fail;
 } Pl;
@@ -877,22 +916,25 @@ static void pl_push(Pl *q, PlVec *v, int32_t x)
     v->v[v->n++] = x;
 }
 
-/* AddressSpace.reserve. */
-static int64_t pl_reserve(Pl *q, int64_t size, int64_t alignment)
+/* AddressSpace.reserve of *request* bytes for *owner* (a pool or free
+ * list; -1 for the size-class and group allocators). */
+static int64_t pl_reserve(Pl *q, int64_t request, int64_t alignment, int32_t owner)
 {
     uint32_t r;
     if (alignment < PL_PAGE) alignment = PL_PAGE;
-    size = pl_align(size, PL_PAGE);
+    int64_t size = pl_align(request, PL_PAGE);
     do r = pl_genrand(q->mt) >> 28; while (r >= 8);
     int64_t base = pl_align(q->cursor + (int64_t)r * PL_PAGE, alignment);
     q->cursor = base + size;
     q->reserved += size;
     if (q->reserved > q->peak_reserved) q->peak_reserved = q->reserved;
     if (q->nresv == q->cap_resv) longjmp(q->fail, PL_FULL);
-    int64_t *row = q->resv + 3 * q->nresv++;
+    int64_t *row = q->resv + 5 * q->nresv++;
     row[0] = base;
     row[1] = size;
     row[2] = 1;
+    row[3] = owner;
+    row[4] = request;
     return base;
 }
 
@@ -934,7 +976,7 @@ static int32_t pl_nonfull_run(Pl *q, int32_t cls)
         pl_heap_pop(q, h);
     }
     if (h->n) return h->v[0];
-    int64_t base = pl_reserve(q, q->class_bytes[cls], PL_PAGE);
+    int64_t base = pl_reserve(q, q->class_bytes[cls], PL_PAGE, -1);
     if (q->nruns == q->cap_runs) {
         int64_t cap = q->cap_runs ? 2 * q->cap_runs : 64;
         PlRun *grown = realloc(q->runs, (size_t)cap * sizeof(PlRun));
@@ -975,7 +1017,7 @@ static void pl_sc_malloc(Pl *q, int64_t size, PlBlock *b)
     if (size <= 0) longjmp(q->fail, PL_INVALID);
     int64_t want = size >= 8 ? size : 8;
     if (want > q->p[P_MAX_SMALL]) {
-        b->addr = pl_reserve(q, pl_align(size, PL_PAGE), PL_PAGE);
+        b->addr = pl_reserve(q, pl_align(size, PL_PAGE), PL_PAGE, -1);
         b->kind = PL_LARGE;
         b->where = (int32_t)(q->nresv - 1);
     } else {
@@ -995,7 +1037,7 @@ static void pl_sc_malloc(Pl *q, int64_t size, PlBlock *b)
 static void pl_sc_free(Pl *q, const PlBlock *b)
 {
     if (b->kind == PL_LARGE) {
-        int64_t *row = q->resv + 3 * b->where;
+        int64_t *row = q->resv + 5 * b->where;
         q->reserved -= row[1];
         row[2] = 0;
     } else {
@@ -1075,7 +1117,7 @@ static int32_t pl_fresh_chunk(Pl *q, int32_t g)
     }
     if (q->p[P_MAX_CHUNKS] >= 0 && q->created >= q->p[P_MAX_CHUNKS]) return -1;
     if (q->slab_cursor + size > q->slab_end) {
-        int64_t base = pl_reserve(q, q->p[P_SLAB], size);
+        int64_t base = pl_reserve(q, q->p[P_SLAB], size, -1);
         q->slab_cursor = base;
         q->slab_end = base + q->p[P_SLAB];
     }
@@ -1129,12 +1171,9 @@ static int pl_group_malloc(Pl *q, int32_t g, int64_t size, PlBlock *b)
     return 1;
 }
 
-static void pl_malloc(Pl *q, int64_t size, int32_t g, PlBlock *b)
+/* GroupAllocator.malloc. */
+static void pl_gr_malloc(Pl *q, int64_t size, int32_t g, PlBlock *b)
 {
-    if (!q->p[P_GROUPED]) {
-        pl_sc_malloc(q, size, b);
-        return;
-    }
     if (size <= 0) longjmp(q->fail, PL_INVALID);
     if (size < q->p[P_MAX_GROUPED] && g >= 0) {
         if (pl_group_malloc(q, g, size, b)) return;
@@ -1144,7 +1183,7 @@ static void pl_malloc(Pl *q, int64_t size, int32_t g, PlBlock *b)
     pl_sc_malloc(q, size, b);
 }
 
-static void pl_free(Pl *q, PlBlock *b)
+static void pl_gr_free(Pl *q, PlBlock *b)
 {
     if (b->kind != PL_GROUPED) {
         pl_sc_free(q, b);
@@ -1158,7 +1197,7 @@ static void pl_free(Pl *q, PlBlock *b)
 }
 
 /* GroupAllocator.realloc: grouped blocks shrink in place, else move. */
-static void pl_realloc(Pl *q, PlBlock *b, int64_t new_size, int32_t g)
+static void pl_gr_realloc(Pl *q, PlBlock *b, int64_t new_size, int32_t g)
 {
     if (b->kind != PL_GROUPED) {
         pl_sc_realloc(q, b, new_size);
@@ -1171,9 +1210,458 @@ static void pl_realloc(Pl *q, PlBlock *b, int64_t new_size, int32_t g)
         return;
     }
     PlBlock moved;
-    pl_malloc(q, new_size, g, &moved);
-    pl_free(q, b);
+    pl_gr_malloc(q, new_size, g, &moved);
+    pl_gr_free(q, b);
     *b = moved;
+}
+
+/* random.Random.choice over n pools: _randbelow(n), that is
+ * getrandbits(n.bit_length()) until the draw is below n. */
+static int32_t pl_choice(Pl *q, int64_t n)
+{
+    int shift = __builtin_clzll((uint64_t)n) - 32;  /* 32 - n.bit_length() */
+    uint32_t r;
+    do r = pl_genrand(q->choice_mt) >> shift; while (r >= n);
+    return (int32_t)r;
+}
+
+/* RandomPoolAllocator.malloc: small requests bump-allocate in a random
+ * pool (BumpAllocator.malloc), the rest go to the size-class fallback. */
+static void pl_rp_malloc(Pl *q, int64_t size, PlBlock *b)
+{
+    if (size >= q->p[P_MAX_POOLED]) {
+        pl_sc_malloc(q, size, b);
+        return;
+    }
+    int32_t i = pl_choice(q, q->p[P_SUBS]);
+    PlBump *u = &q->bumps[i];
+    int64_t pool_size = q->p[P_POOL_SIZE];
+    if (size <= 0 || size > pool_size) longjmp(q->fail, PL_INVALID);
+    int64_t addr = pl_align(u->cursor, 8);
+    if (addr + size > u->end) {
+        addr = u->base = pl_reserve(q, pool_size, PL_PAGE, i);
+        u->end = addr + pool_size;
+    }
+    u->cursor = addr + size;
+    b->addr = addr;
+    b->size = size;
+    b->kind = PL_POOLED;
+    b->where = i;
+    pl_stats_alloc(&u->st, size);
+    pl_stats_alloc(&q->top, size);
+}
+
+static void pl_rp_free(Pl *q, PlBlock *b)
+{
+    if (b->kind != PL_POOLED) {
+        pl_sc_free(q, b);
+        return;
+    }
+    pl_stats_free(&q->bumps[b->where].st, b->size);
+    pl_stats_free(&q->top, b->size);
+}
+
+/* Allocator.realloc: a shrink keeps the block and its recorded size; a
+ * grow allocates anew, then frees the old block. */
+static void pl_rp_realloc(Pl *q, PlBlock *b, int64_t new_size)
+{
+    if (new_size <= b->size) return;
+    PlBlock moved;
+    pl_rp_malloc(q, new_size, &moved);
+    pl_rp_free(q, b);
+    *b = moved;
+}
+
+/* A fresh treap node for the free range [start, start + len). */
+static int32_t pl_node(Pl *q, int64_t start, int64_t len)
+{
+    int32_t id = q->node_free;
+    if (id >= 0) {
+        q->node_free = q->nodes[id].l;
+    } else {
+        if (q->nnodes == q->cap_nodes) {
+            int64_t cap = q->cap_nodes ? 2 * q->cap_nodes : 256;
+            PlNode *grown = realloc(q->nodes, (size_t)cap * sizeof(PlNode));
+            if (!grown) longjmp(q->fail, PL_NOMEM);
+            q->nodes = grown;
+            q->cap_nodes = cap;
+        }
+        id = (int32_t)q->nnodes++;
+    }
+    PlNode *n = &q->nodes[id];
+    n->start = start;
+    n->len = n->longest = len;
+    n->l = n->r = -1;
+    q->pri_state ^= q->pri_state << 13;  /* xorshift32: shape only */
+    q->pri_state ^= q->pri_state >> 17;
+    q->pri_state ^= q->pri_state << 5;
+    n->pri = q->pri_state;
+    return id;
+}
+
+/* Whether node n orders before the key (len, start): by start, or with
+ * by_len by (length, start). */
+static inline int pl_before(const PlNode *n, int by_len, int64_t len, int64_t start)
+{
+    return by_len && n->len != len ? n->len < len : n->start < start;
+}
+
+static inline void pl_pull(PlNode *s, int32_t t)
+{
+    int64_t longest = s[t].len;
+    if (s[t].l >= 0 && s[s[t].l].longest > longest) longest = s[s[t].l].longest;
+    if (s[t].r >= 0 && s[s[t].r].longest > longest) longest = s[s[t].r].longest;
+    s[t].longest = longest;
+}
+
+static void pl_split(PlNode *s, int32_t t, int by_len, int64_t len, int64_t start,
+                     int32_t *left, int32_t *right)
+{
+    if (t < 0) {
+        *left = *right = -1;
+        return;
+    }
+    if (pl_before(&s[t], by_len, len, start)) {
+        pl_split(s, s[t].r, by_len, len, start, &s[t].r, right);
+        *left = t;
+    } else {
+        pl_split(s, s[t].l, by_len, len, start, left, &s[t].l);
+        *right = t;
+    }
+    pl_pull(s, t);
+}
+
+static int32_t pl_merge(PlNode *s, int32_t a, int32_t b)
+{
+    if (a < 0) return b;
+    if (b < 0) return a;
+    if (s[a].pri > s[b].pri) {
+        s[a].r = pl_merge(s, s[a].r, b);
+        pl_pull(s, a);
+        return a;
+    }
+    s[b].l = pl_merge(s, a, s[b].l);
+    pl_pull(s, b);
+    return b;
+}
+
+static int32_t pl_insert(PlNode *s, int32_t t, int32_t x, int by_len)
+{
+    if (t < 0) return x;
+    if (s[x].pri > s[t].pri) {
+        pl_split(s, t, by_len, s[x].len, s[x].start, &s[x].l, &s[x].r);
+        pl_pull(s, x);
+        return x;
+    }
+    if (pl_before(&s[t], by_len, s[x].len, s[x].start)) s[t].r = pl_insert(s, s[t].r, x, by_len);
+    else s[t].l = pl_insert(s, s[t].l, x, by_len);
+    pl_pull(s, t);
+    return t;
+}
+
+/* Unlink the range [start, start + len) (starts are unique in a list);
+ * its node goes back on the free chain. */
+static int32_t pl_erase(Pl *q, int32_t t, int by_len, int64_t len, int64_t start)
+{
+    PlNode *s = q->nodes;
+    if (s[t].start == start) {
+        int32_t rest = pl_merge(s, s[t].l, s[t].r);
+        s[t].l = q->node_free;
+        q->node_free = t;
+        return rest;
+    }
+    if (pl_before(&s[t], by_len, len, start)) s[t].r = pl_erase(q, s[t].r, by_len, len, start);
+    else s[t].l = pl_erase(q, s[t].l, by_len, len, start);
+    pl_pull(s, t);
+    return t;
+}
+
+/* FreeListAllocator._index / _unindex. */
+static void pl_fl_add(Pl *q, PlList *f, int64_t start, int64_t len)
+{
+    int32_t x = pl_node(q, start, len);
+    f->by_start = pl_insert(q->nodes, f->by_start, x, 0);
+    if (q->p[P_BEST_FIT]) {
+        x = pl_node(q, start, len);
+        f->by_len = pl_insert(q->nodes, f->by_len, x, 1);
+    }
+}
+
+static void pl_fl_drop(Pl *q, PlList *f, int64_t start, int64_t len)
+{
+    f->by_start = pl_erase(q, f->by_start, 0, len, start);
+    if (q->p[P_BEST_FIT]) f->by_len = pl_erase(q, f->by_len, 1, len, start);
+}
+
+/* Move the by-start node of the range at `at` to [start, start + len). */
+static void pl_move(PlNode *s, int32_t t, int64_t at, int64_t start, int64_t len)
+{
+    if (s[t].start == at) {
+        s[t].start = start;
+        s[t].len = len;
+    } else {
+        pl_move(s, at < s[t].start ? s[t].l : s[t].r, at, start, len);
+    }
+    pl_pull(s, t);
+}
+
+/* Replace the range [at, at + len) by [start, start + new_len), which
+ * overlaps no other range, so its place in address order stays. */
+static void pl_fl_resize(Pl *q, PlList *f, int64_t at, int64_t len, int64_t start,
+                         int64_t new_len)
+{
+    pl_move(q->nodes, f->by_start, at, start, new_len);
+    if (q->p[P_BEST_FIT]) {
+        f->by_len = pl_erase(q, f->by_len, 1, len, at);
+        int32_t x = pl_node(q, start, new_len);
+        f->by_len = pl_insert(q->nodes, f->by_len, x, 1);
+    }
+}
+
+/* The range starting at addr, or -1. */
+static int32_t pl_fl_at(const PlNode *s, int32_t t, int64_t addr)
+{
+    while (t >= 0 && s[t].start != addr) t = addr < s[t].start ? s[t].l : s[t].r;
+    return t;
+}
+
+/* FreeListAllocator._insert_range: add [start, end), merging with a
+ * range that ends at start and one that starts at end. */
+static void pl_fl_insert(Pl *q, PlList *f, int64_t start, int64_t end)
+{
+    const PlNode *s = q->nodes;
+    int32_t below = -1, t = f->by_start;
+    while (t >= 0) {
+        if (s[t].start < start) {
+            below = t;
+            t = s[t].r;
+        } else {
+            t = s[t].l;
+        }
+    }
+    int32_t above = pl_fl_at(s, f->by_start, end);
+    if (below >= 0 && s[below].start + s[below].len != start) below = -1;
+    if (below < 0 && above < 0) {
+        pl_fl_add(q, f, start, end - start);
+        return;
+    }
+    if (above >= 0) {
+        int64_t len = s[above].len;
+        if (below >= 0) pl_fl_drop(q, f, end, len);
+        else pl_fl_resize(q, f, end, len, start, end + len - start);
+        end += len;
+    }
+    if (below >= 0) {
+        int64_t lo = q->nodes[below].start;
+        pl_fl_resize(q, f, lo, start - lo, lo, end - lo);
+    }
+    f->coalesced++;
+}
+
+/* FreeListAllocator._carve from the front of [start, start + len). */
+static void pl_fl_carve(Pl *q, PlList *f, int64_t start, int64_t len, int64_t extent)
+{
+    if (len > extent) pl_fl_resize(q, f, start, len, start + extent, len - extent);
+    else pl_fl_drop(q, f, start, len);
+}
+
+/* FreeListAllocator._find_fit: first fit is the leftmost range at least
+ * extent long, best fit the least (length, start) of one. */
+static int32_t pl_fl_fit(Pl *q, PlList *f, int64_t extent)
+{
+    const PlNode *s = q->nodes;
+    int32_t t, fit = -1;
+    if (q->p[P_BEST_FIT]) {
+        for (t = f->by_len; t >= 0;) {
+            if (s[t].len >= extent) {
+                fit = t;
+                t = s[t].l;
+            } else {
+                t = s[t].r;
+            }
+        }
+        return fit;
+    }
+    t = f->by_start;
+    if (t < 0 || s[t].longest < extent) return -1;
+    for (;;) {
+        int32_t l = s[t].l;
+        if (l >= 0 && s[l].longest >= extent) t = l;
+        else if (s[t].len >= extent) return t;
+        else t = s[t].r;
+    }
+}
+
+/* FreeListAllocator.malloc on free list i, growing a pool when no range fits. */
+static void pl_fl_malloc(Pl *q, int32_t i, int64_t size, PlBlock *b)
+{
+    PlList *f = &q->lists[i];
+    if (size <= 0) longjmp(q->fail, PL_INVALID);
+    int64_t extent = pl_align(size, 8);
+    int32_t t = pl_fl_fit(q, f, extent);
+    if (t < 0) {  /* _grow_pool */
+        int64_t bytes = pl_align(extent, PL_PAGE);
+        if (bytes < q->p[P_POOL_SIZE]) bytes = q->p[P_POOL_SIZE];
+        int64_t base = pl_reserve(q, bytes, PL_PAGE, i);
+        pl_fl_insert(q, f, base, base + bytes);
+        t = pl_fl_fit(q, f, extent);
+    }
+    int64_t start = q->nodes[t].start;
+    pl_fl_carve(q, f, start, q->nodes[t].len, extent);
+    b->addr = start;
+    b->size = size;
+    b->extent = extent;
+    b->kind = PL_LISTED;
+    b->where = i;
+    pl_stats_alloc(&f->st, size);
+}
+
+static void pl_fl_free(Pl *q, PlBlock *b)
+{
+    PlList *f = &q->lists[b->where];
+    pl_fl_insert(q, f, b->addr, b->addr + b->extent);
+    pl_stats_free(&f->st, b->size);
+}
+
+/* FreeListAllocator.realloc: shrink in place, grow into the range that
+ * starts at the block's end, or move. */
+static void pl_fl_realloc(Pl *q, PlBlock *b, int64_t new_size)
+{
+    PlList *f = &q->lists[b->where];
+    if (new_size <= 0) longjmp(q->fail, PL_INVALID);
+    int64_t extent = pl_align(new_size, 8), tail = b->addr + b->extent, t = -1;
+    if (extent > b->extent) {
+        t = pl_fl_at(q->nodes, f->by_start, tail);
+        if (t >= 0 && q->nodes[t].len < extent - b->extent) t = -1;
+    }
+    if (extent <= b->extent || t >= 0) {
+        if (extent < b->extent) pl_fl_insert(q, f, b->addr + extent, tail);
+        else if (extent > b->extent) pl_fl_carve(q, f, tail, q->nodes[t].len, extent - b->extent);
+        b->extent = extent;
+        pl_stats_resize(&f->st, b->size, new_size);
+        b->size = new_size;
+        f->inplace++;
+        return;
+    }
+    PlBlock moved;
+    pl_fl_malloc(q, b->where, new_size, &moved);
+    pl_fl_free(q, b);
+    *b = moved;
+    f->moved++;
+}
+
+/* ArenaAllocator._flush: the owner frees its parked blocks, in order. */
+static void pl_ar_flush(Pl *q, int32_t i)
+{
+    PlList *f = &q->lists[i];
+    if (!f->nmail) return;
+    for (int64_t j = 0; j < f->nmail; j++) {
+        PlBlock parked = { f->mail[3 * j], f->mail[3 * j + 1], f->mail[3 * j + 2], i, PL_LISTED };
+        pl_fl_free(q, &parked);
+    }
+    f->nmail = 0;
+    q->flushes++;
+}
+
+/* ArenaAllocator.malloc on thread t's arena. */
+static void pl_ar_malloc(Pl *q, int32_t t, int64_t size, PlBlock *b)
+{
+    pl_ar_flush(q, t);
+    pl_fl_malloc(q, t, size, b);
+    pl_stats_alloc(&q->top, size);
+}
+
+/* ArenaAllocator.free: a foreign block waits in its owner's mailbox. */
+static void pl_ar_free(Pl *q, int32_t t, PlBlock *b)
+{
+    if (b->where == t) {
+        pl_fl_free(q, b);
+    } else {
+        PlList *f = &q->lists[b->where];
+        if (f->nmail == f->cap_mail) {
+            int64_t cap = f->cap_mail ? 2 * f->cap_mail : 16;
+            int64_t *grown = realloc(f->mail, (size_t)(3 * cap) * sizeof(int64_t));
+            if (!grown) longjmp(q->fail, PL_NOMEM);
+            f->mail = grown;
+            f->cap_mail = cap;
+        }
+        int64_t *row = f->mail + 3 * f->nmail++;
+        row[0] = b->addr;
+        row[1] = b->size;
+        row[2] = b->extent;
+        q->cross_frees++;
+    }
+    pl_stats_free(&q->top, b->size);
+}
+
+/* ArenaAllocator.realloc: the owner reallocs in its own free list; any
+ * other thread allocates in its own arena and parks the old block. */
+static void pl_ar_realloc(Pl *q, int32_t t, PlBlock *b, int64_t new_size)
+{
+    if (b->where == t) {
+        pl_ar_flush(q, t);
+        int64_t addr = b->addr, size = b->size;
+        pl_fl_realloc(q, b, new_size);
+        if (b->addr == addr) {
+            pl_stats_resize(&q->top, size, new_size);
+        } else {
+            pl_stats_free(&q->top, size);
+            pl_stats_alloc(&q->top, new_size);
+        }
+        return;
+    }
+    PlBlock moved;
+    pl_ar_malloc(q, t, new_size, &moved);
+    pl_ar_free(q, t, b);
+    *b = moved;
+}
+
+/* The family's malloc, free and realloc; t is the op's arena. */
+static void pl_malloc(Pl *q, int64_t size, int32_t g, int32_t t, PlBlock *b)
+{
+    switch (q->p[P_FAMILY]) {
+    case F_SIZE_CLASS: pl_sc_malloc(q, size, b); break;
+    case F_GROUP: pl_gr_malloc(q, size, g, b); break;
+    case F_RANDOM_POOLS: pl_rp_malloc(q, size, b); break;
+    case F_FREE_LIST: pl_fl_malloc(q, 0, size, b); break;
+    default: pl_ar_malloc(q, t, size, b);
+    }
+}
+
+static void pl_free(Pl *q, PlBlock *b, int32_t t)
+{
+    switch (q->p[P_FAMILY]) {
+    case F_SIZE_CLASS: pl_sc_free(q, b); break;
+    case F_GROUP: pl_gr_free(q, b); break;
+    case F_RANDOM_POOLS: pl_rp_free(q, b); break;
+    case F_FREE_LIST: pl_fl_free(q, b); break;
+    default: pl_ar_free(q, t, b);
+    }
+}
+
+static void pl_realloc(Pl *q, PlBlock *b, int64_t new_size, int32_t g, int32_t t)
+{
+    switch (q->p[P_FAMILY]) {
+    case F_SIZE_CLASS: pl_sc_realloc(q, b, new_size); break;
+    case F_GROUP: pl_gr_realloc(q, b, new_size, g); break;
+    case F_RANDOM_POOLS: pl_rp_realloc(q, b, new_size); break;
+    case F_FREE_LIST: pl_fl_realloc(q, b, new_size); break;
+    default: pl_ar_realloc(q, t, b, new_size);
+    }
+}
+
+/* Write free list sub's ranges out in address order. */
+static void pl_emit_ranges(Pl *q, int32_t t, int64_t sub, int64_t *ranges, int64_t cap,
+                           int64_t *n)
+{
+    if (t < 0) return;
+    pl_emit_ranges(q, q->nodes[t].l, sub, ranges, cap, n);
+    if (*n == cap) longjmp(q->fail, PL_FULL);
+    int64_t *row = ranges + 3 * (*n)++;
+    row[0] = sub;
+    row[1] = q->nodes[t].start;
+    row[2] = q->nodes[t].start + q->nodes[t].len;
+    pl_emit_ranges(q, q->nodes[t].r, sub, ranges, cap, n);
 }
 
 static PlBlock *pl_object(Pl *q, int64_t oid, int64_t objects)
@@ -1187,44 +1675,58 @@ static void pl_release(Pl *q)
 {
     if (q->nonfull)
         for (int64_t c = 0; c < q->nclasses; c++) free(q->nonfull[c].v);
+    if (q->lists)
+        for (int64_t i = 0; i < q->p[P_SUBS]; i++) free(q->lists[i].mail);
     free(q->nonfull);
     free(q->runs);
     free(q->chunks);
     free(q->current);
     free(q->spares.v);
+    free(q->bumps);
+    free(q->lists);
+    free(q->nodes);
     free(q->obj);
     free(q);
 }
 
 /* Place n heap ops (ops/ca/cb/cptr: the heap columns).
  *
+ * thread   per heap op: the arena it runs on (F_ARENA only)
  * gid      per ALLOC/REALLOC op: the selector's dense group, -1 = forward
+ *          (F_GROUP only)
  * colour   per dense group: its chunks' bump-start offset
  * params   P_* above; P_SNAP is the allocation ordinal (1-based) of the
- *          live peak, 0 for none; P_MAX_CHUNKS < 0 means no cap
+ *          live peak, 0 for none; P_MAX_CHUNKS < 0 means no cap; P_SUBS
+ *          the random pools or free lists
  * class_*  the size-class table ((size + 7) >> 3 -> class) and each
  *          class's region size, run capacity and run bytes
- * mt       the MT19937 state and index (625 words), advanced in place
+ * mt       the address space's MT19937 state and index (625 words),
+ *          advanced in place; choice_mt the random pools' (F_RANDOM_POOLS)
  * bases, realloc_addrs, moves (ptr, oid, addr): one per alloc, realloc,
  *          moving realloc
- * purges   (ptr, base) per chunk purge; resv (base, size, live) per
- *          reservation; chunk_base per chunk carved; held[c] the header
- *          flag of chunk c at the peak, held[cap_chunk + c] at the end
+ * purges   (ptr, base) per chunk purge; resv (base, size, live, owner,
+ *          request) per reservation; chunk_base per chunk carved; held[c]
+ *          the header flag of chunk c at the peak, held[cap_chunk + c] at
+ *          the end
+ * subs     S_FIELDS per pool or free list; ranges (sub, start, end) per
+ *          free range at the end; parked (sub, addr) per mailboxed block
  * out      O_* above
  *
- * Returns 0; -1 when purges, resv or the chunk arrays were too small
- * (nothing is written back: retry larger); -2 for an op the Python
+ * Returns 0; -1 when purges, resv, ranges or the chunk arrays were too
+ * small (nothing is written back: retry larger); -2 for an op the Python
  * allocators reject (a bad size or object id); -3 out of memory.
  */
 int64_t halo_place(const int64_t *ops, const int64_t *ca, const int64_t *cb,
-                   const int64_t *cptr, int64_t n, const int32_t *gid,
-                   const int64_t *colour, int64_t ngroups, const int64_t *params,
-                   const int32_t *class_of, const int64_t *class_size,
-                   const int64_t *class_cap, const int64_t *class_bytes,
-                   int64_t nclasses, uint32_t *mt,
-                   int64_t *bases, int64_t *realloc_addrs, int64_t *moves,
-                   int64_t *purges, int64_t cap_purge, int64_t *resv, int64_t cap_resv,
-                   int64_t *chunk_base, int8_t *held, int64_t cap_chunk, int64_t *out)
+                   const int64_t *cptr, int64_t n, const int32_t *thread,
+                   const int32_t *gid, const int64_t *colour, int64_t ngroups,
+                   const int64_t *params, const int32_t *class_of,
+                   const int64_t *class_size, const int64_t *class_cap,
+                   const int64_t *class_bytes, int64_t nclasses, uint32_t *mt,
+                   uint32_t *choice_mt, int64_t *bases, int64_t *realloc_addrs,
+                   int64_t *moves, int64_t *purges, int64_t cap_purge, int64_t *resv,
+                   int64_t cap_resv, int64_t *chunk_base, int8_t *held, int64_t cap_chunk,
+                   int64_t *subs, int64_t *ranges, int64_t cap_ranges, int64_t *parked,
+                   int64_t cap_parked, int64_t *out)
 {
     Pl *q = calloc(1, sizeof(Pl));
     if (!q) return -3;
@@ -1233,7 +1735,8 @@ int64_t halo_place(const int64_t *ops, const int64_t *ca, const int64_t *cb,
         pl_release(q);
         return -code;
     }
-    int64_t objects = params[P_OBJECTS];
+    int64_t objects = params[P_OBJECTS], nsubs = params[P_SUBS];
+    int64_t family = params[P_FAMILY];
     q->p = params;
     q->class_of = class_of;
     q->class_size = class_size;
@@ -1242,6 +1745,7 @@ int64_t halo_place(const int64_t *ops, const int64_t *ca, const int64_t *cb,
     q->nclasses = nclasses;
     q->colour = colour;
     memcpy(q->mt, mt, sizeof q->mt);
+    if (choice_mt) memcpy(q->choice_mt, choice_mt, sizeof q->choice_mt);
     q->cursor = params[P_CURSOR];
     q->reserved = params[P_RESERVED];
     q->peak_reserved = params[P_PEAK_RESERVED];
@@ -1251,28 +1755,35 @@ int64_t halo_place(const int64_t *ops, const int64_t *ca, const int64_t *cb,
     q->cap_purge = cap_purge;
     q->chunk_base = chunk_base;
     q->cap_chunk = cap_chunk;
+    q->node_free = -1;
+    q->pri_state = 2463534242U;
     q->nonfull = calloc((size_t)nclasses + 1, sizeof(PlVec));
     q->chunks = malloc(((size_t)cap_chunk + 1) * sizeof(PlChunk));
     q->current = malloc(((size_t)ngroups + 1) * sizeof(int32_t));
+    q->bumps = calloc((size_t)nsubs + 1, sizeof(PlBump));
+    q->lists = calloc((size_t)nsubs + 1, sizeof(PlList));
     q->obj = calloc((size_t)objects + 1, sizeof(PlBlock));
-    if (!q->nonfull || !q->chunks || !q->current || !q->obj) longjmp(q->fail, PL_NOMEM);
+    if (!q->nonfull || !q->chunks || !q->current || !q->bumps || !q->lists || !q->obj)
+        longjmp(q->fail, PL_NOMEM);
     for (int64_t g = 0; g < ngroups; g++) q->current[g] = -1;
+    for (int64_t i = 0; i < nsubs; i++) q->lists[i].by_start = q->lists[i].by_len = -1;
     out[O_PEAK_PTR] = -1;
 
     int64_t nobj = 0, nreal = 0, nmove = 0, k = 0;
     for (int64_t i = 0; i < n; i++) {
         int64_t a = ca[i];
+        int32_t t = thread ? thread[i] : 0;
         q->ptr = cptr[i];
         if (ops[i] == T_FREE) {
             PlBlock *b = pl_object(q, a, nobj);
-            pl_free(q, b);
+            pl_free(q, b, t);
             b->kind = PL_DEAD;
             continue;
         }
-        int32_t g = params[P_GROUPED] ? gid[k++] : -1;
+        int32_t g = family == F_GROUP ? gid[k++] : -1;
         if (ops[i] == T_ALLOC) {
             if (nobj == objects) longjmp(q->fail, PL_INVALID);
-            pl_malloc(q, a, g, &q->obj[nobj]);
+            pl_malloc(q, a, g, t, &q->obj[nobj]);
             bases[nobj] = q->obj[nobj].addr;
             if (++nobj == params[P_SNAP]) {
                 int64_t high = 0;
@@ -1289,7 +1800,7 @@ int64_t halo_place(const int64_t *ops, const int64_t *ca, const int64_t *cb,
         } else {
             PlBlock *b = pl_object(q, a, nobj);
             int64_t old = b->addr;
-            pl_realloc(q, b, cb[i], g);
+            pl_realloc(q, b, cb[i], g, t);
             realloc_addrs[nreal++] = b->addr;
             if (b->addr != old) {
                 moves[3 * nmove] = q->ptr;
@@ -1300,6 +1811,33 @@ int64_t halo_place(const int64_t *ops, const int64_t *ca, const int64_t *cb,
         }
     }
 
+    int64_t nranges = 0, nparked = 0;
+    for (int64_t i = 0; i < nsubs; i++) {
+        const PlList *f = &q->lists[i];
+        int64_t *row = subs + S_FIELDS * i;
+        const PlStats *st = &f->st;
+        if (family == F_RANDOM_POOLS) {
+            st = &q->bumps[i].st;
+            row[5] = q->bumps[i].base;
+            row[6] = q->bumps[i].end;
+            row[7] = q->bumps[i].cursor;
+        } else {
+            row[5] = f->coalesced;
+            row[6] = f->inplace;
+            row[7] = f->moved;
+            pl_emit_ranges(q, f->by_start, i, ranges, cap_ranges, &nranges);
+            for (int64_t j = 0; j < f->nmail; j++) {
+                if (nparked == cap_parked) longjmp(q->fail, PL_FULL);
+                parked[2 * nparked] = i;
+                parked[2 * nparked++ + 1] = f->mail[3 * j];
+            }
+        }
+        row[0] = st->live_bytes;
+        row[1] = st->live_blocks;
+        row[2] = st->peak;
+        row[3] = st->allocs;
+        row[4] = st->frees;
+    }
     const PlStats *stats[2] = { &q->top, &q->fb };
     for (int s = 0; s < 2; s++) {
         int64_t *o = out + (s ? O_FALLBACK : O_TOP);
@@ -1323,8 +1861,13 @@ int64_t halo_place(const int64_t *ops, const int64_t *ca, const int64_t *cb,
     out[O_PURGES] = q->npurge;
     out[O_CHUNKS] = q->nchunks;
     out[O_RESERVATIONS] = q->nresv;
+    out[O_CROSS_FREES] = q->cross_frees;
+    out[O_FLUSHES] = q->flushes;
+    out[O_RANGES] = nranges;
+    out[O_PARKED] = nparked;
     for (int64_t c = 0; c < q->nchunks; c++) held[cap_chunk + c] = (int8_t)q->chunks[c].resident;
     memcpy(mt, q->mt, sizeof q->mt);
+    if (choice_mt) memcpy(choice_mt, q->choice_mt, sizeof q->choice_mt);
     pl_release(q);
     return 0;
 }
@@ -1420,10 +1963,10 @@ def _load() -> Optional[_Library]:
                         _U8P, i64, _I64P, _I8P, _I64P, _I64P, _I64P, _I64P, _I64P, _F64P,
                     ]),
                     place=_bind(lib, "halo_place", [
-                        _I64P, _I64P, _I64P, _I64P, i64, _I32P, _I64P, i64, _I64P,
-                        _I32P, _I64P, _I64P, _I64P, i64, _U32P,
+                        _I64P, _I64P, _I64P, _I64P, i64, _I32P, _I32P, _I64P, i64, _I64P,
+                        _I32P, _I64P, _I64P, _I64P, i64, _U32P, _U32P,
                         _I64P, _I64P, _I64P, _I64P, i64, _I64P, i64,
-                        _I64P, _I8P, i64, _I64P,
+                        _I64P, _I8P, i64, _I64P, _I64P, i64, _I64P, i64, _I64P,
                     ]),
                 )
             except Exception as exc:  # pragma: no cover - environment-dependent
@@ -1684,11 +2227,15 @@ def trace_decode(raw: bytes) -> Optional[tuple[np.ndarray, ...]]:
     return kinds, op_a, resize, acc_oid, acc_offset, acc_size, works
 
 
+#: The allocator families ``halo_place`` replicates; ``params["family"]``
+#: is an index into this tuple.
+PLACE_FAMILIES = ("size-class", "group", "random-pools", "free-list", "arena")
 #: ``halo_place``'s parameter slots, in the C ``P_*`` order.
 PLACE_PARAMS = (
-    "grouped", "snap", "objects", "max_small", "chunk_size", "slab_size",
+    "family", "snap", "objects", "max_small", "chunk_size", "slab_size",
     "max_spare_chunks", "max_grouped_size", "always_reuse_chunks", "max_total_chunks",
-    "cursor", "reserved_bytes", "peak_reserved_bytes",
+    "cursor", "reserved_bytes", "peak_reserved_bytes", "subs", "pool_size",
+    "max_pooled_size", "best_fit",
 )
 #: ``halo_place``'s scalar outputs after the two stats blocks, in the C
 #: ``O_*`` order.
@@ -1697,7 +2244,12 @@ PLACE_COUNTERS = (
     "chunks_created", "chunks_reused", "chunks_purged", "cursor", "reserved_bytes",
     "peak_reserved_bytes", "moves", "purges", "chunks", "reservations", "peak_ptr",
     "peak_live_bytes", "peak_high_water_bytes", "peak_purges", "peak_chunks",
+    "cross_thread_frees", "mailbox_flushes", "ranges", "parked",
 )
+#: Each row of :attr:`Placed.subs` after the ``AllocatorStats`` fields: a
+#: bump pool's attributes, or a free list's counters.
+PLACE_BUMP_FIELDS = ("_pool_base", "_pool_end", "_cursor")
+PLACE_LIST_FIELDS = ("coalesced_frees", "inplace_reallocs", "moved_reallocs")
 
 
 class Placed(NamedTuple):
@@ -1706,9 +2258,16 @@ class Placed(NamedTuple):
     ``stats``/``fallback_stats`` are the top and fallback allocators'
     ``AllocatorStats`` fields in declaration order; ``moves`` holds
     ``(acc_ptr, oid, addr)`` rows, ``purges`` ``(acc_ptr, base)`` rows and
-    ``reservations`` ``(base, size, live)`` rows in reservation order;
+    ``reservations`` ``(base, size, live, owner, request)`` rows in
+    reservation order (*owner* is the pool or free list that asked for
+    *request* bytes, -1 for the size-class and group allocators);
     ``held_peak``/``held_end`` flag the chunks (by carve order) whose
-    header page is resident at the peak and at the end.
+    header page is resident at the peak and at the end.  ``subs`` has one
+    row per random pool or free list (arena): its ``AllocatorStats``
+    fields, then :data:`PLACE_BUMP_FIELDS` or :data:`PLACE_LIST_FIELDS`;
+    ``ranges`` holds the free lists' ``(sub, start, end)`` ranges in
+    address order and ``parked`` the arenas' ``(sub, addr)`` mailboxes in
+    order; ``choice_mt`` is the random pools' advanced generator state.
     """
 
     bases: np.ndarray
@@ -1723,30 +2282,83 @@ class Placed(NamedTuple):
     fallback_stats: tuple[int, ...]
     counters: dict[str, int]
     mt: list[int]
+    subs: np.ndarray
+    ranges: np.ndarray
+    parked: np.ndarray
+    choice_mt: Optional[list[int]]
+
+
+def _check_place_inputs(
+    n: int, params: dict[str, int], classes, gid, colours, threads, choice_mt, reallocs: int
+) -> None:
+    """Raise ValueError unless :func:`place`'s inputs fit its family."""
+    family = params["family"]
+    if not 0 <= family < len(PLACE_FAMILIES):
+        raise ValueError(f"unknown placement family {family}")
+    name = PLACE_FAMILIES[family]
+    subs = params["subs"]
+    if name in ("size-class", "group", "random-pools"):
+        class_of, class_size, class_cap, class_bytes = classes
+        if (
+            class_of.shape[0] <= params["max_small"] >> 3
+            or not class_size.shape[0] == class_cap.shape[0] == class_bytes.shape[0]
+            or int(class_of.min()) < 0
+            or int(class_of.max()) >= class_size.shape[0]
+            or not 1 <= int(class_cap.min()) <= int(class_cap.max()) <= 512
+        ):
+            raise ValueError(
+                "size-class tables must map every small size to a run of 1-512 regions"
+            )
+    if name == "group":
+        chunk = params["chunk_size"]
+        if chunk <= 0 or chunk & (chunk - 1):
+            raise ValueError(f"chunk size must be a power of two, got {chunk}")
+        if gid is None or gid.shape[0] != params["objects"] + reallocs or (
+            gid.shape[0] and not -1 <= int(gid.min()) <= int(gid.max()) < colours.shape[0]
+        ):
+            raise ValueError("group column does not hold one known group per malloc")
+    elif name == "random-pools":
+        if not 1 <= subs < 1 << 31 or params["pool_size"] <= 0:
+            raise ValueError("random pools need 1 to 2**31 - 1 pools of a positive size")
+        if choice_mt is None or len(choice_mt) != 625:
+            raise ValueError("the pools' MT19937 state must be 624 words and an index")
+    elif name in ("free-list", "arena"):
+        if subs < 1 or (name == "free-list" and subs != 1) or params["pool_size"] < 4096:
+            raise ValueError("free lists need pools of at least a page, and one list unless arenas")
+    if name == "arena":
+        if threads is None or threads.shape[0] != n or (
+            n and not 0 <= int(threads.min()) <= int(threads.max()) < subs
+        ):
+            raise ValueError("thread column does not name one arena per heap op")
 
 
 def place(
     heap: tuple[np.ndarray, ...],
-    gid: Optional[np.ndarray],
-    colours: np.ndarray,
     params: dict[str, int],
-    classes: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
     mt: list[int],
+    classes: Optional[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = None,
+    *,
+    gid: Optional[np.ndarray] = None,
+    colours: Optional[np.ndarray] = None,
+    threads: Optional[np.ndarray] = None,
+    choice_mt: Optional[list[int]] = None,
 ) -> Optional[Placed]:
-    """Place a trace's heap ops on the compiled size-class (and group)
-    allocator, or None.
+    """Place a trace's heap ops on a compiled allocator replica, or None.
 
-    *heap* is :attr:`~repro.trace.format.TraceColumns.heap`; *gid* holds
-    one dense group index per allocation and realloc (-1: forward; None
-    for a plain size-class allocator), *colours* each dense group's
-    bump-start offset, *params* every :data:`PLACE_PARAMS` slot,
-    *classes* the size-class table ``(class_of, region_size, run_capacity,
-    run_bytes)`` and *mt* the 625 words of the address space's
-    ``random.Random`` state.  Returns None when the compiled library is
-    unavailable or an op is one the Python allocators reject (the caller
-    then runs them, which raises the same error).  Output arrays the
-    trace does not size (purges, reservations, chunks) start small and
-    double until the pass fits.
+    *heap* is :attr:`~repro.trace.format.TraceColumns.heap`, *params*
+    every :data:`PLACE_PARAMS` slot (``family`` indexes
+    :data:`PLACE_FAMILIES`) and *mt* the 625 words of the address space's
+    ``random.Random`` state.  By family: the size-class, group and
+    random-pool replicas take *classes*, the size-class table
+    ``(class_of, region_size, run_capacity, run_bytes)``; the group
+    replica *gid*, one dense group index per allocation and realloc (-1:
+    forward), and *colours*, each dense group's bump-start offset; the
+    random pools *choice_mt*, their own generator's state; the arenas
+    *threads*, each heap op's arena.  Returns None when the compiled
+    library is unavailable or an op is one the Python allocators reject
+    (the caller then runs them, which raises the same error).  Output
+    arrays the trace does not size (purges, reservations, chunks, free
+    ranges) start small and double until the pass fits.
     """
     lib = _entry("place")
     if lib is None:
@@ -1755,57 +2367,55 @@ def place(
     n = int(ops.shape[0])
     allocs = params["objects"]
     reallocs = int(np.count_nonzero(ops == 4))  # OP_REALLOC
+    if classes is None:
+        classes = (np.zeros(1, dtype=np.int32),) + (np.ones(1, dtype=np.int64),) * 3
     class_of = np.ascontiguousarray(classes[0], dtype=np.int32)
     class_size, class_cap, class_bytes = (
         np.ascontiguousarray(column, dtype=np.int64) for column in classes[1:]
     )
     gid = None if gid is None else np.ascontiguousarray(gid, dtype=np.int32)
-    colours = np.ascontiguousarray(colours, dtype=np.int64)
+    colours = np.ascontiguousarray(np.zeros(0) if colours is None else colours, dtype=np.int64)
+    threads = None if threads is None else np.ascontiguousarray(threads, dtype=np.int32)
     param = np.array([params[name] for name in PLACE_PARAMS], dtype=np.int64)
     if not a.shape[0] == b.shape[0] == ptr.shape[0] == n:
         raise ValueError("heap columns differ in length")
     if n and (int(ops.min()) < 2 or int(ops.max()) > 4):  # OP_ALLOC .. OP_REALLOC
         raise ValueError("heap columns hold an op that is not alloc, free or realloc")
-    if (
-        class_of.shape[0] <= params["max_small"] >> 3
-        or not class_size.shape[0] == class_cap.shape[0] == class_bytes.shape[0]
-        or int(class_of.min()) < 0
-        or int(class_of.max()) >= class_size.shape[0]
-        or not 1 <= int(class_cap.min()) <= int(class_cap.max()) <= 512
-    ):
-        raise ValueError("size-class tables must map every small size to a run of 1-512 regions")
     if len(mt) != 625:
         raise ValueError("MT19937 state must be 624 words and an index")
-    if params["grouped"]:
-        chunk = params["chunk_size"]
-        if chunk <= 0 or chunk & (chunk - 1):
-            raise ValueError(f"chunk size must be a power of two, got {chunk}")
-        if gid is None or gid.shape[0] != allocs + reallocs or (
-            gid.shape[0] and not -1 <= int(gid.min()) <= int(gid.max()) < colours.shape[0]
-        ):
-            raise ValueError("group column does not hold one known group per malloc")
+    _check_place_inputs(n, params, classes, gid, colours, threads, choice_mt, reallocs)
+    subs = np.zeros((params["subs"], 8), dtype=np.int64)
     bases = np.empty(allocs, dtype=np.int64)
     realloc_addrs = np.empty(reallocs, dtype=np.int64)
     moves = np.empty(3 * reallocs, dtype=np.int64)
+    parked = np.empty(2 * (n - allocs), dtype=np.int64)
     out = np.zeros(10 + len(PLACE_COUNTERS), dtype=np.int64)
     cap = 64 + (allocs + reallocs) // 16
     while True:
         state = np.array(mt, dtype=np.uint32)
+        choice = None if choice_mt is None else np.array(choice_mt, dtype=np.uint32)
         purges = np.empty(2 * cap, dtype=np.int64)
-        resv = np.empty(3 * cap, dtype=np.int64)
+        resv = np.empty(5 * cap, dtype=np.int64)
         chunk_bases = np.empty(cap, dtype=np.int64)
         held = np.zeros(2 * cap, dtype=np.int8)
+        # A free range ends at a pool's end or a carved block.
+        ranges = np.empty(3 * (allocs + cap), dtype=np.int64)
         code = lib.place(
             ops.ctypes.data_as(_I64P), a.ctypes.data_as(_I64P), b.ctypes.data_as(_I64P),
-            ptr.ctypes.data_as(_I64P), n, None if gid is None else gid.ctypes.data_as(_I32P),
+            ptr.ctypes.data_as(_I64P), n,
+            None if threads is None else threads.ctypes.data_as(_I32P),
+            None if gid is None else gid.ctypes.data_as(_I32P),
             colours.ctypes.data_as(_I64P), int(colours.shape[0]), param.ctypes.data_as(_I64P),
             class_of.ctypes.data_as(_I32P), class_size.ctypes.data_as(_I64P),
             class_cap.ctypes.data_as(_I64P), class_bytes.ctypes.data_as(_I64P),
             int(class_size.shape[0]), state.ctypes.data_as(_U32P),
+            None if choice is None else choice.ctypes.data_as(_U32P),
             bases.ctypes.data_as(_I64P), realloc_addrs.ctypes.data_as(_I64P),
             moves.ctypes.data_as(_I64P), purges.ctypes.data_as(_I64P), cap,
             resv.ctypes.data_as(_I64P), cap, chunk_bases.ctypes.data_as(_I64P),
-            held.ctypes.data_as(_I8P), cap, out.ctypes.data_as(_I64P),
+            held.ctypes.data_as(_I8P), cap, subs.ctypes.data_as(_I64P),
+            ranges.ctypes.data_as(_I64P), allocs + cap, parked.ctypes.data_as(_I64P),
+            n - allocs, out.ctypes.data_as(_I64P),
         )
         if code == 0:
             break
@@ -1821,7 +2431,7 @@ def place(
         realloc_addrs=realloc_addrs,
         moves=moves[:3 * counters["moves"]].reshape(-1, 3),
         purges=purges[:2 * counters["purges"]].reshape(-1, 2),
-        reservations=resv[:3 * counters["reservations"]].reshape(-1, 3),
+        reservations=resv[:5 * counters["reservations"]].reshape(-1, 5),
         chunk_bases=chunk_bases[:chunks],
         held_peak=held[:counters["peak_chunks"]].astype(bool),
         held_end=held[cap:cap + chunks].astype(bool),
@@ -1829,6 +2439,10 @@ def place(
         fallback_stats=tuple(out[5:10].tolist()),
         counters=counters,
         mt=state.tolist(),
+        subs=subs,
+        ranges=ranges[:3 * counters["ranges"]].reshape(-1, 3),
+        parked=parked[:2 * counters["parked"]].reshape(-1, 2),
+        choice_mt=None if choice is None else choice.tolist(),
     )
 
 

@@ -9,6 +9,7 @@ end-to-end ``halo plot --metrics-out`` acceptance flow.
 
 import pickle
 import time
+from collections import Counter
 
 import pytest
 
@@ -17,6 +18,7 @@ from repro.cli import main as cli_main
 from repro.harness.prepare import PhaseTimes
 from repro.harness.reproduce import evaluate_all
 from repro.harness.runner import measure_baseline, measure_halo
+from repro.machine.machine import Machine
 from repro.obs.metrics import (
     HistogramData,
     MetricsRegistry,
@@ -266,37 +268,64 @@ class TestDeterminism:
 
 
 class TestNoOpOverhead:
-    def test_overhead_under_five_percent(self):
-        workload = get_workload("health")
+    """Observability costs nothing when off and a fixed number of registry
+    writes per measurement when on: counted, not timed, so a loaded
+    machine cannot fail it."""
 
-        def run_once() -> float:
-            started = time.perf_counter()
-            measure_baseline(workload, scale="test", seed=1)
-            return time.perf_counter() - started
+    WRITES = ("inc", "gauge_set", "gauge_max", "observe", "begin_span", "end_span")
+    WORKLOAD = "deepsjeng"
 
-        def run_enabled() -> float:
-            obs.install(registry)
-            try:
-                return run_once()
-            finally:
-                obs.uninstall()
+    @classmethod
+    def counting_writes(cls, monkeypatch) -> Counter:
+        """Count every write into any :class:`MetricsRegistry`, by method."""
+        writes: Counter = Counter()
+        for name in cls.WRITES:
+            original = getattr(MetricsRegistry, name)
 
-        run_once()  # warm caches/JIT-ish effects out of the comparison
-        registry = MetricsRegistry()
-        disabled: list[float] = []
-        enabled: list[float] = []
-        # Off and on alternate, and which goes first alternates too, so
-        # drift in the machine's speed lands on both sides alike.
-        for round_ in range(4):
-            if round_ % 2:
-                enabled.append(run_enabled())
-                disabled.append(run_once())
-            else:
-                disabled.append(run_once())
-                enabled.append(run_enabled())
-        # Harvest-based instrumentation adds a handful of dict writes per
-        # measurement; allow 5% plus a small absolute slack for timer noise.
-        assert min(enabled) <= min(disabled) * 1.05 + 0.05
+            def counted(self, *args, _original=original, _name=name, **kwargs):
+                writes[_name] += 1
+                return _original(self, *args, **kwargs)
+
+            monkeypatch.setattr(MetricsRegistry, name, counted)
+        return writes
+
+    @classmethod
+    def harvest(cls, writes: Counter, scale: str) -> tuple[int, int]:
+        """Registry writes and simulated accesses of one observed baseline
+        measurement at *scale*."""
+        writes.clear()
+        with obs.collecting(MetricsRegistry()):
+            measurement = measure_baseline(get_workload(cls.WORKLOAD), scale=scale, seed=1)
+        return sum(writes.values()), measurement.accesses
+
+    @classmethod
+    def assert_harvests_do_not_grow(cls, writes: Counter) -> None:
+        small, small_accesses = cls.harvest(writes, "test")
+        large, large_accesses = cls.harvest(writes, "train")
+        assert large_accesses > 1.5 * small_accesses  # the scales differ
+        assert 0 < small == large
+
+    def test_off_makes_no_registry_writes(self, monkeypatch):
+        writes = self.counting_writes(monkeypatch)
+        assert obs.active_registry() is None
+        measure_baseline(get_workload(self.WORKLOAD), scale="test", seed=1)
+        assert not writes
+
+    def test_harvests_do_not_grow_with_the_trace(self, monkeypatch):
+        self.assert_harvests_do_not_grow(self.counting_writes(monkeypatch))
+
+    def test_a_per_access_harvest_is_caught(self, monkeypatch):
+        """A mutant that harvests on every load fails the check above."""
+        writes = self.counting_writes(monkeypatch)
+        load = Machine.load
+
+        def harvesting_load(self, obj, offset=0, size=8):
+            obs.inc("measure.loads")
+            return load(self, obj, offset, size)
+
+        monkeypatch.setattr(Machine, "load", harvesting_load)
+        with pytest.raises(AssertionError):
+            self.assert_harvests_do_not_grow(writes)
 
 
 class TestEndToEnd:

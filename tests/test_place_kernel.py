@@ -1,15 +1,20 @@
 """The compiled placement kernel against the Python allocators it replicates.
 
 ``halo_place`` (:func:`repro.columnar.kernel.place`) places a trace's heap
-ops on C replicas of ``SizeClassAllocator`` and of ``GroupAllocator`` over
-a ``SizeClassAllocator`` fallback.  The Python loop of
-:func:`repro.columnar.engine._place_python` stays the oracle: on random
-alloc/free/realloc streams both must agree field for field (bases, moves,
-realloc addresses, the peak snapshot with its purge log, every allocator
-counter, and the address space's cursor, reservations, residency and RNG
-state).  Every other allocator, and a run under a fault plan that flips
-the state vector or caps the chunks, must take the Python loop; and two
-deliberately broken kernels must each be caught.
+ops on C replicas of ``SizeClassAllocator``, of ``GroupAllocator`` and
+``RandomPoolAllocator`` over a ``SizeClassAllocator`` fallback, of
+``FreeListAllocator`` (first and best fit) and of ``ArenaAllocator``.
+The Python loop of :func:`repro.columnar.engine._place_python` stays the
+oracle: on random alloc/free/realloc streams (with thread switches for
+the arenas) both must agree field for field (bases, moves, realloc
+addresses, the peak snapshot with its purge log, every counter of the
+allocator and its parts, free ranges, mailboxes, generator states, and
+the address space's cursor, reservations, residency and RNG state).  The
+random pools' choice is checked against this interpreter's own
+``random``.  Sharded, subclassed and used allocators, allocators over a
+fallback that is not a fresh size-class allocator, and a run under a
+fault plan that flips the state vector or caps the chunks must take the
+Python loop; and four deliberately broken kernels must each be caught.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ from repro.allocators import (
     SizeClassAllocator,
 )
 from repro.allocators.base import PAGE_SIZE
+from repro.allocators.freelist import POLICIES
 from repro.allocators.group import GroupAllocator
 from repro.allocators.random_group import RandomPoolAllocator
 from repro.allocators.size_class import MAX_SMALL
@@ -77,12 +83,48 @@ def python_loop():
         kernel._kernel = saved
 
 
+def state_of(allocator) -> dict:
+    """The counters and end state *allocator* and its parts are left with."""
+    state = {
+        "type": type(allocator).__name__,
+        "stats": vars(allocator.stats),
+        "observable": allocator.observable_stats(),
+    }
+    if isinstance(allocator, (GroupAllocator, RandomPoolAllocator)):
+        state["fallback"] = state_of(allocator.fallback)
+    if isinstance(allocator, GroupAllocator):
+        state["grouped_live"] = allocator.grouped_live_bytes
+    elif isinstance(allocator, RandomPoolAllocator):
+        state["rng"] = allocator._rng.getstate()
+        state["pools"] = [
+            (vars(pool.stats), pool.pools, pool._pool_base, pool._pool_end, pool._cursor)
+            for pool in allocator._pools
+        ]
+    elif isinstance(allocator, ArenaAllocator):
+        state["thread"] = allocator.current_arena
+        state["mailboxes"] = allocator._mailboxes
+        state["arenas"] = [state_of(arena) for arena in allocator._arenas]
+    elif isinstance(allocator, FreeListAllocator):
+        index = allocator._by_length
+        if index is None:
+            tree = allocator._fit_index
+            index = sorted(zip(sum(tree._lengths, []), sum(tree._starts, [])))
+        state.update(
+            counters=(
+                allocator.coalesced_frees, allocator.inplace_reallocs, allocator.moved_reallocs
+            ),
+            pools=allocator._pools,
+            free_ranges=list(allocator.iter_free_ranges()),
+            index=sorted(index),
+        )
+    return state
+
+
 def observe(trace, make, seed: int) -> dict:
     """Everything a placement leaves behind, as plain values."""
     factory, vector = make()
     cols, machine, placement, addr = place_trace(PROGRAM, factory, trace, seed, PLAN, vector)
     allocator = machine.allocator
-    sized = getattr(allocator, "fallback", allocator)
     space = allocator.space
     peak = placement.peak
     return {
@@ -94,10 +136,7 @@ def observe(trace, make, seed: int) -> dict:
         "peak": None if peak is None else (
             peak.frag, peak.ptr, peak.spans, peak.held.tolist(), peak.purges
         ),
-        "observable": allocator.observable_stats(),
-        "stats": vars(allocator.stats),
-        "fallback_stats": vars(sized.stats),
-        "grouped_live": getattr(allocator, "grouped_live_bytes", None),
+        "allocator": state_of(allocator),
         "space": (
             space._cursor, space.reserved_bytes, space.peak_reserved_bytes,
             list(space._reservations.items()), sorted(space._touched_pages),
@@ -118,7 +157,19 @@ def place_calls(trace, make, seed: int = 1) -> dict:
 
 def assert_same(trace, make, seed: int) -> None:
     assert place_calls(trace, make) == {'kernel.calls{backend="c",kernel="place"}': 1}
-    compiled = observe(trace, make, seed)
+    library = kernel._load()
+    codes = []
+
+    def counting(*args):
+        codes.append(library.place(*args))
+        return codes[-1]
+
+    kernel._kernel = library._replace(place=counting)
+    try:
+        compiled = observe(trace, make, seed)
+    finally:
+        kernel._kernel = library
+    assert codes[-1] == 0  # the replica placed every op, no Python rerun
     with python_loop():
         reference = observe(trace, make, seed)
     for field, value in reference.items():
@@ -162,6 +213,117 @@ def test_size_class_allocator_matches_python(ops, seed):
 @given(ops=_ops, options=_options, seed=st.integers(0, 3))
 def test_group_allocator_matches_python(ops, options, seed):
     assert_same(record_ops(PROGRAM, ops), lambda: grouped(**options), seed)
+
+
+#: The stream above with thread switches, for the arenas.
+_threaded_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("alloc"), _sizes),
+        st.tuples(st.just("alloc"), _sizes),
+        st.tuples(st.just("free"), st.integers(0, 1 << 16)),
+        st.tuples(st.just("realloc"), st.integers(0, 1 << 16), _sizes),
+        st.tuples(st.just("thread"), st.integers(0, 6)),
+    ),
+    max_size=150,
+)
+
+
+def random_pools(pools: int, max_pooled_size: int, pool_size: int, seed: int):
+    """A factory for the Figure-15 probe over a fresh size-class fallback."""
+    def factory(space):
+        return RandomPoolAllocator(
+            space, SizeClassAllocator(space), pools=pools, seed=seed,
+            max_pooled_size=max_pooled_size, pool_size=pool_size,
+        )
+    return lambda: (factory, None)
+
+
+def free_list(policy: str, pool_size: int):
+    return lambda: ((lambda space: FreeListAllocator(space, policy, pool_size)), None)
+
+
+def arenas(count: int, policy: str, pool_size: int):
+    return lambda: ((lambda space: ArenaAllocator(space, count, policy, pool_size)), None)
+
+
+#: Pool sizes at a page, off a page multiple, and the allocators' defaults.
+_pool_sizes = st.sampled_from([PAGE_SIZE, 6000, 1 << 16, 1 << 20])
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    ops=_ops, pools=st.sampled_from([1, 3, 4, 5]), seed=st.integers(0, 3),
+    max_pooled_size=st.sampled_from([64, 512, PAGE_SIZE]),
+    pool_size=st.sampled_from([PAGE_SIZE, 6000, 1 << 22]), choice_seed=st.integers(0, 99),
+)
+def test_random_pools_match_python(ops, pools, seed, max_pooled_size, pool_size, choice_seed):
+    make = random_pools(pools, max_pooled_size, pool_size, choice_seed)
+    assert_same(record_ops(PROGRAM, ops), make, seed)
+
+
+@settings(max_examples=150, deadline=None)
+@given(ops=_ops, policy=st.sampled_from(POLICIES), pool_size=_pool_sizes, seed=st.integers(0, 3))
+def test_free_lists_match_python(ops, policy, pool_size, seed):
+    assert_same(record_ops(PROGRAM, ops), free_list(policy, pool_size), seed)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    ops=_threaded_ops, count=st.integers(1, 4), policy=st.sampled_from(POLICIES),
+    pool_size=_pool_sizes, seed=st.integers(0, 3),
+)
+def test_arenas_match_python(ops, count, policy, pool_size, seed):
+    assert_same(record_ops(PROGRAM, ops), arenas(count, policy, pool_size), seed)
+
+
+def _threaded_churn(rounds: int = 4) -> list:
+    """Allocation rounds on rotating threads, most blocks freed or
+    resized from another thread, so arenas park, flush and move."""
+    rng = random.Random(11)
+    ops: list = []
+    live = 0
+    for round_ in range(rounds):
+        ops.append(("thread", round_ % 3))
+        for _ in range(60):
+            ops.append(("alloc", rng.choice((24, 64, 200, 700, 2000, 9000))))
+            live += 1
+        ops.append(("thread", (round_ + 1) % 3))
+        for _ in range(live // 3):
+            ops.append(("realloc", rng.randrange(live), rng.choice((16, 120, 3000, 12000))))
+        for _ in range(live * 2 // 3):
+            ops.append(("free", rng.randrange(live)))
+            live -= 1
+    return ops
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+def test_free_list_churn_matches_python(policy):
+    """Coalescing frees, and reallocs that shrink, grow in place and move."""
+    trace = record_ops(PROGRAM, _churn())
+    assert_same(trace, free_list(policy, 1 << 16), seed=3)
+    counters = observe(trace, free_list(policy, 1 << 16), 3)["allocator"]["counters"]
+    assert all(counters), counters  # coalesced, in place and moved all happen
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+def test_arena_churn_matches_python(policy):
+    trace = record_ops(PROGRAM, _threaded_churn())
+    assert_same(trace, arenas(4, policy, 1 << 16), seed=2)
+    observable = observe(trace, arenas(4, policy, 1 << 16), 2)["allocator"]["observable"]
+    assert observable["cross_thread_frees"] and observable["mailbox_flushes"]
+    assert observable["mailbox_pending"]
+
+
+def test_random_pools_overflow_into_new_regions():
+    """Small pools fill and reserve again; large requests go to the fallback."""
+    ops = [("alloc", size) for size in (40, 900, 3000, 5000, 100) * 40]
+    ops += [("realloc", k, 2000) for k in range(0, 200, 7)] + [("free", 3)] * 30
+    trace = record_ops(PROGRAM, ops)
+    make = random_pools(3, PAGE_SIZE, 6000, 5)
+    assert_same(trace, make, seed=1)
+    state = observe(trace, make, 1)["allocator"]
+    assert all(len(pool[1]) > 2 for pool in state["pools"])
+    assert state["fallback"]["stats"]["total_allocs"] > 0
 
 
 def _churn(rounds: int = 5) -> list:
@@ -229,21 +391,62 @@ class _SubGroup(GroupAllocator):
     pass
 
 
+class _SubRandomPools(RandomPoolAllocator):
+    pass
+
+
+class _SubFreeList(FreeListAllocator):
+    pass
+
+
+class _SubArena(ArenaAllocator):
+    pass
+
+
+def _pools_over(fallback):
+    return lambda: ((lambda space: RandomPoolAllocator(space, fallback(space), seed=1)), None)
+
+
 @pytest.mark.parametrize("make", [
-    lambda: (lambda space: RandomPoolAllocator(space, SizeClassAllocator(space), pools=4, seed=1),
-             None),
-    lambda: (lambda space: FreeListAllocator(space, policy="best-fit"), None),
-    lambda: (ArenaAllocator, None),
     lambda: (_SubSizeClass, None),
     lambda: grouped(ShardedGroupAllocator, chunk_size=1 << 13),
     lambda: grouped(_SubGroup),
     lambda: grouped(fallback=FreeListAllocator),
     lambda: grouped(fallback=_SubSizeClass),
-], ids=["random-pools", "freelist", "arena", "size-class-subclass", "sharded",
-        "group-subclass", "freelist-fallback", "subclass-fallback"])
+    lambda: ((lambda space: _SubRandomPools(space, SizeClassAllocator(space))), None),
+    _pools_over(FreeListAllocator),
+    _pools_over(_SubSizeClass),
+    lambda: (_SubFreeList, None),
+    lambda: (_SubArena, None),
+], ids=["size-class-subclass", "sharded", "group-subclass", "freelist-fallback",
+        "subclass-fallback", "random-pools-subclass", "random-pools-freelist-fallback",
+        "random-pools-subclass-fallback", "freelist-subclass", "arena-subclass"])
 def test_ineligible_allocators_take_the_python_loop(make):
     trace = record_ops(PROGRAM, _churn(2))
     assert place_calls(trace, make) == {}
+
+
+def _used(factory):
+    """A factory whose allocator has already served (and freed) a block."""
+    def make_used(space):
+        allocator = factory(space)
+        allocator.free(allocator.malloc(64))
+        return allocator
+    return lambda: (make_used, None)
+
+
+@pytest.mark.parametrize("make", [
+    _used(SizeClassAllocator),
+    _used(lambda space: RandomPoolAllocator(space, SizeClassAllocator(space))),
+    _used(FreeListAllocator),
+    _used(ArenaAllocator),
+], ids=["size-class", "random-pools", "freelist", "arena"])
+def test_used_allocators_take_the_python_loop(make):
+    trace = record_ops(PROGRAM, _churn(2))
+    assert place_calls(trace, make) == {}
+    compiled = observe(trace, make, 1)
+    with python_loop():
+        assert observe(trace, make, 1) == compiled
 
 
 @pytest.mark.parametrize("plan", [
@@ -256,7 +459,7 @@ def test_active_fault_plans_take_the_python_loop(plan):
         compiled = observe(trace, grouped, 1)
         with python_loop():
             assert observe(trace, grouped, 1) == compiled
-    faults = compiled["observable"]
+    faults = compiled["allocator"]["observable"]
     assert faults["faulted_matches" if plan.state_flip_rate else "degraded_allocs"] > 0
 
 
@@ -268,8 +471,20 @@ def test_without_the_library_eligible_calls_count_as_python():
         }
 
 
-#: Two broken kernels, each a one-function edit of the C source.
+#: Four broken kernels, each a one-function edit of the C source.
 MUTANTS = {
+    "modulo-choice": (
+        """    do r = pl_genrand(q->choice_mt) >> shift; while (r >= n);""",
+        """    r = (pl_genrand(q->choice_mt) >> shift) % (uint32_t)n;""",
+    ),
+    "eager-foreign-free": (
+        """    if (b->where == t) {
+        pl_fl_free(q, b);
+    } else {""",
+        """    if (b->where == t || 1) {
+        pl_fl_free(q, b);
+    } else {""",
+    ),
     "highest-slot": (
         """    for (int w = 0;; w++) {
         if (r->slots[w]) {
@@ -304,12 +519,23 @@ _SPARES = [
 ]
 
 
+#: Three pools, so some draws are rejected; a free on a foreign thread.
+_CASES = {
+    "modulo-choice": ([("alloc", 24)] * 40, random_pools(3, PAGE_SIZE, 1 << 22, 0)),
+    "eager-foreign-free": (
+        [("alloc", 100), ("alloc", 100), ("thread", 1), ("free", 0), ("alloc", 100)],
+        arenas(2, "first-fit", 1 << 16),
+    ),
+}
+
+
 @pytest.mark.parametrize("mutant", sorted(MUTANTS))
 def test_mutated_kernels_are_caught(mutant, monkeypatch):
-    trace = record_ops(PROGRAM, _SPARES)
-
-    def make():
-        return grouped(chunk_size=1 << 12, always_reuse_chunks=True)
+    ops, make = _CASES.get(mutant, (_SPARES, None))
+    trace = record_ops(PROGRAM, ops)
+    if make is None:
+        def make():
+            return grouped(chunk_size=1 << 12, always_reuse_chunks=True)
 
     assert_same(trace, make, seed=0)
     original, broken = MUTANTS[mutant]
