@@ -5,9 +5,10 @@ affinity queue (the dominant Pin-tool cost), SEQUITUR compression (the HDS
 analysis cost), the cache simulator, both allocators' fast paths, the
 grouping algorithm and the compiled selector matcher — the recorded
 events that make up a recording or a serve request (a load, and a call
-chain around a malloc and a free, under a ``TraceRecorder``) — and the
-columnar placement pass (``place_trace``) of each standalone allocator
-family over a recorded multi-threaded mix.
+chain around a malloc and a free, on a ``RecordingMachine``), whole
+test-scale recordings (``record_workload``) — and the columnar placement
+pass (``place_trace``) of each standalone allocator family over a
+recorded multi-threaded mix.
 """
 
 import random
@@ -24,11 +25,10 @@ from repro.allocators import (
 from repro.cache import CacheHierarchy
 from repro.core import CompiledMatcher, GroupSelector, GroupingParams, group_contexts
 from repro.hds import Sequitur, extract_hot_streams
-from repro.machine import GroupStateVector, Machine, ProgramBuilder
+from repro.machine import GroupStateVector, ProgramBuilder
 from repro.profiling import AffinityParams, AffinityRecorder
 from repro.columnar.engine import place_trace
-from repro.trace import TraceRecorder
-from repro.trace.record import record_workload
+from repro.trace.record import RecordingMachine, record_workload
 from repro.workloads import get_workload
 
 
@@ -185,7 +185,8 @@ def test_selector_matcher(benchmark):
 
 
 def _recorded_machine():
-    """A machine under a ``TraceRecorder`` and a 3-site chain into malloc."""
+    """A ``RecordingMachine`` (what production records on, unplaced) and a
+    3-site chain into malloc."""
     builder = ProgramBuilder("microbench")
     builder.function("malloc", in_main_binary=False)
     chain = (
@@ -193,10 +194,7 @@ def _recorded_machine():
         builder.call_site("make", "wrap"),
         builder.call_site("wrap", "malloc"),
     )
-    machine = Machine(
-        builder.build(), SizeClassAllocator(AddressSpace(0)), listeners=[TraceRecorder()]
-    )
-    return machine, chain
+    return RecordingMachine(builder.build()), chain
 
 
 def test_recorded_load(benchmark):
@@ -208,7 +206,7 @@ def test_recorded_load(benchmark):
     def run():
         for i in range(100_000):
             load(obj, (i & 7) * 8, 8)
-        return machine.metrics.loads
+        return len(machine._kinds)
 
     assert benchmark(run) >= 100_000
 
@@ -222,9 +220,18 @@ def test_recorded_chain_malloc_free(benchmark):
             with machine.call(*chain):
                 obj = machine.malloc(48)
             machine.free(obj)
-        return machine.metrics.calls
+        return len(machine._kinds)
 
-    assert benchmark(run) >= 60_000
+    assert benchmark(run) >= 160_000
+
+
+@pytest.mark.parametrize("name", ["deepsjeng", "roms", "povray", "ammp"])
+def test_record_workload(benchmark, name):
+    """One test-scale recording of a fig-13 benchmark (the harness's
+    record phase, per workload)."""
+    workload = get_workload(name)
+    trace = benchmark(record_workload, workload, scale="test")
+    assert trace.header.events > 0
 
 
 @pytest.fixture(scope="module")

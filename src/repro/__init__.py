@@ -62,6 +62,7 @@ from .obs import MetricsRegistry, MetricsSnapshot
 from .profiling import AffinityGraph, AffinityParams, Profiler, ProfileResult
 from .trace import (
     EventTrace,
+    RecordingMachine,
     TraceRecorder,
     TraceReplayer,
     record_workload,
@@ -94,6 +95,7 @@ __all__ = [
     "Program",
     "ProgramBuilder",
     "RandomPoolAllocator",
+    "RecordingMachine",
     "Sequitur",
     "SizeClassAllocator",
     "TraceRecorder",

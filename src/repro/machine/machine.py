@@ -17,11 +17,16 @@ Workloads drive the machine through a small explicit API::
     machine.work(25)                  # `25` cycles of non-memory compute
     machine.free(obj)
 
-Per-event cost is the simulator's budget: a recording or a serve request
-is nothing but these calls.  So one slotted scope serves a call through
-one site or a whole chain, and :meth:`Machine.load`/:meth:`Machine.store`
-each do their checks, page touch, cache access and listener dispatch in
-one call.
+Per-event cost is the simulator's budget: a direct measurement or an
+event replay is nothing but these calls.  So one slotted scope serves a
+call through one site or a whole chain, and :meth:`Machine.load`/
+:meth:`Machine.store` each do their checks, page touch, cache access and
+listener dispatch in one call.
+Recording is not done here: :class:`~repro.trace.record.RecordingMachine`
+(a subclass that writes the trace columns from its own event methods,
+with the same checks) records every workload and serve request, and a
+:class:`~repro.trace.record.TraceRecorder` listener on this class is its
+oracle.
 
 Determinism: given the same workload code, RNG seed and allocator placement,
 two runs produce identical event streams and identical cache behaviour.
@@ -176,6 +181,15 @@ class _ListenerList(list):
         result = super().__iadd__(listeners)
         self._refresh()
         return result
+
+
+def out_of_bounds(obj: HeapObject, offset: int, size: int) -> HeapError:
+    """The error an access of *size* bytes at *offset* outside *obj* raises
+    (a zero-size access counts as outside)."""
+    return HeapError(
+        f"out-of-bounds access to object #{obj.oid}: "
+        f"[{offset}, {offset + size}) of {obj.size} bytes"
+    )
 
 
 #: :meth:`Machine.call` fills a scope's slots itself: a Python ``__init__``
@@ -437,10 +451,7 @@ class Machine:
         if not obj.alive:
             raise HeapError(f"use of freed object #{obj.oid}")
         if offset < 0 or size <= 0 or offset + size > obj.size:
-            raise HeapError(
-                f"out-of-bounds access to object #{obj.oid}: "
-                f"[{offset}, {offset + size}) of {obj.size} bytes"
-            )
+            raise out_of_bounds(obj, offset, size)
         addr = obj.addr + offset
         first = addr >> PAGE_SHIFT
         last = (addr + size - 1) >> PAGE_SHIFT
@@ -462,10 +473,7 @@ class Machine:
         if not obj.alive:
             raise HeapError(f"use of freed object #{obj.oid}")
         if offset < 0 or size <= 0 or offset + size > obj.size:
-            raise HeapError(
-                f"out-of-bounds access to object #{obj.oid}: "
-                f"[{offset}, {offset + size}) of {obj.size} bytes"
-            )
+            raise out_of_bounds(obj, offset, size)
         addr = obj.addr + offset
         first = addr >> PAGE_SHIFT
         last = (addr + size - 1) >> PAGE_SHIFT

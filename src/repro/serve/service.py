@@ -34,10 +34,10 @@ from ..columnar.engine import score_trace
 from ..core.pipeline import HaloParams
 from ..core.selectors import CompiledMatcher
 from ..faults.plan import FaultPlan
-from ..machine.machine import GroupStateVector, Machine
+from ..machine.machine import GroupStateVector
 from ..profiling.shadow import ContextTable
 from ..sanitize.invariants import Finding, validate_allocator
-from ..trace.record import TraceRecorder
+from ..trace.record import RecordingMachine
 from ..trace.replay import replay_profile
 from ..trace.window import TraceWindow
 from ..workloads import get_workload
@@ -256,17 +256,15 @@ class ServeService:
         name = self._pick_workload(index)
         workload = self._workload(name)
         contexts = self.contexts.setdefault(name, ContextTable())
-        recorder = TraceRecorder(
-            workload=name, scale="test", seed=self.config.seed,
-            program=workload.program.name,
-        )
         state_vector = GroupStateVector()
         self.allocator.state_vector = state_vector
         self.matcher.active = self.table.matcher_for(name)
-        machine = Machine(
+        machine = RecordingMachine(
             workload.program,
             self.allocator,
-            listeners=[recorder],
+            workload=name,
+            scale="test",
+            seed=self.config.seed,
             instrumentation=self.table.instrumentation_for(name),
             state_vector=state_vector,
         )
@@ -277,7 +275,7 @@ class ServeService:
         finally:
             self.matcher.active = None
 
-        trace = recorder.close()
+        trace = machine.trace
         # Shared interning: stable cids per workload across requests.
         profile = replay_profile(trace, workload.program, self.params, contexts=contexts)
         summary.mix[name] = summary.mix.get(name, 0) + 1

@@ -2,7 +2,7 @@
 
 The paper's pipeline re-executes its workload for every profiling and
 measurement run.  This package removes that cost the way trace-driven
-binary-optimisation pipelines do: a :class:`TraceRecorder` captures the
+binary-optimisation pipelines do: a :class:`RecordingMachine` writes the
 complete machine-event stream (calls, returns, allocations, frees,
 reallocations, heap accesses, compute work) into a compact varint/delta
 binary format; :func:`replay_profile` re-drives the affinity profiler from
@@ -26,7 +26,7 @@ from .format import (
     TraceReader,
     TraceWriter,
 )
-from .record import TraceRecorder, record_workload
+from .record import RecordingMachine, TraceRecorder, record_workload
 from .replay import TraceReplayer, replay_profile
 from .sweep import (
     sweep_affinity_distances,
@@ -40,6 +40,7 @@ __all__ = [
     "AccessTrace",
     "AccessTraceRecorder",
     "EventTrace",
+    "RecordingMachine",
     "TraceFormatError",
     "TraceHeader",
     "TraceReader",

@@ -295,14 +295,20 @@ class TestReplayedProfile:
     """Each request's profile is the replay of its own recording.
 
     The oracle is a :class:`~repro.profiling.profiler.Profiler` listener
-    attached to the very same request machine, interning into a copy of
-    the workload's shared context table taken before the request ran.
+    attached to the very same request execution, interning into a copy of
+    the workload's shared context table taken before the request ran.  A
+    :class:`~repro.trace.record.RecordingMachine` takes no listeners, so
+    each request runs on the listener path instead: a plain ``Machine``
+    over the shared allocator, recorded by a ``TraceRecorder`` (held to
+    the recording machine in ``tests/test_recording_machine.py``).
     """
 
     def test_every_request_matches_the_listener(self, monkeypatch):
+        from repro.machine import Machine
         from repro.profiling.profiler import Profiler
         from repro.profiling.shadow import ContextTable
         from repro.serve import service as service_module
+        from repro.trace.record import TraceRecorder
 
         service = ServeService(small_config(requests=24, epoch_requests=6))
         pending: list[Profiler] = []
@@ -311,17 +317,25 @@ class TestReplayedProfile:
         def chains(table: ContextTable) -> list:
             return [table.chain(cid) for cid in table]
 
-        real_machine = service_module.Machine
         real_replay = service_module.replay_profile
 
-        def machine_with_oracle(program, allocator, listeners, **kwargs):
-            name = next(n for n, w in service._workloads.items() if w.program is program)
+        class ListenedMachine(Machine):
+            @property
+            def trace(self):
+                return self.listeners[0].close()
+
+        def machine_with_oracle(program, allocator, *, workload, scale, seed, **kwargs):
             profiler = Profiler(program, service.params.affinity)
             profiler.contexts = ContextTable()
-            for chain in chains(service.contexts[name]):
+            for chain in chains(service.contexts[workload]):
                 profiler.contexts.intern(chain)
             pending.append(profiler)
-            return real_machine(program, allocator, listeners=[*listeners, profiler], **kwargs)
+            recorder = TraceRecorder(
+                workload=workload, scale=scale, seed=seed, program=program.name
+            )
+            return ListenedMachine(
+                program, allocator, listeners=[recorder, profiler], **kwargs
+            )
 
         def checked_replay(trace, program, params, contexts=None):
             profile = real_replay(trace, program, params, contexts=contexts)
@@ -336,7 +350,7 @@ class TestReplayedProfile:
             checked[trace.header.workload] = checked.get(trace.header.workload, 0) + 1
             return profile
 
-        monkeypatch.setattr(service_module, "Machine", machine_with_oracle)
+        monkeypatch.setattr(service_module, "RecordingMachine", machine_with_oracle)
         monkeypatch.setattr(service_module, "replay_profile", checked_replay)
         report = service.run()
         assert report.completed and not pending
@@ -345,3 +359,37 @@ class TestReplayedProfile:
         assert set(checked) == {"health", "ft"}
         assert min(checked.values()) >= 2
         assert sum(checked.values()) == 24
+
+
+class TestBenchmarkSessions:
+    """The perfbench ``serve`` session's decisions, pinned.
+
+    48 requests in epochs of 4, ``health`` then ``ft`` from request 24 on,
+    at request factor 0.02: the figures below are what the session gave
+    when each request still recorded through a listener, so a change to
+    how requests are recorded or placed cannot move them unnoticed.
+    """
+
+    SHARED = dict(
+        abort_epochs=[], drift_epochs=[7], drift_events=1, epochs=12,
+        regroup_attempts=6, regroup_stalls=0, requests=48, rollback_epochs=[],
+        rollbacks=0, sanitize_checks=12, sanitize_findings=0, snapshots=0,
+        swap_aborts=0, swap_epochs=[1, 3, 5, 7, 9, 11], swaps=6,
+    )
+    PINNED = {
+        1: dict(live_bytes=394800, migrated_bytes=1440, migrated_regions=54),
+        41: dict(live_bytes=394784, migrated_bytes=2000, migrated_regions=65),
+    }
+
+    @pytest.mark.parametrize("seed", sorted(PINNED))
+    def test_stats_match_the_pinned_session(self, seed):
+        config = ServeConfig(
+            seed=seed,
+            requests=48,
+            epoch_requests=4,
+            request_factor=0.02,
+            phases=(MixPhase(0, (("health", 1.0),)), MixPhase(24, (("ft", 1.0),))),
+        )
+        report = run_serve(config)
+        assert report.completed
+        assert stats_dict(report) == {**self.SHARED, **self.PINNED[seed]}
