@@ -33,7 +33,9 @@ the simulator:
   executing the calls.  The sharded group allocator, a subclass, a
   used allocator and a run under a fault plan that flips the state
   vector or caps the chunks take the Python loop over the allocator's
-  own methods, which stays the oracle.
+  own methods, which stays the oracle.  The same loop places a
+  ``halo serve`` request, recorded unplaced, on the service's shared
+  heap (:func:`place_heap_ops`).
 * **Fragmentation is only read at one instant.**  Placement never reads
   page residency, so the loop touches no page for an access.  At the
   peak allocation it snapshots the allocator's live and high-water
@@ -65,6 +67,7 @@ from ..allocators.size_class import SizeClassAllocator
 from ..cache.hierarchy import HierarchyConfig, HierarchyStats
 from ..cache.sharing import FalseSharingTracker
 from ..cache.timing import CostModel
+from ..machine.heap import HeapError
 from ..machine.machine import Machine, MachineMetrics
 from ..machine.program import Program
 from ..trace.format import (
@@ -639,6 +642,9 @@ def _place_python(
     the selector stand-in and its space's purges are logged for the peak
     snapshot while the loop runs.
     Thread switches reach a thread-aware allocator between runs of ops.
+    Like ``Machine``'s object table, the loop refuses a live address:
+    no placement may return one and no realloc may move onto one (the
+    same :class:`HeapError` messages).
     """
     allocator = machine.allocator
     grouped = selectors is not None
@@ -661,12 +667,14 @@ def _place_python(
     set_thread = getattr(allocator, "set_thread", None)
     bases, moves, realloc_addrs = out.bases, out.moves, out.realloc_addrs
     cur: list[int] = []
+    live: set[int] = set()
     try:
         for thread, ops in cols.segments(threaded=set_thread is not None):
             if thread is not None:
                 set_thread(thread)
             for op, a, b, ptr in ops:
                 if op == OP_FREE:
+                    live.remove(cur[a])
                     al_free(cur[a])
                     continue
                 if grouped:
@@ -674,6 +682,9 @@ def _place_python(
                     vector.value = states[key]
                 if op == OP_ALLOC:
                     addr = al_malloc(a)
+                    if addr in live:
+                        raise HeapError(f"allocator returned in-use address {addr:#x}")
+                    live.add(addr)
                     cur.append(addr)
                     bases.append(addr)
                     if len(bases) == snap:
@@ -683,12 +694,43 @@ def _place_python(
                     new = al_realloc(old, b)
                     realloc_addrs.append(new)
                     if new != old:
+                        if new in live:
+                            raise HeapError(f"realloc target {new:#x} is in use")
+                        live.remove(old)
+                        live.add(new)
                         cur[a] = new
                         moves.append((ptr, a, new))
     finally:
         if grouped:
             allocator.matcher = selectors.matcher
             del space.purge
+
+
+def place_heap_ops(
+    trace: EventTrace, program: Program, allocator: Allocator,
+    instrumentation: Optional[dict[int, int]] = None,
+) -> list[int]:
+    """Place *trace*'s heap ops on the caller's *allocator*, in use or not.
+
+    The Python loop of the placement pass (:func:`_place_python`), with
+    no peak snapshot: how a ``halo serve`` request, recorded unplaced,
+    lands on the service's shared heap.  A grouped allocator matches
+    through the selector keys of *instrumentation* and its own state
+    vector, which the loop leaves at the last op's state.  Returns each
+    object's final address, by oid.
+    """
+    cols = trace.columns()
+    machine = Machine(
+        program, allocator, instrumentation=instrumentation,
+        state_vector=getattr(allocator, "state_vector", None),
+    )
+    selectors = _Selectors(cols, machine) if isinstance(allocator, GroupAllocator) else None
+    out = _Placement()
+    _place_python(cols, machine, selectors, 0, out)
+    final = out.bases
+    for _, oid, addr in out.moves:
+        final[oid] = addr
+    return final
 
 
 def _false_sharing(cols, placement: _Placement, addr: np.ndarray) -> FalseSharingTracker:

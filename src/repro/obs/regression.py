@@ -13,8 +13,8 @@ from the snapshot:
 
 * **eval_walltime** (detected by its ``serial_phases`` key): per-phase
   wall seconds from the ``phase.seconds{phase=...}`` counters, checked
-  as upper bounds against the baseline's ``profile_s`` / ``analyse_s``
-  / ``measure_s``.
+  as upper bounds against the baseline's ``record_s`` / ``profile_s`` /
+  ``analyse_s`` / ``measure_s``.
 * **trace_replay** (detected by ``replay_sweep_wall_s``): replay and
   record throughput in events/second from the ``trace.*`` counters,
   checked as lower bounds against ``trace_events / *_wall_s``.
@@ -107,8 +107,8 @@ def _eval_walltime_checks(
 ) -> list[Check]:
     """Adapter for the ``BENCH_eval_walltime.json`` schema."""
     checks = []
-    for phase, key in (("profile", "profile_s"), ("analyse", "analyse_s"), ("measure", "measure_s")):
-        base = baseline["serial_phases"].get(key)
+    for phase in ("record", "profile", "analyse", "measure"):
+        base = baseline["serial_phases"].get(f"{phase}_s")
         if base is None:
             continue
         checks.append(

@@ -2,10 +2,13 @@
 
 One :class:`ServeService` owns a single live heap (one address space, one
 :class:`~repro.allocators.group.GroupAllocator`) and drives the configured
-request stream over it.  Each request runs a workload kernel on a fresh
-simulated machine bound to the shared allocator; a slice of its surviving
-objects is retained on the service heap (the long-lived state hot-swaps
-must migrate), and the replay of its recording feeds the sliding window.
+request stream over it.  Each request runs a workload kernel on a
+:class:`~repro.trace.record.RecordingMachine`, which places nothing; its
+heap ops are then placed on the shared allocator by the columnar
+placement loop (:func:`~repro.columnar.engine.place_heap_ops`), under the
+incumbent table's selectors.  A slice of its objects is retained on the
+service heap (the long-lived state hot-swaps must migrate), and the
+replay of its recording feeds the sliding window.
 
 At every epoch boundary the loop makes its decisions in a fixed order —
 expire, window-push, drift, re-group, canary, swap, sanitize, snapshot —
@@ -30,13 +33,14 @@ from typing import Optional, Union
 from ..allocators.base import AddressSpace
 from ..allocators.group import GroupAllocator
 from ..allocators.size_class import SizeClassAllocator
-from ..columnar.engine import score_trace
+from ..columnar.engine import place_heap_ops, score_trace
 from ..core.pipeline import HaloParams
 from ..core.selectors import CompiledMatcher
 from ..faults.plan import FaultPlan
 from ..machine.machine import GroupStateVector
 from ..profiling.shadow import ContextTable
 from ..sanitize.invariants import Finding, validate_allocator
+from ..trace.format import EventTrace
 from ..trace.record import RecordingMachine
 from ..trace.replay import replay_profile
 from ..trace.window import TraceWindow
@@ -256,26 +260,7 @@ class ServeService:
         name = self._pick_workload(index)
         workload = self._workload(name)
         contexts = self.contexts.setdefault(name, ContextTable())
-        state_vector = GroupStateVector()
-        self.allocator.state_vector = state_vector
-        self.matcher.active = self.table.matcher_for(name)
-        machine = RecordingMachine(
-            workload.program,
-            self.allocator,
-            workload=name,
-            scale="test",
-            seed=self.config.seed,
-            instrumentation=self.table.instrumentation_for(name),
-            state_vector=state_vector,
-        )
-        rng = random.Random(f"serve:{self.config.seed}:{index}:{name}")
-        try:
-            workload._execute(machine, rng, self.config.request_factor)
-            machine.finish()
-        finally:
-            self.matcher.active = None
-
-        trace = machine.trace
+        trace = self._run_request(workload, index)
         # Shared interning: stable cids per workload across requests.
         profile = replay_profile(trace, workload.program, self.params, contexts=contexts)
         summary.mix[name] = summary.mix.get(name, 0) + 1
@@ -284,13 +269,8 @@ class ServeService:
         # One trace per workload per epoch feeds the canary window.
         traces.setdefault(name, trace)
 
-        # The request's own heap drains completely (workload kernels free
-        # their objects; any stragglers go here) ...
-        for obj in machine.objects.live_objects():
-            self.allocator.free(obj.addr)
-
-        # ... and a deterministic sample of its objects is promoted into
-        # the session cache: re-allocated into the pool of the group their
+        # A deterministic sample of its objects is promoted into the
+        # session cache: re-allocated into the pool of the group their
         # allocation context maps to under the incumbent table.  This is
         # the long-lived state hot-swaps must migrate.
         seed = self.config.seed
@@ -315,6 +295,32 @@ class ServeService:
             )
             self.next_seq += 1
             promoted += 1
+
+    def _run_request(self, workload: Workload, index: int) -> EventTrace:
+        """Record request *index*, then place it on the shared heap.
+
+        The request's own heap drains completely: workload kernels free
+        their objects, and any stragglers are freed here, at their placed
+        addresses, in the recording's ``live_objects()`` order.
+        """
+        name = workload.name
+        machine = RecordingMachine(
+            workload.program, workload=name, scale="test", seed=self.config.seed
+        )
+        rng = random.Random(f"serve:{self.config.seed}:{index}:{name}")
+        workload._execute(machine, rng, self.config.request_factor)
+        machine.finish()
+        self.matcher.active = self.table.matcher_for(name)
+        try:
+            addrs = place_heap_ops(
+                machine.trace, workload.program, self.allocator,
+                self.table.instrumentation_for(name),
+            )
+        finally:
+            self.matcher.active = None
+        for obj in machine.objects.live_objects():
+            self.allocator.free(addrs[obj.oid])
+        return machine.trace
 
     def _gid_for_context(self, workload: str, cid: Optional[int]) -> Optional[int]:
         """Global gid the incumbent table assigns to context *cid*."""

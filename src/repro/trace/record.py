@@ -6,12 +6,12 @@ call, return, allocation, reallocation, free, heap access, unit of compute
 work and simulated-thread switch straight onto the columns of a
 :class:`~repro.trace.format.TraceWriter`, with no listener in between.
 This is the analogue of the paper's Pin tool (Section 4.1), which observes
-the process and runs no second heap: without an allocator the machine
-places nothing and tracks no page residency, because the event stream is
-placement-independent (workloads never observe heap addresses).  A
-``halo serve`` request records on one over the service's shared
-allocator, which keeps placement, residency and instrumentation bits,
-because the shared heap's state is part of the session's output.
+the process and runs no second heap: the machine places nothing and
+tracks no page residency, because the event stream is
+placement-independent (workloads never observe heap addresses).  Where a
+run's heap matters (a ``halo serve`` request on the shared heap), the
+recording's heap ops are placed afterwards
+(:func:`~repro.columnar.engine.place_heap_ops`).
 
 :class:`TraceRecorder` is the same recorder as a
 :class:`~repro.machine.events.Listener` on a plain ``Machine``: the
@@ -28,16 +28,10 @@ from time import perf_counter
 from typing import TYPE_CHECKING, Iterable, Optional, Union
 
 from .. import obs
-from ..allocators.base import PAGE_SHIFT, AddressSpace
+from ..allocators.base import AddressSpace
 from ..machine.events import Listener
 from ..machine.heap import HeapError, HeapObject, ObjectTable
-from ..machine.machine import (
-    GroupStateVector,
-    Machine,
-    MachineMetrics,
-    _new_scope,
-    out_of_bounds,
-)
+from ..machine.machine import Machine, MachineMetrics, _new_scope, out_of_bounds
 from ..machine.program import CallSite, Program
 from .format import (
     OP_ALLOC,
@@ -58,7 +52,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 class _RecordingScope:
     """:class:`~repro.machine.machine._CallScope` for a
-    :class:`RecordingMachine`: the same stack, bits, nesting check and
+    :class:`RecordingMachine`: the same stack, nesting check and
     unwinding, with each call and return written to the columns."""
 
     __slots__ = ("_machine", "_sites", "_innermost")
@@ -69,7 +63,6 @@ class _RecordingScope:
         stack = machine.stack
         kinds = machine._kinds
         op_a = machine._op_a
-        instrumentation = machine.instrumentation
         entered = 0
         try:
             for site in self._sites:
@@ -82,11 +75,6 @@ class _RecordingScope:
                 stack.append(resolved)
                 entered += 1
                 self._innermost = resolved
-                if instrumentation:
-                    bit = instrumentation.get(resolved.addr)
-                    if bit is not None:
-                        machine.state_vector.set(bit)
-                        machine._toggles += 1
                 kinds.append(OP_CALL)
                 op_a.append(resolved.addr)
         except BaseException:
@@ -103,16 +91,10 @@ class _RecordingScope:
         assert not sites or stack[-1] is self._innermost
         kinds = machine._kinds
         op_a = machine._op_a
-        instrumentation = machine.instrumentation
         for _ in sites:
             kinds.append(OP_RETURN)
             op_a.append(0)
-            resolved = stack.pop()
-            if instrumentation:
-                bit = instrumentation.get(resolved.addr)
-                if bit is not None:
-                    machine.state_vector.clear(bit)
-                    machine._toggles += 1
+            stack.pop()
         return False
 
 
@@ -128,22 +110,15 @@ class RecordingMachine(Machine):
     :meth:`finish` (the end-of-run marker) or :meth:`close` (none) as
     :attr:`trace`.
 
+    Each object gets a fresh, never-reused address: nothing is placed or
+    made resident.
+
     Args:
         program: Static program model; every call site must belong to it.
-        allocator: Optional allocator.  Without one (recording a workload)
-            each object gets a fresh, never-reused address, nothing is
-            freed into an allocator and no page is touched.  With one (a
-            serve request on the shared heap) objects are placed, freed
-            and reallocated through it, every access marks its pages
-            resident in ``allocator.space`` and thread switches are
-            forwarded to it, exactly as on a plain ``Machine``.
         workload: Workload name stored in the trace header.
         scale: Input scale stored in the trace header.
         seed: Seed stored in the trace header (informational only: the
             event stream is placement-independent).
-        instrumentation: Optional ``site addr -> state-vector bit`` map;
-            entering and leaving those sites toggles ``state_vector``.
-        state_vector: The shared group state vector (created on demand).
 
     A recording machine has no listeners and refuses any (``TypeError``):
     one would silently miss the events it writes itself.  Attach
@@ -155,20 +130,9 @@ class RecordingMachine(Machine):
     memory = None
 
     def __init__(
-        self,
-        program: Program,
-        allocator=None,
-        *,
-        workload: str = "",
-        scale: str = "test",
-        seed: int = 0,
-        instrumentation: Optional[dict[int, int]] = None,
-        state_vector: Optional[GroupStateVector] = None,
+        self, program: Program, *, workload: str = "", scale: str = "test", seed: int = 0
     ) -> None:
         self.program = program
-        self.allocator = allocator
-        self.instrumentation = dict(instrumentation or {})
-        self.state_vector = state_vector if state_vector is not None else GroupStateVector()
         self.objects = ObjectTable()
         self.stack: list[CallSite] = []
         self.thread_id = 0
@@ -183,11 +147,8 @@ class RecordingMachine(Machine):
         self._acc_offset = writer._acc_offset
         self._acc_size = writer._acc_size
         self._works = writer._works
-        #: Pages touched by accesses: the allocator's residency, or None.
-        self._touched = allocator.space._touched_pages if allocator is not None else None
-        #: Next fresh address when nothing places the objects.
+        #: Next fresh address.
         self._cursor = AddressSpace.HEAP_BASE
-        self._toggles = 0
         self._started = perf_counter()
 
     # ------------------------------------------------------------------
@@ -232,7 +193,7 @@ class RecordingMachine(Machine):
         return MachineMetrics(
             loads=counts[OP_LOAD], stores=counts[OP_STORE], allocs=counts[OP_ALLOC],
             frees=counts[OP_FREE], reallocs=counts[OP_REALLOC], calls=counts[OP_CALL],
-            compute_cycles=sum(works, 0.0), instrumentation_toggles=self._toggles,
+            compute_cycles=sum(works, 0.0),
         )
 
     # ------------------------------------------------------------------
@@ -249,10 +210,6 @@ class RecordingMachine(Machine):
     def set_thread(self, thread_id: int) -> None:
         """Switch the simulated thread (a switch-table entry, not an event)."""
         self.thread_id = thread_id
-        if self.allocator is not None:
-            forward = getattr(self.allocator, "set_thread", None)
-            if forward is not None:
-                forward(thread_id)
         self._writer.thread(thread_id)
 
     def _fresh(self, size: int) -> int:
@@ -261,43 +218,31 @@ class RecordingMachine(Machine):
         return addr
 
     def malloc(self, size: int) -> HeapObject:
-        """Allocate *size* bytes (placed only when there is an allocator)."""
+        """Allocate *size* bytes at a fresh address."""
         if size <= 0:
             raise HeapError(f"invalid allocation size {size}")
-        allocator = self.allocator
-        addr = self._fresh(size) if allocator is None else allocator.malloc(size)
-        obj = self.objects.create(addr, size)
+        obj = self.objects.create(self._fresh(size), size)
         self._kinds.append(OP_ALLOC)
         self._op_a.append(size)
         return obj
 
     def calloc(self, count: int, size: int) -> HeapObject:
-        """Allocate ``count * size`` bytes; zeroing makes placed pages resident."""
-        obj = self.malloc(count * size)
-        if self.allocator is not None:
-            self.allocator.space.touch_range(obj.addr, obj.size)
-        return obj
+        """Allocate ``count * size`` bytes (zeroing touches nothing here)."""
+        return self.malloc(count * size)
 
     def free(self, obj: HeapObject) -> None:
         """Free *obj* (its liveness is checked before it is recorded)."""
         obj.check_alive()
         self._kinds.append(OP_FREE)
         self._op_a.append(obj.oid)
-        if self.allocator is not None:
-            self.allocator.free(obj.addr)
         self.objects.destroy(obj)
 
     def realloc(self, obj: HeapObject, new_size: int) -> HeapObject:
-        """Resize *obj* (to a fresh address when nothing places it)."""
+        """Resize *obj* to a fresh address."""
         obj.check_alive()
         if new_size <= 0:
             raise HeapError(f"invalid realloc size {new_size}")
-        allocator = self.allocator
-        if allocator is None:
-            new_addr = self._fresh(new_size)
-        else:
-            new_addr = allocator.realloc(obj.addr, new_size)
-        self.objects.move(obj, new_addr, new_size)
+        self.objects.move(obj, self._fresh(new_size), new_size)
         self._kinds.append(OP_REALLOC)
         self._op_a.append(obj.oid)
         self._resize.append(new_size)
@@ -306,22 +251,13 @@ class RecordingMachine(Machine):
     def load(self, obj: HeapObject, offset: int = 0, size: int = 8) -> None:
         """Record a load of *size* bytes at *offset* within *obj*.
 
-        The hottest call of a recording: the checks, the page touch (only
-        with an allocator) and the four column appends, inline.
-        :meth:`store` is its twin.
+        The hottest call of a recording: the checks and the four column
+        appends, inline.  :meth:`store` is its twin.
         """
         if not obj.alive:
             raise HeapError(f"use of freed object #{obj.oid}")
         if offset < 0 or size <= 0 or offset + size > obj.size:
             raise out_of_bounds(obj, offset, size)
-        touched = self._touched
-        if touched is not None:
-            addr = obj.addr + offset
-            first = addr >> PAGE_SHIFT
-            if first == (addr + size - 1) >> PAGE_SHIFT:
-                touched.add(first)
-            else:
-                self.allocator.space.touch_range(addr, size)
         self._kinds.append(OP_LOAD)
         self._acc_oid.append(obj.oid)
         self._acc_offset.append(offset)
@@ -333,14 +269,6 @@ class RecordingMachine(Machine):
             raise HeapError(f"use of freed object #{obj.oid}")
         if offset < 0 or size <= 0 or offset + size > obj.size:
             raise out_of_bounds(obj, offset, size)
-        touched = self._touched
-        if touched is not None:
-            addr = obj.addr + offset
-            first = addr >> PAGE_SHIFT
-            if first == (addr + size - 1) >> PAGE_SHIFT:
-                touched.add(first)
-            else:
-                self.allocator.space.touch_range(addr, size)
         self._kinds.append(OP_STORE)
         self._acc_oid.append(obj.oid)
         self._acc_offset.append(offset)

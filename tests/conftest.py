@@ -97,3 +97,51 @@ def record_ops(program, ops):
     machine = Machine(program, SizeClassAllocator(AddressSpace(seed=0)), listeners=[recorder])
     run_ops(machine, ops)
     return recorder.close()
+
+
+def run_request_on_a_machine(service, workload, index: int, listeners=()):
+    """The oracle of ``ServeService._run_request``: request *index* executed
+    on a plain ``Machine`` over the service's shared allocator, recorded by
+    a ``TraceRecorder`` (plus any *listeners*).
+
+    The machine places each op live, under the incumbent table's
+    instrumentation and selectors, and the request's stragglers are freed
+    from its object table.  Returns the recording.
+    """
+    import random
+
+    from repro.machine import GroupStateVector
+    from repro.trace.record import TraceRecorder
+
+    name, seed = workload.name, service.config.seed
+    recorder = TraceRecorder(workload=name, scale="test", seed=seed, program=workload.program.name)
+    vector = service.allocator.state_vector = GroupStateVector()
+    service.matcher.active = service.table.matcher_for(name)
+    machine = Machine(
+        workload.program, service.allocator, listeners=[recorder, *listeners],
+        instrumentation=service.table.instrumentation_for(name), state_vector=vector,
+    )
+    try:
+        rng = random.Random(f"serve:{seed}:{index}:{name}")
+        workload._execute(machine, rng, service.config.request_factor)
+        machine.finish()
+    finally:
+        service.matcher.active = None
+    for obj in machine.objects.live_objects():
+        service.allocator.free(obj.addr)
+    return recorder.trace
+
+
+def serve_heap(service) -> dict:
+    """The shared heap a serve session leaves: counters, chunk layout,
+    retained regions and the address space's cursor."""
+    import dataclasses
+
+    allocator = service.allocator
+    return {
+        "stats": dataclasses.asdict(allocator.stats),
+        "counts": allocator.observable_stats(),
+        "chunks": sorted((chunk.base, chunk.size) for chunk in allocator._chunks.values()),
+        "retained": [(r.seq, r.gid, r.size, r.addr) for r in service.retained],
+        "cursor": service.space._cursor,
+    }

@@ -22,7 +22,7 @@ from repro.obs.regression import compare_snapshot, run_gate
 REPO = Path(__file__).resolve().parent.parent
 
 EVAL_BASELINE = {
-    "serial_phases": {"profile_s": 2.0, "analyse_s": 3.0, "measure_s": 10.0},
+    "serial_phases": {"record_s": 1.5, "profile_s": 2.0, "analyse_s": 3.0, "measure_s": 10.0},
 }
 
 TRACE_BASELINE = {
@@ -32,10 +32,11 @@ TRACE_BASELINE = {
 }
 
 
-def phase_snapshot(profile=1.0, analyse=1.0, measure=1.0) -> MetricsSnapshot:
-    """Snapshot with just the three phase wall-time counters."""
+def phase_snapshot(profile=1.0, analyse=1.0, measure=1.0, record=1.0) -> MetricsSnapshot:
+    """Snapshot with just the four phase wall-time counters."""
     return MetricsSnapshot(
         counters={
+            'phase.seconds{phase="record"}': record,
             'phase.seconds{phase="profile"}': profile,
             'phase.seconds{phase="analyse"}': analyse,
             'phase.seconds{phase="measure"}': measure,
@@ -57,14 +58,20 @@ def throughput_snapshot(replay_s=1.0, record_s=1.0) -> MetricsSnapshot:
 
 class TestEvalWalltimeAdapter:
     def test_within_tolerance_passes(self):
-        checks = compare_snapshot(phase_snapshot(2.5, 3.5, 12.0), EVAL_BASELINE, 0.5)
-        assert [c.status for c in checks] == ["ok", "ok", "ok"]
+        checks = compare_snapshot(phase_snapshot(2.5, 3.5, 12.0, 2.0), EVAL_BASELINE, 0.5)
+        assert [c.status for c in checks] == ["ok", "ok", "ok", "ok"]
 
     def test_regression_fails(self):
         checks = compare_snapshot(phase_snapshot(measure=100.0), EVAL_BASELINE, 0.5)
         by_name = {c.name: c for c in checks}
         assert by_name["measure wall time"].status == "FAIL"
         assert by_name["profile wall time"].status == "ok"
+
+    def test_slow_record_fails(self):
+        checks = compare_snapshot(phase_snapshot(record=9.0), EVAL_BASELINE, 0.5)
+        by_name = {c.name: c for c in checks}
+        assert by_name["record wall time"].status == "FAIL"
+        assert by_name["measure wall time"].status == "ok"
 
     def test_upper_limit_is_baseline_times_tolerance(self):
         (check,) = [
@@ -116,7 +123,7 @@ class TestSchemaDetection:
         baseline.write_text(json.dumps(EVAL_BASELINE))
         passed, report = run_gate(phase_snapshot(), baseline, tolerance=0.5)
         assert passed
-        assert "PASS: 3/3 checks ran" in report
+        assert "PASS: 4/4 checks ran" in report
         passed, report = run_gate(phase_snapshot(measure=99.0), baseline, tolerance=0.5)
         assert not passed
         assert "FAIL" in report

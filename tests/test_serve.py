@@ -298,19 +298,22 @@ class TestReplayedProfile:
     attached to the very same request execution, interning into a copy of
     the workload's shared context table taken before the request ran.  A
     :class:`~repro.trace.record.RecordingMachine` takes no listeners, so
-    each request runs on the listener path instead: a plain ``Machine``
-    over the shared allocator, recorded by a ``TraceRecorder`` (held to
-    the recording machine in ``tests/test_recording_machine.py``).
+    each request runs on the listener path instead
+    (``conftest.run_request_on_a_machine``): a plain ``Machine`` over the
+    shared allocator, recorded by a ``TraceRecorder``.  That session must
+    also leave the heap the production one leaves (recorded unplaced,
+    placed afterwards; held op for op in ``tests/test_recording_machine.py``).
     """
 
     def test_every_request_matches_the_listener(self, monkeypatch):
-        from repro.machine import Machine
         from repro.profiling.profiler import Profiler
         from repro.profiling.shadow import ContextTable
         from repro.serve import service as service_module
-        from repro.trace.record import TraceRecorder
 
-        service = ServeService(small_config(requests=24, epoch_requests=6))
+        from conftest import run_request_on_a_machine, serve_heap
+
+        config = small_config(requests=24, epoch_requests=6)
+        service = ServeService(config)
         pending: list[Profiler] = []
         checked: dict[str, int] = {}
 
@@ -319,23 +322,13 @@ class TestReplayedProfile:
 
         real_replay = service_module.replay_profile
 
-        class ListenedMachine(Machine):
-            @property
-            def trace(self):
-                return self.listeners[0].close()
-
-        def machine_with_oracle(program, allocator, *, workload, scale, seed, **kwargs):
-            profiler = Profiler(program, service.params.affinity)
+        def run_with_oracle(service, workload, index):
+            profiler = Profiler(workload.program, service.params.affinity)
             profiler.contexts = ContextTable()
-            for chain in chains(service.contexts[workload]):
+            for chain in chains(service.contexts[workload.name]):
                 profiler.contexts.intern(chain)
             pending.append(profiler)
-            recorder = TraceRecorder(
-                workload=workload, scale=scale, seed=seed, program=program.name
-            )
-            return ListenedMachine(
-                program, allocator, listeners=[recorder, profiler], **kwargs
-            )
+            return run_request_on_a_machine(service, workload, index, listeners=[profiler])
 
         def checked_replay(trace, program, params, contexts=None):
             profile = real_replay(trace, program, params, contexts=contexts)
@@ -350,15 +343,19 @@ class TestReplayedProfile:
             checked[trace.header.workload] = checked.get(trace.header.workload, 0) + 1
             return profile
 
-        monkeypatch.setattr(service_module, "RecordingMachine", machine_with_oracle)
-        monkeypatch.setattr(service_module, "replay_profile", checked_replay)
-        report = service.run()
+        with monkeypatch.context() as patch:
+            patch.setattr(ServeService, "_run_request", run_with_oracle)
+            patch.setattr(service_module, "replay_profile", checked_replay)
+            report = service.run()
         assert report.completed and not pending
         # Both workloads were served, each more than once, so later
         # requests interned into a table earlier requests had filled.
         assert set(checked) == {"health", "ft"}
         assert min(checked.values()) >= 2
         assert sum(checked.values()) == 24
+        production = ServeService(config)
+        assert stats_dict(production.run()) == stats_dict(report)
+        assert serve_heap(production) == serve_heap(service)
 
 
 class TestBenchmarkSessions:
