@@ -8,8 +8,7 @@ all three figures.
 Environment knobs:
 
 * ``REPRO_BENCH_SCALE``  — input scale for measured runs (default ``ref``);
-* ``REPRO_BENCH_TRIALS`` — trials per configuration (default 1; the
-  harness always runs and discards one extra warm-up trial).
+* ``REPRO_BENCH_TRIALS`` — trials per configuration (default 1).
 """
 
 from __future__ import annotations

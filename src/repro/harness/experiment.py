@@ -5,7 +5,10 @@ the median of the remaining 10 with 25th/75th-percentile error bars.  In
 this reproduction a trial's only run-to-run variation is the ASLR-style
 randomisation of the simulated address space (heap base offsets), so a
 handful of trials captures the placement noise; the trial count is a
-parameter.
+parameter.  The paper's discarded first run has no counterpart here:
+it absorbs a cold system, and every simulated trial starts from a fresh
+address space, cache hierarchy and allocator, so nothing is cold for
+one trial and warm for the next.  Every trial that runs is reported.
 """
 
 from __future__ import annotations
@@ -67,28 +70,25 @@ class TrialResult:
         return min(self.measurements, key=lambda m: abs(m.cycles - self.cycles.median))
 
 
-def trial_seeds(trials: int, discard_first: bool = True) -> range:
-    """The seed sequence :func:`run_trials` executes for *trials* trials.
+def trial_seeds(trials: int) -> range:
+    """The seeds of *trials* trials: ``1 .. trials``.
 
     Exposed so the parallel runner can fan the exact same seeds out to
     worker processes and aggregate identically.
     """
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
-    return range(0, trials + (1 if discard_first else 0))
+    return range(1, trials + 1)
 
 
-def aggregate_trials(
-    measurements: Sequence[Measurement],
-    discard_first: bool = True,
-) -> TrialResult:
-    """Fold seed-ordered *measurements* into a :class:`TrialResult`.
+def aggregate_trials(measurements: Sequence[Measurement]) -> TrialResult:
+    """Fold seed-ordered *measurements*, every one of them, into a :class:`TrialResult`.
 
     The single aggregation path shared by the serial and parallel runners:
     identical measurement lists produce identical results regardless of
     where the measurements were executed.
     """
-    kept = list(measurements[1:] if discard_first else measurements)
+    kept = list(measurements)
     if not kept:
         raise ValueError("no measurements to aggregate")
     return TrialResult(
@@ -99,19 +99,9 @@ def aggregate_trials(
     )
 
 
-def run_trials(
-    measure: Callable[[int], Measurement],
-    trials: int = 3,
-    discard_first: bool = True,
-) -> TrialResult:
-    """Run ``measure(seed)`` for several seeds and aggregate the results.
-
-    Mirrors the paper's discard-the-first-trial warm-up convention: seed 0
-    is executed and dropped when ``discard_first`` is set (its placement is
-    the least randomised, playing the role of the cold-system run).
-    """
-    seeds = trial_seeds(trials, discard_first)
-    return aggregate_trials([measure(seed) for seed in seeds], discard_first)
+def run_trials(measure: Callable[[int], Measurement], trials: int = 3) -> TrialResult:
+    """Run ``measure(seed)`` for each of :func:`trial_seeds` and aggregate."""
+    return aggregate_trials([measure(seed) for seed in trial_seeds(trials)])
 
 
 def miss_reduction(baseline: TrialResult, optimised: TrialResult) -> float:

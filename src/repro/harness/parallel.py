@@ -746,19 +746,12 @@ class CellResults:
     prepared: dict[str, PreparedSummary]
     failures: list[FailedMeasurement]
 
-    def trials(self, cells: Sequence[Cell], discard_first: bool = True) -> Optional[TrialResult]:
-        """Aggregate the surviving seeds of *cells* (None if none survived).
-
-        The warm-up convention drops seed 0 *when it succeeded*; a failed
-        warm-up cell must not silently promote seed 1 into its place.
-        """
+    def trials(self, cells: Sequence[Cell]) -> Optional[TrialResult]:
+        """Aggregate the surviving seeds of *cells* (None if none survived)."""
         by_seed = {c.seed: self.measured[c.key] for c in cells if c.key in self.measured}
-        seeds = sorted(by_seed)
-        if discard_first and 0 in by_seed:
-            seeds = seeds[1:]
-        if not seeds:
+        if not by_seed:
             return None
-        return aggregate_trials([by_seed[s] for s in seeds], discard_first=False)
+        return aggregate_trials([by_seed[s] for s in sorted(by_seed)])
 
 
 def run_cells(
@@ -885,7 +878,6 @@ def run_trials_parallel(
     trials: int = 3,
     scale: str = "ref",
     jobs: int = 2,
-    discard_first: bool = True,
     halo_params: Optional[HaloParams] = None,
     hds_params: Optional[HdsParams] = None,
     engine: str = "auto",
@@ -902,10 +894,10 @@ def run_trials_parallel(
     """
     cells = [
         Cell(name, config, seed, scale, halo_params, hds_params, engine)
-        for seed in trial_seeds(trials, discard_first)
+        for seed in trial_seeds(trials)
     ]
     results = run_cells(cells, jobs=jobs, **options)
-    result = results.trials(cells, discard_first)
+    result = results.trials(cells)
     if result is None:
         raise RuntimeError(
             f"every trial of {name}/{config} failed: "

@@ -65,7 +65,8 @@ def evaluate_all(
     """Run the full evaluation matrix (figures 13, 14 and 15 share it).
 
     Each benchmark is profiled once and analysed with both techniques,
-    then every ``(benchmark, configuration, seed)`` cell is measured.
+    then every ``(benchmark, configuration, seed)`` cell is measured, for
+    seeds ``1 .. trials``, and every one is reported.
     *engine* selects the measurement backend: ``auto`` (the default),
     ``columnar`` and ``event`` measure every cell from one recorded event
     trace per benchmark at *scale* (the profile replays the

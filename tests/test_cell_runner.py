@@ -9,6 +9,7 @@ serial runs journal, resume and retry per cell, and the result does not
 depend on ``jobs``.
 """
 
+import dataclasses
 import json
 import pickle
 import tempfile
@@ -106,6 +107,7 @@ class TestInlinePath:
         assert len(compressions) == 1
 
     def test_every_cell_measured_once_through_the_seam(self, monkeypatch):
+        # Seed 1 only: no cell is measured for a result that is then dropped.
         calls = []
         real = runner.run_measurement
 
@@ -116,9 +118,7 @@ class TestInlinePath:
         monkeypatch.setattr(runner, "run_measurement", counting)
         evaluate_all([BENCH], jobs=1, **MATRIX)
         expected = [
-            (config, seed)
-            for config in ("baseline", "halo", "hds", "random-pools", "arena")
-            for seed in (0, 1)
+            (config, 1) for config in ("baseline", "halo", "hds", "random-pools", "arena")
         ]
         assert sorted(calls) == sorted(expected)
 
@@ -135,9 +135,7 @@ class TestSerialResilience:
             [BENCH], trials=1, scale="test", include_random=False, checkpoint=journal
         )
         assert set(journal.load()) == {f"prepare:{BENCH}"} | {
-            f"measure:{BENCH}:{config}:test:{seed}"
-            for config in ("baseline", "halo", "hds")
-            for seed in (0, 1)
+            f"measure:{BENCH}:{config}:test:1" for config in ("baseline", "halo", "hds")
         }
 
         def must_not_run(*args, **kwargs):
@@ -149,6 +147,40 @@ class TestSerialResilience:
             checkpoint=journal, resume=True,
         )
         assert resumed == first
+
+    def test_journal_with_warm_up_cells_resumes_to_the_same_result(
+        self, tmp_path, monkeypatch
+    ):
+        # Journals written before every trial was reported also hold a
+        # seed-0 warm-up cell per configuration.  Those are stand-ins here,
+        # with doubled cycles: a resume that reported one would show it.
+        fresh_journal = CheckpointJournal(tmp_path / "fresh.journal")
+        fresh = evaluate_all(
+            [BENCH], trials=1, scale="test", include_random=False, checkpoint=fresh_journal
+        )
+        old = CheckpointJournal(tmp_path / "old.journal")
+        for key, value in fresh_journal.load().items():
+            if key.startswith("measure:"):
+                measurement, times = value
+                warm_up = dataclasses.replace(
+                    measurement, seed=0, cycles=2 * measurement.cycles
+                )
+                old.append(key.rsplit(":", 1)[0] + ":0", (warm_up, times))
+            old.append(key, value)
+        assert sum(key.endswith(":0") for key in old.load()) == 3
+
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("a resumed run measured a cell")
+
+        monkeypatch.setattr(runner, "run_measurement", must_not_run)
+        resumed = evaluate_all(
+            [BENCH], trials=1, scale="test", include_random=False,
+            checkpoint=old, resume=True,
+        )
+        assert resumed == fresh
+        evaluation = resumed[BENCH]
+        for trial in (evaluation.baseline, evaluation.halo, evaluation.hds):
+            assert [m.seed for m in trial.measurements] == [1]
 
     def test_serial_cell_failure_is_retried_to_identical_result(self, monkeypatch):
         clean = evaluate_all([BENCH], trials=1, scale="test", include_random=False)

@@ -112,13 +112,13 @@ class TestKillAndResume:
         done = journal.load()
         assert f"prepare:{BENCH}" in done
         assert f"measure:{BENCH}:hds:test:1" not in done
-        assert len(done) == 6  # prepare + 3 configs x 2 seeds - the killed cell
+        assert len(done) == 3  # prepare + 3 configs x 1 seed - the killed cell
 
         resumed = evaluate_all(
             [BENCH], trials=1, scale="test", include_random=False, jobs=2,
             checkpoint=journal, resume=True,
         )[BENCH]
-        assert len(journal.load()) == 7
+        assert len(journal.load()) == 4
         assert _evaluation_metrics(resumed) == _evaluation_metrics(clean)
         assert resumed.halo_groups == clean.halo_groups
         assert resumed.graph_nodes == clean.graph_nodes
@@ -220,7 +220,7 @@ class TestRandomizedPlans:
         try:
             result = run_trials_parallel(
                 BENCH, "halo", trials=2, scale="test", jobs=2,
-                discard_first=False, cache=ArtifactCache(tmp_path / "cache"),
+                cache=ArtifactCache(tmp_path / "cache"),
                 fault_plan=plan, max_retries=3, failures=failures,
             )
             survived = len(result.measurements)

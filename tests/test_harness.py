@@ -87,7 +87,7 @@ class TestTrials:
         with pytest.raises(ValueError):
             TrialStats.of([])
 
-    def test_run_trials_discards_first(self, health_setup):
+    def test_run_trials_measures_only_reported_seeds(self, health_setup):
         workload, _, _ = health_setup
         seen = []
 
@@ -96,8 +96,8 @@ class TestTrials:
             return measure_baseline(workload, scale="test", seed=seed)
 
         result = run_trials(measure, trials=2)
-        assert seen == [0, 1, 2]
-        assert len(result.measurements) == 2
+        assert seen == [1, 2]
+        assert [m.seed for m in result.measurements] == [1, 2]
 
     def test_run_trials_invalid_count(self):
         with pytest.raises(ValueError):

@@ -53,22 +53,21 @@ class TestNearestRank:
 
 
 class TestTrialSeeds:
-    def test_discard_first_adds_warmup_seed(self):
-        assert list(trial_seeds(3)) == [0, 1, 2, 3]
-        assert list(trial_seeds(3, discard_first=False)) == [0, 1, 2]
+    def test_every_seed_is_a_reported_trial(self):
+        assert list(trial_seeds(3)) == [1, 2, 3]
 
     def test_zero_trials_rejected(self):
         with pytest.raises(ValueError):
             trial_seeds(0)
 
-    def test_aggregate_drops_first(self):
+    def test_aggregate_keeps_every_measurement_in_order(self):
         workload = get_workload(BENCH)
         measurements = [
             measure_baseline(workload, scale="test", seed=seed) for seed in trial_seeds(2)
         ]
         result = aggregate_trials(measurements)
-        assert len(result.measurements) == 2
-        assert result.measurements[0] is measurements[1]
+        assert result.measurements == measurements
+        assert all(a is b for a, b in zip(result.measurements, measurements))
 
     def test_aggregate_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -180,7 +179,7 @@ class TestResilience:
         assert isinstance(failure, FailedMeasurement)
         assert (failure.workload, failure.config, failure.seed) == (BENCH, "baseline", 2)
         assert failure.attempts == 2
-        # The surviving seeds still aggregate (seed 0 discarded, seed 1 kept).
+        # The surviving seed still aggregates.
         assert len(result.measurements) == 1
         assert result.measurements[0].seed == 1
 

@@ -85,7 +85,10 @@ Every table and figure in the paper's evaluation (Section 5), reproduced by
 this repository's simulation.  Measured values below come from
 `tools/gen_results.py` (ref-scale inputs, 2 trials with placement jitter,
 medians); regenerate any row with the named benchmark target or the `halo
-plot` CLI.
+plot` CLI.  The paper discards its first of 11 hardware runs as a
+cold-system run; nothing here has a counterpart, because every simulated
+trial starts from a fresh address space, cache hierarchy and allocator,
+so every trial that runs is reported.
 
 **Reading guide.**  The paper reports hardware wall-clock and `perf`
 counters on SPEC binaries; this reproduction reports simulated cycles and
@@ -136,7 +139,7 @@ Chilimbi et al. (hot data streams):
 Shape claims:
 
 * **health is the headline (~28 %)** → reproduced (largest bar, ~31 %).
-* **xalanc double-digit with HDS at zero** → reproduced (~19 %, HDS 0).
+* **xalanc double-digit with HDS at zero** → reproduced (~18 %, HDS 0).
 * **omnetpp ~4 %, HDS nothing** → reproduced.
 * **povray and leela: misses drop, time "largely unchanged"
   (compute-bound)** → reproduced (≤3 % and ≤2 % respectively, against
